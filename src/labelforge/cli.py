@@ -27,6 +27,7 @@ from .data import (
     load_clustering,
     load_embeddings,
     load_labels,
+    relabel,
     save_clustering,
     save_embeddings,
     save_labels,
@@ -333,9 +334,7 @@ def _load_gen(stage: str, cfg: PipelineConfig):
 
 def _labeled_subset(train_emb, train_labels, labeled_idx):
     emb = EmbeddingSet(train_emb.rows[labeled_idx], normalized=True)
-    raw = train_labels.labels[labeled_idx]
-    _, compact = np.unique(raw, return_inverse=True)
-    return emb, LabelSet(compact)
+    return emb, LabelSet(relabel(train_labels.labels[labeled_idx]))
 
 
 def _rates(decided_overlap: np.ndarray, gt_overlap: np.ndarray):
@@ -447,9 +446,7 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
     save_clustering(clustering, _path(cfg, "pseudo_clusters.csv"))
 
     # diagnostics against the synthetic ground truth
-    raw = train_labels.labels[disjoint_idx]
-    _, compact = np.unique(raw, return_inverse=True)
-    gt = LabelSet(compact)
+    gt = LabelSet(relabel(train_labels.labels[disjoint_idx]))
     pw = metrics.pairwise_prf(clustering, gt)
     bc = metrics.bcubed_prf(clustering, gt)
     return {
@@ -510,9 +507,8 @@ def stage_noise(cfg: PipelineConfig) -> dict:
     dis_emb = EmbeddingSet(train_emb.rows[disjoint_idx], normalized=True)
 
     n = cfg["noise"]
-    raw = train_labels.labels[disjoint_idx]
-    _, compact = np.unique(raw, return_inverse=True)
-    tags = noise.label_cluster_errors(clustering, LabelSet(compact))
+    gt = LabelSet(relabel(train_labels.labels[disjoint_idx]))
+    tags = noise.label_cluster_errors(clustering, gt)
     assigned = clustering.assignment != UNASSIGNED
     ap: dict[str, float | None] = {metric: None for metric in noise.METRICS}
     model = None

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet
+from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, relabel
 from .errors import KOutOfRange, LengthMismatch, NoProposals
-from .knn import ClusterProposal, KnnGraph, symmetric_edges
+from .knn import ClusterProposal, KnnGraph, symmetric_csr
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def kmeans(emb: EmbeddingSet, K: int, max_iters: int = 100, seed: int = 0) -> Cl
             c = members.mean(axis=0)
             norm = np.linalg.norm(c)
             centroids[j] = c / norm if norm > 0 else members[0]
-    return _compact_clustering(assignment)
+    return Clustering(relabel(assignment))
 
 
 def hac(emb: EmbeddingSet, dist_threshold: float) -> Clustering:
@@ -106,7 +106,7 @@ def hac(emb: EmbeddingSet, dist_threshold: float) -> Clustering:
             for m in members[i]:
                 assignment[m] = cid
             cid += 1
-    return _compact_clustering(assignment)
+    return Clustering(relabel(assignment))
 
 
 def dbscan(emb: EmbeddingSet, eps: float, min_size: int) -> Clustering:
@@ -142,17 +142,7 @@ def dbscan(emb: EmbeddingSet, eps: float, min_size: int) -> Clustering:
                     assignment[q] = cid
                     frontier.append(int(q))
         cid += 1
-    return _compact_clustering(assignment)
-
-
-def _compact_clustering(assignment: np.ndarray) -> Clustering:
-    assigned = assignment != UNASSIGNED
-    out = assignment.copy()
-    if assigned.any():
-        uniq = np.unique(assignment[assigned])
-        remap = {int(v): i for i, v in enumerate(uniq)}
-        out[assigned] = [remap[int(v)] for v in assignment[assigned]]
-    return Clustering(out)
+    return Clustering(relabel(assignment))
 
 
 def clustering_from_labels(labels: LabelSet) -> Clustering:
@@ -215,17 +205,24 @@ class GcnModel:
 
 
 def _proposal_operator(p: ClusterProposal, g: KnnGraph) -> np.ndarray:
-    """Degree-normalized weighted adjacency Dinv A restricted to members."""
-    members = np.asarray(p.members, dtype=np.int64)
+    """Degree-normalized weighted adjacency Dinv A restricted to members.
+
+    Gathers only the members' rows of the graph's cached CSR adjacency,
+    so the cost is the members' total degree, not the edge count.
+    """
+    members = np.asarray(p.members, dtype=np.int64)  # sorted
     m = len(members)
-    pos = np.full(g.n, -1, dtype=np.int64)
-    pos[members] = np.arange(m)
-    lo, hi, sim = symmetric_edges(g)
-    keep = (pos[lo] >= 0) & (pos[hi] >= 0)
+    indptr, nbr, sim = symmetric_csr(g)
+    starts = indptr[members]
+    counts = indptr[members + 1] - starts
+    # the members' CSR rows, concatenated: row position and edge slot
+    row = np.repeat(np.arange(m), counts)
+    edge = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    # keep the edges whose other end is a member too
+    col = np.minimum(np.searchsorted(members, nbr[edge]), m - 1)
+    inside = members[col] == nbr[edge]
     A = np.zeros((m, m))
-    ia, ib = pos[lo[keep]], pos[hi[keep]]
-    A[ia, ib] = sim[keep]
-    A[ib, ia] = sim[keep]
+    A[row[inside], col[inside]] = sim[edge[inside]]
     deg = A.sum(axis=1)
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     return inv[:, None] * A
@@ -399,7 +396,7 @@ def deoverlap(
         if len(fresh) >= min_cluster_size:
             assignment[np.array(fresh, dtype=np.int64)] = cid
             cid += 1
-    return _compact_clustering(assignment)
+    return Clustering(relabel(assignment))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,15 @@ class LinearHead:
         return z
 
 
+def relabel(ids: np.ndarray) -> np.ndarray:
+    """Map ids onto 0..m-1 in ascending id order; UNASSIGNED stays UNASSIGNED."""
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.full(ids.shape, UNASSIGNED, dtype=np.int64)
+    assigned = ids != UNASSIGNED
+    out[assigned] = np.unique(ids[assigned], return_inverse=True)[1]
+    return out
+
+
 def l2_normalize(emb: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit L2 norm."""
     norms = np.linalg.norm(emb.rows, axis=1)
@@ -240,9 +249,7 @@ def load_labels(path) -> LabelSet:
         missing = sorted(set(range(n)) - set(seen))[:3]
         raise MissingIndex(f"{path}: indices not 0..{n - 1} (missing {missing})")
     raw_labels = np.array([seen[i] for i in range(n)], dtype=np.int64)
-    uniq = np.unique(raw_labels)
-    remap = {int(v): i for i, v in enumerate(uniq)}
-    labels = np.array([remap[int(v)] for v in raw_labels], dtype=np.int64)
+    uniq, labels = np.unique(raw_labels, return_inverse=True)
     return LabelSet(labels, original_ids={i: int(v) for i, v in enumerate(uniq)})
 
 

@@ -15,8 +15,12 @@ from .errors import EmptyThresholds, KOutOfRange, NotNormalized
 class KnnGraph:
     """Per-row top-k neighbors by cosine similarity, self excluded.
 
-    ``sims`` rows are sorted descending; ties are broken toward the
-    smaller neighbor index.
+    Row ``i`` holds the k largest ``rows[i] @ rows[j]`` (j != i) in
+    (-sim, j) order: ``sims`` descending, equal sims ordered by ascending
+    neighbor index. The same rule decides ties at the k-th value, so of
+    several equally similar candidates the smaller indices are kept. The
+    result is therefore a pure function of the embeddings, independent of
+    block size and thread count.
     """
 
     neighbors: np.ndarray
@@ -46,7 +50,16 @@ class ClusterProposal:
 
 
 def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
-    """Exact top-k cosine neighbors via blockwise dense products."""
+    """Exact top-k cosine neighbors via blockwise dense products.
+
+    Each block of up to 1024 rows is scored against every row; the top k
+    per row are selected with ``argpartition`` and then ordered by
+    (-sim, index), the rule stated on :class:`KnnGraph`. Rows whose k-th
+    value is tied with an unselected candidate are re-selected from all
+    candidates at or above that value, so the smaller indices win the
+    tie. ``threads > 1`` processes blocks concurrently with identical
+    output.
+    """
     if not emb.normalized:
         raise NotNormalized("build_knn_graph requires unit-norm embeddings")
     n = emb.n
@@ -59,13 +72,22 @@ def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
 
     def process(start: int) -> None:
         stop = min(start + block, n)
+        local = np.arange(stop - start)
         s = rows[start:stop] @ rows.T
-        for i in range(start, stop):
-            s[i - start, i] = -np.inf  # exclude self
-        # sort by (-sim, index): stable argsort on index order handles ties
-        order = np.argsort(-s, axis=1, kind="stable")[:, :k]
-        neighbors[start:stop] = order
-        sims[start:stop] = np.take_along_axis(s, order, axis=1)
+        s[local, local + start] = -np.inf  # exclude self
+        top = np.argpartition(-s, k - 1, axis=1)[:, :k]
+        kth = s[local, top[:, k - 1]]
+        top.sort(axis=1)
+        # a tie at the k-th value leaves argpartition free to pick any of
+        # the tied candidates: take the smallest indices instead
+        for r in np.flatnonzero((s >= kth[:, None]).sum(axis=1) > k):
+            cand = np.flatnonzero(s[r] >= kth[r])
+            top[r] = np.sort(cand[np.argsort(-s[r, cand], kind="stable")[:k]])
+        # top is in index order, so a stable sort on -sim gives (-sim, index)
+        top_sims = np.take_along_axis(s, top, axis=1)
+        order = np.argsort(-top_sims, axis=1, kind="stable")
+        neighbors[start:stop] = np.take_along_axis(top, order, axis=1)
+        sims[start:stop] = np.take_along_axis(top_sims, order, axis=1)
 
     starts = range(0, n, block)
     if threads > 1:
@@ -102,41 +124,49 @@ def symmetric_edges(g: KnnGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return result
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def symmetric_csr(g: KnnGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR adjacency of :func:`symmetric_edges`: ``(indptr, nbr, sim)``.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    The edges of node ``v`` are ``nbr[indptr[v]:indptr[v + 1]]`` with
+    weights ``sim[...]``; every undirected edge appears once from each
+    end. Cached on the graph instance like :func:`symmetric_edges`.
+    """
+    cached = getattr(g, "_sym_csr", None)
+    if cached is not None:
+        return cached
+    lo, hi, sim = symmetric_edges(g)
+    src = np.concatenate([lo, hi])
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g.n), out=indptr[1:])
+    result = (indptr, np.concatenate([hi, lo])[order], np.concatenate([sim, sim])[order])
+    object.__setattr__(g, "_sym_csr", result)
+    return result
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
 
+def _component_labels(label: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Smallest member of each node's connected component.
 
-def _components_at(
-    nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray, sim: np.ndarray, t: float
-) -> list[np.ndarray]:
-    """Connected components of the subgraph on ``nodes`` with sim >= t."""
-    pos = {int(v): i for i, v in enumerate(nodes)}
-    uf = _UnionFind(len(nodes))
-    keep = sim >= t
-    for a, b in zip(lo[keep], hi[keep]):
-        ia, ib = pos.get(int(a)), pos.get(int(b))
-        if ia is not None and ib is not None:
-            uf.union(ia, ib)
-    groups: dict[int, list[int]] = {}
-    for i, v in enumerate(nodes):
-        groups.setdefault(uf.find(i), []).append(int(v))
-    return [np.array(sorted(g), dtype=np.int64) for g in groups.values()]
+    ``label`` is a starting labelling in which every node points at a
+    smaller-or-equal node of its own component, and every label is its
+    own label (``label[label] == label``); ``np.arange(n)`` qualifies, as
+    does the result for any subset of the edges. Each round hooks the
+    larger of two edge-joined roots onto the smaller, then pointer-jumps
+    every node to its root, until no edge joins two roots.
+    """
+    label = label.copy()
+    while True:
+        la, lb = label[lo], label[hi]
+        split = la != lb
+        if not split.any():
+            return label
+        la, lb = la[split], lb[split]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def proposals_from_thresholds(
@@ -148,6 +178,14 @@ def proposals_from_thresholds(
     higher threshold; if still oversized at the highest threshold they are
     emitted as-is. Duplicate member-sets across thresholds are deduplicated
     (first threshold wins).
+
+    Guaranteed order: thresholds in the given (strictly descending) order;
+    within one threshold, components by ascending smallest member; members
+    sorted. Since components at a higher threshold nest inside those at a
+    lower one, re-cutting a component only yields components already
+    proposed at the higher thresholds. So the result is: every component at
+    the highest threshold, then at each lower threshold the components of
+    at most ``max_size`` members that grew since the threshold before.
     """
     if not thresholds:
         raise EmptyThresholds("need at least one threshold")
@@ -155,27 +193,25 @@ def proposals_from_thresholds(
     if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
         raise ValueError("thresholds must be strictly descending")
     lo, hi, sim = symmetric_edges(g)
-    all_nodes = np.arange(g.n, dtype=np.int64)
+    nodes = np.arange(g.n)
 
     out: list[ClusterProposal] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def emit(members: np.ndarray, t: float) -> None:
-        key = tuple(int(m) for m in members)
-        if key not in seen:
-            seen.add(key)
-            out.append(ClusterProposal(key, t))
-
-    def cut(nodes: np.ndarray, ti: int) -> None:
-        t = ts[ti]
-        for comp in _components_at(nodes, lo, hi, sim, t):
-            if comp.size > max_size and ti > 0:
-                cut(comp, ti - 1)
-            else:
-                emit(comp, t)
-
-    for ti in range(len(ts)):
-        cut(all_nodes, ti)
+    label = nodes
+    prev_size = np.ones(g.n, dtype=np.int64)
+    for ti, t in enumerate(ts):
+        keep = sim >= t
+        # lower thresholds only merge components: start from the last labels
+        label = _component_labels(label, lo[keep], hi[keep])
+        size = np.bincount(label, minlength=g.n)
+        reps = np.flatnonzero(label == nodes)  # smallest members, ascending
+        if ti > 0:
+            # a component that did not grow was proposed at a higher threshold
+            reps = reps[(size[reps] <= max_size) & (size[reps] > prev_size[reps])]
+        members = np.argsort(label, kind="stable")  # grouped by label, sorted
+        offsets = np.concatenate([[0], np.cumsum(size)])
+        for r in reps:
+            out.append(ClusterProposal(tuple(members[offsets[r] : offsets[r + 1]].tolist()), t))
+        prev_size = size
     return out
 
 
@@ -187,12 +223,3 @@ def default_thresholds(g: KnnGraph, count: int = 8) -> list[float]:
     # descending, deduplicated
     ts = sorted(set(float(v) for v in vals), reverse=True)
     return ts
-
-
-def save_graph_csv(g: KnnGraph, path) -> None:
-    """Inspection dump: one ``src,dst,sim`` line per directed edge."""
-    with open(path, "w", newline="") as fh:
-        fh.write("src,dst,sim\n")
-        for i in range(g.n):
-            for j in range(g.k):
-                fh.write(f"{i},{int(g.neighbors[i, j])},{g.sims[i, j]:.9f}\n")

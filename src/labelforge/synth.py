@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet
+from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, relabel
 from .errors import InsufficientIds, RateOutOfRange
 
 
@@ -174,15 +174,4 @@ def inject_label_noise(
                 moved = rng.choice(members, size=half, replace=False)
                 assignment[moved] = next_id
                 next_id += 1
-    return _compact(assignment, c.p_minus)
-
-
-def _compact(assignment: np.ndarray, p_minus) -> Clustering:
-    """Relabel cluster ids to be contiguous, preserving first-seen order by id."""
-    assigned = assignment != UNASSIGNED
-    out = assignment.copy()
-    if assigned.any():
-        uniq = np.unique(assignment[assigned])
-        remap = {int(v): i for i, v in enumerate(uniq)}
-        out[assigned] = [remap[int(v)] for v in assignment[assigned]]
-    return Clustering(out, p_minus=p_minus)
+    return Clustering(relabel(assignment), p_minus=c.p_minus)

@@ -291,7 +291,8 @@ def test_gcn_gradients_match_finite_differences():
         ClusterProposal(tuple(np.flatnonzero(labels.labels == 0).tolist()), 0.5),
         ClusterProposal((0, 1, 6, 7), 0.3),
     ]
-    model = GcnModel.init(4, seed=9, widths=(3, 2))
+    # seed 9 left every ReLU dead (all gradients exactly 0); seed 4 does not
+    model = GcnModel.init(4, seed=4, widths=(3, 2))
     batch = [
         (p, np.array(proposal_targets(p, labels)), _proposal_operator(p, g))
         for p in props
@@ -301,6 +302,8 @@ def test_gcn_gradients_match_finite_differences():
         return _gcn_loss_and_grads(model, batch, emb)[0]
 
     loss, d_head, d_layers = _gcn_loss_and_grads(model, batch, emb)
+    # a check on zero gradients cannot fail: the layers must carry signal
+    assert all(np.linalg.norm(g) > 0 for pair in d_layers for g in pair)
     eps = 1e-6
     max_rel = 0.0
 

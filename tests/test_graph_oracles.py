@@ -1,0 +1,191 @@
+"""Property tests of the graph layer against straightforward reference code.
+
+The references are the plain formulations the vectorized code replaced:
+a full stable ``argsort`` per row for top-k, a dict-based union-find per
+(sub)graph for the threshold sweep, and a scan of every edge for each
+proposal operator. Inputs are quantized and duplicated rows, so that
+similarity ties land on the k-th boundary and on the thresholds.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from labelforge.cluster import _proposal_operator
+from labelforge.data import EmbeddingSet
+from labelforge.knn import (
+    ClusterProposal,
+    KnnGraph,
+    build_knn_graph,
+    proposals_from_thresholds,
+    symmetric_edges,
+)
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
+
+
+def reference_knn(rows, k):
+    """Top-k by (-sim, index): stable argsort of every full row."""
+    s = rows @ rows.T
+    np.fill_diagonal(s, -np.inf)
+    order = np.argsort(-s, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(s, order, axis=1)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def reference_components(nodes, lo, hi, sim, t):
+    """Components of the subgraph on ``nodes`` with sim >= t, in order of
+    first appearance in ``nodes``, members sorted."""
+    pos = {int(v): i for i, v in enumerate(nodes)}
+    uf = _UnionFind(len(nodes))
+    keep = sim >= t
+    for a, b in zip(lo[keep], hi[keep]):
+        ia, ib = pos.get(int(a)), pos.get(int(b))
+        if ia is not None and ib is not None:
+            uf.union(ia, ib)
+    groups = {}
+    for i, v in enumerate(nodes):
+        groups.setdefault(uf.find(i), []).append(int(v))
+    return [np.array(sorted(g), dtype=np.int64) for g in groups.values()]
+
+
+def reference_proposals(g, ts, max_size):
+    """Recursive re-cut of every oversized component on its own subgraph."""
+    lo, hi, sim = symmetric_edges(g)
+    out, seen = [], set()
+
+    def cut(nodes, ti):
+        for comp in reference_components(nodes, lo, hi, sim, ts[ti]):
+            if comp.size > max_size and ti > 0:
+                cut(comp, ti - 1)
+            else:
+                key = tuple(int(m) for m in comp)
+                if key not in seen:
+                    seen.add(key)
+                    out.append((key, ts[ti]))
+
+    for ti in range(len(ts)):
+        cut(np.arange(g.n, dtype=np.int64), ti)
+    return out
+
+
+def reference_operator(members, g):
+    """Dinv A from the dense n x n adjacency of every symmetric edge."""
+    lo, hi, sim = symmetric_edges(g)
+    full = np.zeros((g.n, g.n))
+    full[lo, hi] = sim
+    full[hi, lo] = sim
+    A = full[np.ix_(members, members)]
+    deg = A.sum(axis=1)
+    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    return inv[:, None] * A
+
+
+# ---------------------------------------------------------------------------
+# inputs: quantized rows with duplicates, so that sims tie exactly
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tied_embeddings(draw, max_n=40):
+    n = draw(st.integers(3, max_n))
+    d = draw(st.integers(2, 4))
+    levels = draw(st.integers(1, 2))
+    cells = st.integers(-levels, levels)
+    rows = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d)), dtype=float)
+    rows = rows.reshape(n, d)
+    # duplicate some rows onto others
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        rows[dst] = rows[src]
+    rows[np.all(rows == 0, axis=1), 0] = 1.0
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return EmbeddingSet(rows, normalized=True)
+
+
+@st.composite
+def graphs(draw):
+    emb = draw(tied_embeddings())
+    k = draw(st.integers(1, emb.n - 1))
+    return build_knn_graph(emb, k=k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(emb=tied_embeddings(), data=st.data())
+def test_knn_matches_full_argsort(emb, data):
+    k = data.draw(st.integers(1, emb.n - 1))
+    threads = data.draw(st.integers(1, 2))
+    g = build_knn_graph(emb, k=k, threads=threads)
+    neighbors, sims = reference_knn(emb.rows, k)
+    np.testing.assert_array_equal(g.neighbors, neighbors)
+    np.testing.assert_array_equal(g.sims, sims)
+
+
+def test_knn_tie_at_kth_value_keeps_smaller_indices():
+    # rows 1..5 are identical, so row 0 sees five equal candidates for
+    # its last two slots after the exact duplicate 6
+    base = np.array([1.0, 0.0, 0.0])
+    other = np.array([0.6, 0.8, 0.0])
+    rows = np.vstack([base, other, other, other, other, other, base, [0.0, 0.0, 1.0]])
+    g = build_knn_graph(EmbeddingSet(rows, normalized=True), k=3)
+    np.testing.assert_array_equal(g.neighbors[0], [6, 1, 2])
+    np.testing.assert_array_equal(g.neighbors[3], [1, 2, 4])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_proposals_match_recursive_union_find(g, data):
+    _, _, sim = symmetric_edges(g)
+    # thresholds taken from the edge sims themselves sit exactly on ties
+    picks = data.draw(st.lists(st.sampled_from(sorted(set(sim.tolist()))), min_size=1, max_size=6))
+    extra = data.draw(st.lists(st.floats(-1.5, 1.5), max_size=2))
+    ts = sorted(set(picks + extra), reverse=True)
+    # small caps re-cut several levels deep
+    max_size = data.draw(st.one_of(st.integers(1, 3), st.integers(1, g.n)))
+    got = proposals_from_thresholds(g, ts, max_size=max_size)
+    assert [(p.members, p.threshold) for p in got] == reference_proposals(g, ts, max_size)
+
+
+def test_proposal_order_on_a_hand_built_graph():
+    # singletons at 0.9; {0, 3} and {1, 2} at 0.7; one component at 0.4
+    neighbors = np.array([[3, 1], [2, 0], [1, 0], [0, 1]])
+    sims = np.array([[0.8, 0.5], [0.8, 0.5], [0.8, 0.1], [0.8, 0.1]])
+    g = KnnGraph(neighbors, sims)
+    ts = [0.9, 0.7, 0.4]
+    singletons = [((0,), 0.9), ((1,), 0.9), ((2,), 0.9), ((3,), 0.9)]
+    pairs = [((0, 3), 0.7), ((1, 2), 0.7)]
+    cases = {1: singletons, 2: singletons + pairs, 4: singletons + pairs + [((0, 1, 2, 3), 0.4)]}
+    for max_size, want in cases.items():
+        got = [(p.members, p.threshold) for p in proposals_from_thresholds(g, ts, max_size)]
+        assert got == want == reference_proposals(g, ts, max_size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_proposal_operator_matches_dense_reference(g, data):
+    members = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+    p = ClusterProposal(tuple(members), 0.0)
+    got = _proposal_operator(p, g)
+    want = reference_operator(np.asarray(p.members), g)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
