@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -169,6 +170,12 @@ class PipelineConfig:
             )
         if self.values["eval"]["holdout_per_id"] < 2:
             raise ConfigError("[eval] holdout_per_id must be >= 2")
+        c = self.values["cluster"]
+        for key in ("gcn_epochs", "gcn_batch_size"):
+            if c[key] < 1:
+                raise ConfigError(f"[cluster] {key} must be >= 1, got {c[key]}")
+        if not (math.isfinite(c["gcn_lr"]) and c["gcn_lr"] > 0):
+            raise ConfigError(f"[cluster] gcn_lr must be finite and > 0, got {c['gcn_lr']}")
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]

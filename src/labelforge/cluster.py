@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, relabel
-from .errors import KOutOfRange, LengthMismatch, NoProposals
+from .errors import KOutOfRange, LengthMismatch, NoProposals, TrainingDiverged
 from .knn import ClusterProposal, KnnGraph, symmetric_csr
 
 
@@ -204,94 +204,224 @@ class GcnModel:
         return cls(layer_weights=layers, head_weights=np.zeros((h2, 2)))
 
 
-def _proposal_operator(p: ClusterProposal, g: KnnGraph) -> np.ndarray:
-    """Degree-normalized weighted adjacency Dinv A restricted to members.
+# member rows of the consecutive proposals that score_proposals evaluates
+# together. Smaller blocks pay NumPy's per-call overhead more often; larger
+# ones spend more time on the zeros of the dense (rows x rows) block
+# operator. 128 was the fastest of 32..512 on n=5k, d=32 and n=2k, d=128.
+_SCORE_BLOCK_ROWS = 128
 
-    Gathers only the members' rows of the graph's cached CSR adjacency,
-    so the cost is the members' total degree, not the edge count.
+
+@dataclass(frozen=True)
+class _ProposalSet:
+    """A proposal list laid end to end, with every proposal's operator.
+
+    Proposal ``j`` owns the member slots ``starts[j]:starts[j + 1]`` of
+    ``members`` and the operator entries ``edge_starts[j]:edge_starts[j + 1]``
+    of ``edge_row``/``edge_col``/``edge_val``: the nonzeros of its Dinv A,
+    with row and column given as positions within the proposal.
     """
-    members = np.asarray(p.members, dtype=np.int64)  # sorted
-    m = len(members)
+
+    members: np.ndarray
+    starts: np.ndarray
+    edge_starts: np.ndarray
+    edge_row: np.ndarray
+    edge_col: np.ndarray
+    edge_val: np.ndarray
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Member rows of several proposals stacked in one matrix.
+
+    Proposal ``j`` of the batch owns rows ``seg[j]:seg[j] + sizes[j]`` of
+    ``H0`` (raw embeddings), and ``N`` is the block-diagonal matrix of
+    their Dinv A operators over all rows.
+    """
+
+    H0: np.ndarray
+    N: np.ndarray
+    sizes: np.ndarray
+    seg: np.ndarray
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each of consecutive runs starts."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``first[i], first[i] + 1, ..., first[i] + counts[i] - 1`` for every i, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(first - _offsets(counts)[:-1], counts)
+
+
+def _concat_members(proposals: list[ClusterProposal]) -> tuple[np.ndarray, np.ndarray]:
+    sizes = np.fromiter((len(p.members) for p in proposals), dtype=np.int64, count=len(proposals))
+    starts = _offsets(sizes)
+    members = np.fromiter(
+        (m for p in proposals for m in p.members), dtype=np.int64, count=int(starts[-1])
+    )
+    return members, starts
+
+
+def _prepare(proposals: list[ClusterProposal], g: KnnGraph) -> _ProposalSet:
+    """Concatenate the proposals and build every Dinv A in one gather.
+
+    Each member slot is keyed ``proposal * n + node``; the keys ascend
+    because proposals come in order and members are sorted. An edge of
+    the graph's CSR adjacency stays in a proposal's operator when the key
+    of its other end is one of that proposal's slots. The weights are the
+    edge similarities, each row scaled by its inverse degree (rows
+    without edges stay zero).
+    """
+    members, starts = _concat_members(proposals)
+    sizes = np.diff(starts)
+    owner = np.repeat(np.arange(len(proposals)), sizes)
+    keys = owner * g.n + members
     indptr, nbr, sim = symmetric_csr(g)
-    starts = indptr[members]
-    counts = indptr[members + 1] - starts
-    # the members' CSR rows, concatenated: row position and edge slot
-    row = np.repeat(np.arange(m), counts)
-    edge = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    # keep the edges whose other end is a member too
-    col = np.minimum(np.searchsorted(members, nbr[edge]), m - 1)
-    inside = members[col] == nbr[edge]
-    A = np.zeros((m, m))
-    A[row[inside], col[inside]] = sim[edge[inside]]
-    deg = A.sum(axis=1)
+    first = indptr[members]
+    counts = indptr[members + 1] - first
+    src = np.repeat(np.arange(len(members)), counts)
+    edge = _ranges(first, counts)
+    other = owner[src] * g.n + nbr[edge]
+    dst = np.minimum(np.searchsorted(keys, other), len(keys) - 1)
+    inside = keys[dst] == other
+    src, dst, w = src[inside], dst[inside], sim[edge[inside]]
+    own = owner[src]
+    base = starts[own]
+    deg = _row_sums(src, dst - base, w, sizes[owner])
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    return inv[:, None] * A
+    return _ProposalSet(
+        members=members,
+        starts=starts,
+        edge_starts=_offsets(np.bincount(own, minlength=len(proposals))),
+        edge_row=src - base,
+        edge_col=dst - base,
+        edge_val=inv[src] * w,
+    )
 
 
-def _gcn_forward_cached(model: GcnModel, H: np.ndarray, N: np.ndarray):
-    # center within the proposal: purity is a property of the relative
+def _row_sums(slot: np.ndarray, col: np.ndarray, w: np.ndarray, slot_size: np.ndarray) -> np.ndarray:
+    """Sum of ``w`` per slot, added up exactly as the dense row sum of the
+    slot's proposal matrix, ``A.sum(axis=1)`` on an (m x m) ``A``, adds it.
+
+    NumPy's pairwise summation groups a row's terms by column position, so
+    a ``bincount`` in edge order can differ in the last bit. Rows of
+    equal-size proposals are stacked into one dense (rows x m) array per
+    size instead, and each row is reduced the same way.
+    """
+    out = np.zeros(len(slot_size))
+    by_size = np.argsort(slot_size, kind="stable")
+    rank = np.empty_like(by_size)
+    rank[by_size] = np.arange(len(by_size))
+    edges_by_size = np.argsort(slot_size[slot], kind="stable")
+    slot_sizes = slot_size[by_size]
+    edge_sizes = slot_size[slot[edges_by_size]]
+    for m in np.unique(slot_sizes).tolist():
+        lo, hi = np.searchsorted(slot_sizes, [m, m + 1])
+        e = edges_by_size[slice(*np.searchsorted(edge_sizes, [m, m + 1]))]
+        dense = np.zeros((hi - lo, m))
+        dense[rank[slot[e]] - lo, col[e]] = w[e]
+        out[by_size[lo:hi]] = dense.sum(axis=1)
+    return out
+
+
+def _block_operator(ps: _ProposalSet, idx: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrix of the operators of proposals ``idx``,
+    in that order, scattered from their stored entries."""
+    seg = _offsets(ps.sizes[idx])
+    counts = ps.edge_starts[idx + 1] - ps.edge_starts[idx]
+    edge = _ranges(ps.edge_starts[idx], counts)
+    shift = np.repeat(seg[:-1], counts)
+    N = np.zeros((seg[-1], seg[-1]))
+    N[ps.edge_row[edge] + shift, ps.edge_col[edge] + shift] = ps.edge_val[edge]
+    return N
+
+
+def _gather(ps: _ProposalSet, idx: np.ndarray, emb: EmbeddingSet) -> _Batch:
+    """The batch of proposals ``idx``, stacked in that order."""
+    sizes = ps.sizes[idx]
+    H0 = emb.rows[ps.members[_ranges(ps.starts[idx], sizes)]]
+    return _Batch(H0=H0, N=_block_operator(ps, idx), sizes=sizes, seg=_offsets(sizes)[:-1])
+
+
+def _forward(model: GcnModel, batch: _Batch):
+    """(proposals, 2) raw predictions of every proposal in the batch, and
+    the activations the backward pass needs."""
+    sizes = batch.sizes[:, None]
+    # center within each proposal: purity is a property of the relative
     # geometry, so absolute identity directions must not be learnable
-    H = H - H.mean(axis=0)
+    mean = np.add.reduceat(batch.H0, batch.seg, axis=0) / sizes
+    H = batch.H0 - np.repeat(mean, batch.sizes, axis=0)
     cache = []
     for w1, w2 in model.layer_weights:
-        agg = N @ H
+        agg = batch.N @ H
         z = H @ w1 + agg @ w2
-        out = np.maximum(z, 0.0)
         cache.append((H, agg, z))
-        H = out
+        H = np.maximum(z, 0.0)
     # mean pooling keeps the summary size-invariant, so predictions do not
     # extrapolate upward on proposals larger than anything seen in training
-    pooled = H.mean(axis=0)
-    pred = pooled @ model.head_weights
-    return pred, (cache, H, pooled)
+    pooled = np.add.reduceat(H, batch.seg, axis=0) / sizes
+    return pooled @ model.head_weights, (cache, pooled)
+
+
+def _gcn_loss_and_grads(model: GcnModel, batch: _Batch, targets: np.ndarray):
+    """Mean over the batch's proposals of the squared (iou, iop) error / 2,
+    and its gradients with respect to the head and every layer."""
+    pred, (cache, pooled) = _forward(model, batch)
+    err = pred - targets
+    count = len(batch.sizes)
+    loss = float(np.sum(err * err)) / (2.0 * count)
+    dpred = err / count
+    d_head = pooled.T @ dpred
+    dH = np.repeat((dpred @ model.head_weights.T) / batch.sizes[:, None], batch.sizes, axis=0)
+    d_layers = []
+    for li in range(len(model.layer_weights) - 1, -1, -1):
+        w1, w2 = model.layer_weights[li]
+        H, agg, z = cache[li]
+        dz = dH * (z > 0)
+        d_layers.append((H.T @ dz, agg.T @ dz))
+        if li > 0:  # the first layer's input gradient is never used
+            dH = dz @ w1.T + batch.N.T @ (dz @ w2.T)
+    return loss, d_head, d_layers[::-1]
+
+
+def _targets(members: np.ndarray, starts: np.ndarray, labels: LabelSet) -> np.ndarray:
+    """(proposals, 2) IoU / IoP of each proposal against its modal identity.
+
+    The modal identity is the most frequent label among the members; ties
+    go to the smaller label.
+    """
+    sizes = np.diff(starts)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    member_labels = labels.labels[members]
+    width = int(labels.labels.max()) + 1
+    pairs, counts = np.unique(owner * width + member_labels, return_counts=True)
+    pid, ident = np.divmod(pairs, width)
+    # per proposal: largest count first, then smaller identity
+    order = np.lexsort((ident, -counts, pid))
+    best = order[np.flatnonzero(np.r_[True, pid[order][1:] != pid[order][:-1]])]
+    inter = counts[best]
+    union = sizes + np.bincount(labels.labels)[ident[best]] - inter
+    return np.stack([inter / union, inter / sizes], axis=1)
+
+
+def proposal_targets(p: ClusterProposal, labels: LabelSet) -> tuple[float, float]:
+    """IoU / IoP of a proposal against its modal ground-truth identity
+    (the most frequent member label; ties go to the smaller label)."""
+    members = np.asarray(p.members, dtype=np.int64)
+    iou, iop = _targets(members, np.array([0, len(members)]), labels)[0].tolist()
+    return iou, iop
 
 
 def gcn_forward(model: GcnModel, p: ClusterProposal, emb: EmbeddingSet, g: KnnGraph) -> ProposalScore:
     """Score one proposal; raw (unclamped) regression outputs."""
-    members = np.asarray(p.members, dtype=np.int64)
-    H = emb.rows[members]
-    N = _proposal_operator(p, g)
-    pred, _ = _gcn_forward_cached(model, H, N)
-    return ProposalScore(iou_pred=float(pred[0]), iop_pred=float(pred[1]))
-
-
-def _gcn_loss_and_grads(model: GcnModel, batch, emb: EmbeddingSet):
-    """Mean squared error over (iou, iop) targets plus full gradients."""
-    d_head = np.zeros_like(model.head_weights)
-    d_layers = [
-        (np.zeros_like(w1), np.zeros_like(w2)) for w1, w2 in model.layer_weights
-    ]
-    total = 0.0
-    for p, target, N in batch:
-        members = np.asarray(p.members, dtype=np.int64)
-        H0 = emb.rows[members]
-        pred, pack = _gcn_forward_cached(model, H0, N)
-        err = pred - target
-        total += float(err @ err) / 2.0
-        dpred = err / len(batch)
-        cache, H_last, pooled = pack
-        dh = np.outer(pooled, dpred)
-        d_head += dh
-        dpooled = model.head_weights @ dpred
-        dH = np.broadcast_to(dpooled / H_last.shape[0], H_last.shape).copy()
-        for li in range(len(model.layer_weights) - 1, -1, -1):
-            w1, w2 = model.layer_weights[li]
-            H, agg, z = cache[li]
-            dz = dH * (z > 0)
-            d_layers[li] = (d_layers[li][0] + H.T @ dz, d_layers[li][1] + agg.T @ dz)
-            dH = dz @ w1.T + N.T @ (dz @ w2.T)
-    return total / len(batch), d_head, d_layers
-
-
-def proposal_targets(p: ClusterProposal, labels: LabelSet) -> tuple[float, float]:
-    """IoU / IoP of a proposal against its modal ground-truth identity."""
-    member_labels = labels.labels[np.asarray(p.members, dtype=np.int64)]
-    counts = np.bincount(member_labels)
-    modal = int(np.argmax(counts))  # argmax takes the smaller id on ties
-    inter = int(counts[modal])
-    class_size = int(np.sum(labels.labels == modal))
-    union = len(p.members) + class_size - inter
-    return inter / union, inter / len(p.members)
+    return score_proposals(model, [p], emb, g)[0]
 
 
 def union_augment(
@@ -337,33 +467,80 @@ def gcn_train(
     batch_size: int = 16,
     widths: tuple[int, int] | None = None,
 ) -> GcnModel:
-    """Fit the purity regressor by mini-batch gradient descent on MSE."""
+    """Fit the purity regressor by mini-batch gradient descent on MSE.
+
+    Every epoch shuffles the proposals and steps once per ``batch_size``
+    consecutive proposals of that order (the last batch may be smaller).
+    A step evaluates its whole batch at once, as one block-diagonal
+    graph, and descends on the mean over the batch's proposals of the
+    squared (iou, iop) error / 2. The operators and IoU/IoP targets are
+    built once, before the first epoch.
+
+    Raises :class:`TrainingDiverged` when a batch loss or the final
+    weights are not finite (``lr`` too large for the data).
+    """
     if not proposals:
         raise NoProposals("need at least one proposal to train on")
     model = GcnModel.init(emb.d, seed=seed, widths=widths)
     rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
-    prepared = []
-    for p in proposals:
-        iou, iop = proposal_targets(p, labels)
-        prepared.append((p, np.array([iou, iop]), _proposal_operator(p, g)))
-    order = np.arange(len(prepared))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for start in range(0, len(order), batch_size):
-            batch = [prepared[i] for i in order[start : start + batch_size]]
-            _, d_head, d_layers = _gcn_loss_and_grads(model, batch, emb)
-            model.head_weights = model.head_weights - lr * d_head
-            model.layer_weights = [
-                (w1 - lr * g1, w2 - lr * g2)
-                for (w1, w2), (g1, g2) in zip(model.layer_weights, d_layers)
-            ]
+    ps = _prepare(proposals, g)
+    targets = _targets(ps.members, ps.starts, labels)
+    order = np.arange(len(proposals))
+    # overflow surfaces as a non-finite loss, raised below as a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            rng.shuffle(order)
+            for start in range(0, len(order), batch_size):
+                idx = order[start : start + batch_size]
+                loss, d_head, d_layers = _gcn_loss_and_grads(
+                    model, _gather(ps, idx, emb), targets[idx]
+                )
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"GCN training diverged: loss {loss} in epoch {epoch + 1} (lr={lr})"
+                    )
+                model.head_weights = model.head_weights - lr * d_head
+                model.layer_weights = [
+                    (w1 - lr * g1, w2 - lr * g2)
+                    for (w1, w2), (g1, g2) in zip(model.layer_weights, d_layers)
+                ]
+    weights = [model.head_weights] + [w for pair in model.layer_weights for w in pair]
+    if not all(np.isfinite(w).all() for w in weights):
+        raise TrainingDiverged(f"GCN training diverged: weights not finite (lr={lr})")
     return model
 
 
 def score_proposals(
     model: GcnModel, proposals: list[ClusterProposal], emb: EmbeddingSet, g: KnnGraph
 ) -> list[ProposalScore]:
-    return [gcn_forward(model, p, emb, g) for p in proposals]
+    """Raw (unclamped) predictions for every proposal, in input order.
+
+    Consecutive proposals are evaluated together, in blocks of at most
+    ``_SCORE_BLOCK_ROWS`` member rows; a proposal larger than that forms
+    a block of its own. Each proposal's score depends only on its own
+    members and operator, never on its block.
+    """
+    if not proposals:
+        return []
+    ps = _prepare(proposals, g)
+    preds = []
+    for lo, hi in _score_blocks(ps.sizes):
+        pred, _ = _forward(model, _gather(ps, np.arange(lo, hi), emb))
+        preds.append(pred)
+    return [ProposalScore(iou, iop) for iou, iop in np.concatenate(preds).tolist()]
+
+
+def _score_blocks(sizes: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy ``[lo, hi)`` runs of proposals of at most _SCORE_BLOCK_ROWS rows."""
+    blocks = []
+    lo, rows = 0, 0
+    for i, size in enumerate(sizes.tolist()):
+        if rows and rows + size > _SCORE_BLOCK_ROWS:
+            blocks.append((lo, i))
+            lo, rows = i, 0
+        rows += size
+    blocks.append((lo, len(sizes)))
+    return blocks
 
 
 def deoverlap(

@@ -131,7 +131,6 @@ class LinearHead:
     """Multi-class linear classifier: rows of ``weights`` are per-class vectors."""
 
     weights: np.ndarray
-    bias: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -140,11 +139,6 @@ class LinearHead:
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         object.__setattr__(self, "weights", w)
-        if self.bias is not None:
-            b = np.asarray(self.bias, dtype=np.float64)
-            if b.shape != (w.shape[0],):
-                raise ValueError("bias must have one entry per class")
-            object.__setattr__(self, "bias", b)
 
     @property
     def num_classes(self) -> int:
@@ -159,10 +153,7 @@ class LinearHead:
 
         if emb.d != self.d:
             raise DimensionMismatch(f"head expects d={self.d}, got d={emb.d}")
-        z = emb.rows @ self.weights.T
-        if self.bias is not None:
-            z = z + self.bias
-        return z
+        return emb.rows @ self.weights.T
 
 
 def relabel(ids: np.ndarray) -> np.ndarray:

@@ -125,6 +125,10 @@ class ProbeIdMissing(LabelForgeError):
     pass
 
 
+class TrainingDiverged(LabelForgeError):
+    pass
+
+
 # --- pipeline orchestration ---
 
 class ConfigError(LabelForgeError):

@@ -18,7 +18,6 @@ from .errors import (
     EmptyTrainingSet,
     LabelCollision,
     NoEncoder,
-    NotNormalized,
 )
 
 
@@ -62,30 +61,6 @@ class TrainedModel:
     encoder: EncoderParams | None = None
     initial_loss: float = float("nan")
     final_loss: float = float("nan")
-
-
-def cosine_loss(feature: np.ndarray, head: LinearHead, label_j: int, cfg: LossConfig) -> float:
-    """Additive cosine-margin loss for one sample.
-
-    Requires unit-norm feature and head rows; the margin is subtracted
-    from the target-class cosine before scaling.
-    """
-    f = np.asarray(feature, dtype=np.float64)
-    if abs(np.linalg.norm(f) - 1.0) > 1e-5:
-        raise NotNormalized("feature must be unit-norm")
-    norms = np.linalg.norm(head.weights, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-5):
-        raise NotNormalized("head rows must be unit-norm")
-    logits = cfg.alpha * (head.weights @ f)
-    logits[label_j] -= cfg.alpha * cfg.margin_m
-    shifted = logits - logits.max()
-    log_z = np.log(np.exp(shifted).sum())
-    return float(log_z - shifted[label_j])
-
-
-def weighted_loss(loss: float, p_minus_value: float, gamma: float) -> float:
-    """Uncertainty modulation: (1 - p_minus)^gamma * loss."""
-    return (1.0 - p_minus_value) ** gamma * loss
 
 
 def _encode(enc: EncoderParams, X: np.ndarray):

@@ -1,0 +1,89 @@
+"""Per-proposal GCN reference code for the batched implementation's tests.
+
+This is the plain formulation the batched ``labelforge.cluster`` code
+replaced: each proposal gets its own dense Dinv A, forward pass and
+backward pass, and a batch's gradients are summed proposal by proposal.
+"""
+
+import numpy as np
+
+from labelforge.knn import symmetric_csr
+
+
+def proposal_operator(p, g):
+    """Degree-normalized weighted adjacency Dinv A restricted to members,
+    gathered from the members' rows of the graph's CSR adjacency."""
+    members = np.asarray(p.members, dtype=np.int64)  # sorted
+    m = len(members)
+    indptr, nbr, sim = symmetric_csr(g)
+    starts = indptr[members]
+    counts = indptr[members + 1] - starts
+    row = np.repeat(np.arange(m), counts)
+    edge = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    col = np.minimum(np.searchsorted(members, nbr[edge]), m - 1)
+    inside = members[col] == nbr[edge]
+    A = np.zeros((m, m))
+    A[row[inside], col[inside]] = sim[edge[inside]]
+    deg = A.sum(axis=1)
+    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    return inv[:, None] * A
+
+
+def proposal_targets(p, labels):
+    """IoU / IoP against the modal identity; argmax takes the smaller id on ties."""
+    member_labels = labels.labels[np.asarray(p.members, dtype=np.int64)]
+    counts = np.bincount(member_labels)
+    modal = int(np.argmax(counts))
+    inter = int(counts[modal])
+    class_size = int(np.sum(labels.labels == modal))
+    union = len(p.members) + class_size - inter
+    return inter / union, inter / len(p.members)
+
+
+def forward_cached(model, H, N):
+    H = H - H.mean(axis=0)
+    cache = []
+    for w1, w2 in model.layer_weights:
+        agg = N @ H
+        z = H @ w1 + agg @ w2
+        out = np.maximum(z, 0.0)
+        cache.append((H, agg, z))
+        H = out
+    pooled = H.mean(axis=0)
+    pred = pooled @ model.head_weights
+    return pred, (cache, H, pooled)
+
+
+def loss_and_grads(model, batch, emb):
+    """Mean squared error over (iou, iop) targets plus full gradients;
+    ``batch`` holds (proposal, target, operator) triples."""
+    d_head = np.zeros_like(model.head_weights)
+    d_layers = [
+        (np.zeros_like(w1), np.zeros_like(w2)) for w1, w2 in model.layer_weights
+    ]
+    total = 0.0
+    for p, target, N in batch:
+        members = np.asarray(p.members, dtype=np.int64)
+        H0 = emb.rows[members]
+        pred, pack = forward_cached(model, H0, N)
+        err = pred - target
+        total += float(err @ err) / 2.0
+        dpred = err / len(batch)
+        cache, H_last, pooled = pack
+        d_head += np.outer(pooled, dpred)
+        dpooled = model.head_weights @ dpred
+        dH = np.broadcast_to(dpooled / H_last.shape[0], H_last.shape).copy()
+        for li in range(len(model.layer_weights) - 1, -1, -1):
+            w1, w2 = model.layer_weights[li]
+            H, agg, z = cache[li]
+            dz = dH * (z > 0)
+            d_layers[li] = (d_layers[li][0] + H.T @ dz, d_layers[li][1] + agg.T @ dz)
+            dH = dz @ w1.T + N.T @ (dz @ w2.T)
+    return total / len(batch), d_head, d_layers
+
+
+def score(model, p, emb, g):
+    """Raw (iou, iop) prediction for one proposal."""
+    members = np.asarray(p.members, dtype=np.int64)
+    pred, _ = forward_cached(model, emb.rows[members], proposal_operator(p, g))
+    return pred

@@ -234,12 +234,11 @@ def test_criterion_05_gradient_checks(announce):
     ]
     # seed 9 left every ReLU dead (all gradients exactly 0); seed 4 does not
     model = cl.GcnModel.init(4, seed=4, widths=(3, 2))
-    batch = [
-        (p, np.array(cl.proposal_targets(p, labels)), cl._proposal_operator(p, g))
-        for p in props
-    ]
-    gcn_loss = lambda: cl._gcn_loss_and_grads(model, batch, emb)[0]
-    _, d_head, d_layers = cl._gcn_loss_and_grads(model, batch, emb)
+    ps = cl._prepare(props, g)
+    batch = cl._gather(ps, np.arange(len(props)), emb)
+    targets = cl._targets(ps.members, ps.starts, labels)
+    gcn_loss = lambda: cl._gcn_loss_and_grads(model, batch, targets)[0]
+    _, d_head, d_layers = cl._gcn_loss_and_grads(model, batch, targets)
     arrays = [model.head_weights] + [w for pair in model.layer_weights for w in pair]
     grads = [d_head] + [w for pair in d_layers for w in pair]
     gcn_err = _max_rel_fd(arrays, grads, gcn_loss)

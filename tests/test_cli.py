@@ -195,3 +195,27 @@ def test_report_is_sorted_and_finite(base_config, tmp_path):
     # sorted keys and no NaN/Infinity tokens in the serialized report
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
     assert "NaN" not in text and "Infinity" not in text
+
+
+# --- GCN training keys ---
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("gcn_batch_size = 0", "gcn_batch_size"),
+        ("gcn_epochs = -1", "gcn_epochs"),
+        ("gcn_lr = nan", "gcn_lr"),
+    ],
+)
+def test_gcn_key_out_of_range_rejected(tmp_path, capsys, line, key):
+    cfg = _write_ini(tmp_path, BASE_INI.replace("gcn_epochs = 60", line))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
+def test_gcn_divergence_exits_2(tmp_path, capsys):
+    cfg = _write_ini(tmp_path, BASE_INI.replace("gcn_epochs = 60", "gcn_epochs = 60\ngcn_lr = 1e150"))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "cluster" in err and "diverged" in err

@@ -5,8 +5,11 @@ from labelforge import errors
 from labelforge.cluster import (
     GcnModel,
     ProposalScore,
+    _gather,
     _gcn_loss_and_grads,
-    _proposal_operator,
+    _prepare,
+    _score_blocks,
+    _targets,
     clustering_from_labels,
     dbscan,
     deoverlap,
@@ -24,6 +27,7 @@ from labelforge.data import UNASSIGNED, EmbeddingSet, LabelSet, l2_normalize
 from labelforge.knn import ClusterProposal, build_knn_graph, proposals_from_thresholds
 from labelforge.metrics import pairwise_prf
 from labelforge.synth import SynthConfig, generate_identities
+from gcn_reference import proposal_operator
 
 
 def two_blobs(per_id=15, sigma=0.05, seed=0, dim=8):
@@ -239,7 +243,7 @@ def _tiny_graph():
 
 def reference_forward(model, members, emb, g):
     """Independent re-evaluation of the layer composition with plain loops."""
-    N = _proposal_operator(ClusterProposal(tuple(members), 0.0), g)
+    N = proposal_operator(ClusterProposal(tuple(members), 0.0), g)
     H = emb.rows[np.array(members)]
     H = H - H.mean(axis=0)  # proposal-centered input
     for w1, w2 in model.layer_weights:
@@ -293,15 +297,14 @@ def test_gcn_gradients_match_finite_differences():
     ]
     # seed 9 left every ReLU dead (all gradients exactly 0); seed 4 does not
     model = GcnModel.init(4, seed=4, widths=(3, 2))
-    batch = [
-        (p, np.array(proposal_targets(p, labels)), _proposal_operator(p, g))
-        for p in props
-    ]
+    ps = _prepare(props, g)
+    batch = _gather(ps, np.arange(len(props)), emb)
+    targets = _targets(ps.members, ps.starts, labels)
 
     def loss_of(model):
-        return _gcn_loss_and_grads(model, batch, emb)[0]
+        return _gcn_loss_and_grads(model, batch, targets)[0]
 
-    loss, d_head, d_layers = _gcn_loss_and_grads(model, batch, emb)
+    loss, d_head, d_layers = _gcn_loss_and_grads(model, batch, targets)
     # a check on zero gradients cannot fail: the layers must carry signal
     assert all(np.linalg.norm(g) > 0 for pair in d_layers for g in pair)
     eps = 1e-6
@@ -338,6 +341,23 @@ def test_gcn_train_memorizes_single_proposal():
     score = gcn_forward(model, p, emb, g)
     mse = np.mean((np.array([score.iou_pred, score.iop_pred]) - target) ** 2)
     assert mse < 1e-3
+
+
+@pytest.mark.parametrize("epochs, lr, found", [(1, np.inf, "weights"), (20, 1e150, "loss")])
+def test_gcn_train_divergence_raises(epochs, lr, found):
+    # a single step leaves only the final weights to check; later steps
+    # see the loss of the blown-up weights first
+    emb, g = _tiny_graph()
+    labels = LabelSet(np.array([0, 0, 1, 1]))
+    props = [ClusterProposal((0, 1), 0.5), ClusterProposal((0, 1, 2), 0.5)]
+    with pytest.raises(errors.TrainingDiverged, match=found):
+        gcn_train(props, emb, g, labels, epochs=epochs, lr=lr, seed=0)
+
+
+def test_score_blocks_group_consecutive_proposals_up_to_128_rows():
+    # 100 + 20 fit, + 10 would not; 200 exceeds the budget alone
+    sizes = np.array([100, 20, 10, 200, 5, 5])
+    assert _score_blocks(sizes) == [(0, 2), (2, 3), (3, 4), (4, 6)]
 
 
 def test_gcn_train_no_proposals():

@@ -1,0 +1,127 @@
+"""Property tests of the batched GCN against the per-proposal reference.
+
+The references in ``gcn_reference`` evaluate one proposal at a time with
+its own dense operator. The batched code must build the same operators
+bit for bit, the same IoU/IoP targets bit for bit (ties on the modal
+identity included), and the same loss, gradients and scores up to the
+reordering of floating-point sums: within 1e-12 of each array's largest
+magnitude.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gcn_reference as ref
+from labelforge import cluster as cl
+from labelforge.data import EmbeddingSet, LabelSet, relabel
+from labelforge.knn import ClusterProposal, build_knn_graph
+
+RTOL = 1e-12
+
+
+@st.composite
+def scenes(draw):
+    """A k-NN graph, proposals on it and labels. Proposals are balls
+    around a node (so they contain edges) or random subsets, from one
+    member to past the 128-row scoring block."""
+    n = draw(st.integers(2, 180))
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(1, min(n - 1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        rows = np.round(rows)  # duplicate rows: tied similarities
+        rows[np.all(rows == 0, axis=1), 0] = 1.0
+    emb = EmbeddingSet(rows / np.linalg.norm(rows, axis=1)[:, None], normalized=True)
+    g = build_knn_graph(emb, k=k)
+    labels = LabelSet(relabel(rng.integers(0, draw(st.integers(1, 4)), size=n)))
+    proposals = []
+    for _ in range(draw(st.integers(1, 8))):
+        size = int(rng.integers(1, n + 1)) if rng.random() < 0.3 else int(rng.integers(1, 10))
+        if rng.random() < 0.5:
+            members = rng.choice(n, size=min(size, n), replace=False)
+        else:
+            members = [int(rng.integers(n))]
+            for v in members:
+                if len(members) >= size:
+                    break
+                members.extend(int(u) for u in g.neighbors[v] if u not in members)
+            members = members[:size]
+        proposals.append(ClusterProposal(tuple(int(m) for m in members), 0.0))
+    return emb, g, labels, proposals, rng
+
+
+def assert_close(got, want):
+    scale = max(float(np.max(np.abs(want))), 1e-300)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * scale)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scene=scenes())
+def test_block_operator_equals_per_proposal_reference(scene):
+    emb, g, _, proposals, rng = scene
+    idx = rng.permutation(len(proposals))[: int(rng.integers(1, len(proposals) + 1))]
+    batch = cl._gather(cl._prepare(proposals, g), idx, emb)
+    sizes = [len(proposals[j].members) for j in idx]
+    want = np.zeros((sum(sizes), sum(sizes)))
+    rows = []
+    at = 0
+    for j, m in zip(idx, sizes):
+        want[at : at + m, at : at + m] = ref.proposal_operator(proposals[j], g)
+        rows.extend(proposals[j].members)
+        at += m
+    np.testing.assert_array_equal(batch.N, want)
+    np.testing.assert_array_equal(batch.H0, emb.rows[rows])
+    np.testing.assert_array_equal(batch.sizes, sizes)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scene=scenes())
+def test_vectorized_targets_are_bit_equal(scene):
+    _, _, labels, proposals, _ = scene
+    members, starts = cl._concat_members(proposals)
+    got = cl._targets(members, starts, labels)
+    want = np.array([ref.proposal_targets(p, labels) for p in proposals])
+    np.testing.assert_array_equal(got, want)
+    assert [cl.proposal_targets(p, labels) for p in proposals] == [tuple(t) for t in want]
+
+
+def test_targets_tie_goes_to_the_smaller_identity():
+    # members 0..3 are two of identity 0 (4 samples) and two of identity 1
+    # (3 samples): the tie picks identity 0, so IoU is 2 / 6, not 2 / 5
+    labels = LabelSet(np.array([1, 1, 0, 0, 0, 0, 1]))
+    p = ClusterProposal((0, 1, 2, 3), 0.5)
+    assert cl.proposal_targets(p, labels) == ref.proposal_targets(p, labels) == (1 / 3, 1 / 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scene=scenes(), seed=st.integers(0, 1000))
+def test_batched_loss_and_grads_match_reference(scene, seed):
+    emb, g, labels, proposals, rng = scene
+    model = cl.GcnModel.init(emb.d, seed=seed)
+    idx = rng.permutation(len(proposals))
+    ps = cl._prepare(proposals, g)
+    targets = cl._targets(ps.members, ps.starts, labels)
+    loss, d_head, d_layers = cl._gcn_loss_and_grads(model, cl._gather(ps, idx, emb), targets[idx])
+    batch = [
+        (proposals[j], np.array(ref.proposal_targets(proposals[j], labels)),
+         ref.proposal_operator(proposals[j], g))
+        for j in idx
+    ]
+    want_loss, want_head, want_layers = ref.loss_and_grads(model, batch, emb)
+    assert_close(loss, want_loss)
+    assert_close(d_head, want_head)
+    for got_pair, want_pair in zip(d_layers, want_layers):
+        for got, want in zip(got_pair, want_pair):
+            assert_close(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scene=scenes(), seed=st.integers(0, 1000))
+def test_batched_scores_match_reference(scene, seed):
+    emb, g, _, proposals, _ = scene
+    model = cl.GcnModel.init(emb.d, seed=seed)
+    got = np.array([[s.iou_pred, s.iop_pred] for s in cl.score_proposals(model, proposals, emb, g)])
+    want = np.array([ref.score(model, p, emb, g) for p in proposals])
+    assert_close(got, want)

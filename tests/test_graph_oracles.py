@@ -3,7 +3,8 @@
 The references are the plain formulations the vectorized code replaced:
 a full stable ``argsort`` per row for top-k, a dict-based union-find per
 (sub)graph for the threshold sweep, and a scan of every edge for each
-proposal operator. Inputs are quantized and duplicated rows, so that
+proposal operator (built here by the batched code for a one-proposal
+batch). Inputs are quantized and duplicated rows, so that
 similarity ties land on the k-th boundary and on the thresholds.
 """
 
@@ -11,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforge.cluster import _proposal_operator
+from labelforge import cluster as cl
 from labelforge.data import EmbeddingSet
 from labelforge.knn import (
     ClusterProposal,
@@ -185,7 +186,7 @@ def test_proposal_order_on_a_hand_built_graph():
 def test_proposal_operator_matches_dense_reference(g, data):
     members = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
     p = ClusterProposal(tuple(members), 0.0)
-    got = _proposal_operator(p, g)
+    got = cl._block_operator(cl._prepare([p], g), np.array([0]))
     want = reference_operator(np.asarray(p.members), g)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)

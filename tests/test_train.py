@@ -11,13 +11,37 @@ from labelforge.train import (
     LossConfig,
     TrainedModel,
     _loss_and_grads,
-    cosine_loss,
     embed,
     load_trained_model,
     save_trained_model,
     train_head,
-    weighted_loss,
 )
+
+
+# --- per-sample references for the batched loss ---
+
+def cosine_loss(feature: np.ndarray, head: LinearHead, label_j: int, cfg: LossConfig) -> float:
+    """Additive cosine-margin loss for one sample.
+
+    Requires unit-norm feature and head rows; the margin is subtracted
+    from the target-class cosine before scaling.
+    """
+    f = np.asarray(feature, dtype=np.float64)
+    if abs(np.linalg.norm(f) - 1.0) > 1e-5:
+        raise errors.NotNormalized("feature must be unit-norm")
+    norms = np.linalg.norm(head.weights, axis=1)
+    if np.any(np.abs(norms - 1.0) > 1e-5):
+        raise errors.NotNormalized("head rows must be unit-norm")
+    logits = cfg.alpha * (head.weights @ f)
+    logits[label_j] -= cfg.alpha * cfg.margin_m
+    shifted = logits - logits.max()
+    log_z = np.log(np.exp(shifted).sum())
+    return float(log_z - shifted[label_j])
+
+
+def weighted_loss(loss: float, p_minus_value: float, gamma: float) -> float:
+    """Uncertainty modulation: (1 - p_minus)^gamma * loss."""
+    return (1.0 - p_minus_value) ** gamma * loss
 
 
 def _unit_head():
@@ -71,6 +95,24 @@ def test_weighted_loss_arithmetic():
     assert weighted_loss(4.0, 0.5, 2.0) == pytest.approx(1.0)
     assert weighted_loss(3.0, 0.0, 1.0) == pytest.approx(3.0)
     assert weighted_loss(3.0, 1.0, 1.0) == pytest.approx(0.0)
+
+
+def test_batched_loss_is_the_weighted_mean_of_per_sample_losses():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((12, 4))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    W = rng.standard_normal((3, 4))
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    y = rng.integers(0, 3, size=12)
+    p_minus = rng.uniform(0.0, 0.9, size=12)
+    cfg = LossConfig(alpha=8.0, margin_m=0.2, gamma=2.0)
+    weights = (1.0 - p_minus) ** cfg.gamma
+    loss, _, _ = _loss_and_grads(W, None, X, y, weights, cfg)
+    per_sample = [
+        weighted_loss(cosine_loss(x, LinearHead(W), int(j), cfg), p, cfg.gamma)
+        for x, j, p in zip(X, y, p_minus)
+    ]
+    assert loss == pytest.approx(sum(per_sample) / weights.sum(), rel=1e-12)
 
 
 def test_loss_config_validation():
