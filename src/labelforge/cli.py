@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
+import dataclasses
 import math
 import os
 import sys
@@ -25,16 +25,21 @@ from .data import (
     Clustering,
     EmbeddingSet,
     LabelSet,
+    load_archive,
     load_clustering,
     load_embeddings,
     load_labels,
+    read_json,
     relabel,
+    save_archive,
     save_clustering,
     save_embeddings,
     save_labels,
+    write_json,
 )
 from .errors import (
     ConfigError,
+    CorruptArtifact,
     LabelForgeError,
     MissingArtifact,
     OneSidedData,
@@ -240,31 +245,6 @@ def _require(stage: str, path: str) -> str:
     return path
 
 
-def _save_indices(values: np.ndarray, path: str, column: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{column}\n")
-        for v in np.asarray(values).ravel():
-            fh.write(f"{int(v)}\n")
-
-
-def _load_indices(path: str) -> np.ndarray:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    return np.array([int(v) for v in lines[1:]], dtype=np.int64)
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-
-
-def _read_json(stage: str, path: str) -> dict:
-    _require(stage, path)
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _timed(stage_fn, cfg: PipelineConfig) -> dict:
     start = time.perf_counter()
     payload = stage_fn(cfg)
@@ -316,9 +296,10 @@ def stage_gen(cfg: PipelineConfig) -> dict:
     save_labels(train_labels, _path(cfg, "train_labels.csv"))
     save_embeddings(test_emb, _path(cfg, "test.emb"))
     save_labels(test_labels, _path(cfg, "test_labels.csv"))
-    _save_indices(labeled_idx, _path(cfg, "labeled_idx.csv"), "index")
-    _save_indices(unlabeled_idx, _path(cfg, "unlabeled_idx.csv"), "index")
-    _save_indices(gt_overlap.astype(np.int64), _path(cfg, "overlap_mask.csv"), "mask")
+    save_archive(
+        {"labeled_idx": labeled_idx, "unlabeled_idx": unlabeled_idx, "overlap_mask": gt_overlap},
+        _path(cfg, "split.npz"),
+    )
 
     return {
         "n_train": train_emb.n,
@@ -333,10 +314,24 @@ def stage_gen(cfg: PipelineConfig) -> dict:
 def _load_gen(stage: str, cfg: PipelineConfig):
     train_emb = load_embeddings(_require(stage, _path(cfg, "train.emb")))
     train_labels = load_labels(_require(stage, _path(cfg, "train_labels.csv")))
-    labeled_idx = _load_indices(_require(stage, _path(cfg, "labeled_idx.csv")))
-    unlabeled_idx = _load_indices(_require(stage, _path(cfg, "unlabeled_idx.csv")))
-    gt_overlap = _load_indices(_require(stage, _path(cfg, "overlap_mask.csv"))).astype(bool)
+    path = _require(stage, _path(cfg, "split.npz"))
+    spec = {"labeled_idx": ("i8", "l"), "unlabeled_idx": ("i8", "u"), "overlap_mask": ("?", "u")}
+    labeled_idx, unlabeled_idx, gt_overlap = load_archive(path, spec).values()
+    for idx in (labeled_idx, unlabeled_idx):
+        if idx.size and not (0 <= idx.min() and idx.max() < train_emb.n):
+            raise CorruptArtifact(f"{path}: sample index out of range for n={train_emb.n}")
     return train_emb, train_labels, labeled_idx, unlabeled_idx, gt_overlap
+
+
+def _load_decisions(stage: str, cfg: PipelineConfig, unlabeled_idx: np.ndarray) -> np.ndarray:
+    """Per unlabeled sample: evt.DISJOINT, OVERLAP or REJECTED."""
+    path = _require(stage, _path(cfg, "decisions.npz"))
+    decisions = load_archive(path, {"decisions": ("i8", "u")})["decisions"]
+    if decisions.shape != unlabeled_idx.shape:
+        raise CorruptArtifact(
+            f"{path}: {decisions.size} decisions for {unlabeled_idx.size} unlabeled samples"
+        )
+    return decisions
 
 
 def _labeled_subset(train_emb, train_labels, labeled_idx):
@@ -376,9 +371,7 @@ def stage_separate(cfg: PipelineConfig) -> dict:
         with_encoder=t["with_encoder"],
         batch_size=t["batch_size"],
     )
-    train.save_trained_model(
-        baseline, _path(cfg, "baseline.bin"), _path(cfg, "baseline.json")
-    )
+    train.save_trained_model(baseline, _path(cfg, "baseline.npz"))
 
     unl_emb = EmbeddingSet(train_emb.rows[unlabeled_idx], normalized=True)
     scores = evt.max_logits(baseline.head, unl_emb)
@@ -391,7 +384,7 @@ def stage_separate(cfg: PipelineConfig) -> dict:
         mix = evt.fit_two_weibull_mixture(
             scores, n_bins=cfg["evt"]["n_bins"], confidence=cfg["evt"]["confidence"]
         )
-        evt.save_mixture(mix, _path(cfg, "mixture.json"))
+        write_json(dataclasses.asdict(mix), _path(cfg, "mixture.json"))
         decisions = evt.separate_overlap(scores, mix)
         counts = {
             "disjoint": int(np.sum(decisions == evt.DISJOINT)),
@@ -426,16 +419,14 @@ def stage_separate(cfg: PipelineConfig) -> dict:
                 "sse_gaussian": sse_gaussian,
             }
         )
-    _save_indices(decisions, _path(cfg, "decisions.csv"), "decision")
+    save_archive({"decisions": decisions}, _path(cfg, "decisions.npz"))
     return out
 
 
 def stage_cluster(cfg: PipelineConfig) -> dict:
     stage = "cluster"
     train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_gen(stage, cfg)
-    decisions = _load_indices(_require(stage, _path(cfg, "decisions.csv")))
-    disjoint_idx = unlabeled_idx[decisions == evt.DISJOINT]
-    _save_indices(disjoint_idx, _path(cfg, "disjoint_idx.csv"), "index")
+    disjoint_idx = unlabeled_idx[_load_decisions(stage, cfg, unlabeled_idx) == evt.DISJOINT]
     dis_emb = EmbeddingSet(train_emb.rows[disjoint_idx], normalized=True)
 
     c = cfg["cluster"]
@@ -474,7 +465,7 @@ def _gcn_cluster(cfg, train_emb, train_labels, labeled_idx, dis_emb) -> Clusteri
 
     # purity regressor is trained on the labeled split, where IoU/IoP
     # targets are known
-    lab_graph = knn.build_knn_graph(lab_emb, k=min(k, lab_emb.n - 1))
+    lab_graph = knn.build_knn_graph(lab_emb, k=k)
     lab_thresholds = _thresholds(cfg, lab_graph)
     lab_props = knn.proposals_from_thresholds(lab_graph, lab_thresholds, max_size=max_size)
     n_aug = c["augment_unions"]
@@ -491,9 +482,9 @@ def _gcn_cluster(cfg, train_emb, train_labels, labeled_idx, dis_emb) -> Clusteri
         seed=c["gcn_seed"],
         batch_size=c["gcn_batch_size"],
     )
-    cl.save_gcn_model(model, _path(cfg, "gcn.bin"), _path(cfg, "gcn.json"))
+    cl.save_gcn_model(model, _path(cfg, "gcn.npz"))
 
-    graph = knn.build_knn_graph(dis_emb, k=min(k, dis_emb.n - 1), threads=cfg.threads)
+    graph = knn.build_knn_graph(dis_emb, k=k, threads=cfg.threads)
     props = knn.proposals_from_thresholds(graph, _thresholds(cfg, graph), max_size=max_size)
     scores = cl.score_proposals(model, props, dis_emb, graph)
     return cl.deoverlap(props, scores, min_cluster_size=c["min_cluster_size"])
@@ -508,8 +499,8 @@ def _thresholds(cfg: PipelineConfig, g: knn.KnnGraph) -> list[float]:
 
 def stage_noise(cfg: PipelineConfig) -> dict:
     stage = "noise"
-    train_emb, train_labels, _, _, _ = _load_gen(stage, cfg)
-    disjoint_idx = _load_indices(_require(stage, _path(cfg, "disjoint_idx.csv")))
+    train_emb, train_labels, _, unlabeled_idx, _ = _load_gen(stage, cfg)
+    disjoint_idx = unlabeled_idx[_load_decisions(stage, cfg, unlabeled_idx) == evt.DISJOINT]
     clustering = load_clustering(_require(stage, _path(cfg, "pseudo_clusters.csv")))
     dis_emb = EmbeddingSet(train_emb.rows[disjoint_idx], normalized=True)
 
@@ -549,7 +540,7 @@ def stage_noise(cfg: PipelineConfig) -> dict:
             # no separable lower mode: treat every assignment as clean
             pass
         else:
-            noise.save_noise_model(model, _path(cfg, "noise_model.json"))
+            write_json(dataclasses.asdict(model), _path(cfg, "noise_model.json"))
             pm = noise.p_minus(model, margins)
     pm = np.where(assigned, pm, 0.0)
     save_clustering(
@@ -568,18 +559,15 @@ def stage_noise(cfg: PipelineConfig) -> dict:
 def stage_retrain(cfg: PipelineConfig) -> dict:
     stage = "retrain"
     train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_gen(stage, cfg)
-    disjoint_idx = _load_indices(_require(stage, _path(cfg, "disjoint_idx.csv")))
+    decisions = _load_decisions(stage, cfg, unlabeled_idx)
+    disjoint_idx = unlabeled_idx[decisions == evt.DISJOINT]
     clustering = load_clustering(_require(stage, _path(cfg, "pseudo_clusters_pm.csv")))
-    _require(stage, _path(cfg, "baseline.bin"))
-    baseline = train.load_trained_model(
-        _path(cfg, "baseline.bin"), _path(cfg, "baseline.json")
-    )
+    baseline = train.load_trained_model(_require(stage, _path(cfg, "baseline.npz")))
 
     lab_emb, lab_labels = _labeled_subset(train_emb, train_labels, labeled_idx)
     if cfg["train"]["merge_overlap"]:
-        lab_emb, lab_labels = _merge_overlap(
-            cfg, stage, baseline, train_emb, unlabeled_idx, lab_emb, lab_labels
-        )
+        overlap_idx = unlabeled_idx[decisions == evt.OVERLAP]
+        lab_emb, lab_labels = _merge_overlap(baseline, train_emb, overlap_idx, lab_emb, lab_labels)
     dis_emb = EmbeddingSet(train_emb.rows[disjoint_idx], normalized=True)
 
     t = cfg["train"]
@@ -599,9 +587,7 @@ def stage_retrain(cfg: PipelineConfig) -> dict:
             with_encoder=t["with_encoder"],
             batch_size=t["batch_size"],
         )
-        train.save_trained_model(
-            model, _path(cfg, f"{variant}.bin"), _path(cfg, f"{variant}.json")
-        )
+        train.save_trained_model(model, _path(cfg, f"{variant}.npz"))
         out[variant] = {
             "initial_loss": model.initial_loss,
             "final_loss": model.final_loss,
@@ -615,11 +601,9 @@ def stage_retrain(cfg: PipelineConfig) -> dict:
     return out
 
 
-def _merge_overlap(cfg, stage, baseline, train_emb, unlabeled_idx, lab_emb, lab_labels):
+def _merge_overlap(baseline, train_emb, overlap_idx, lab_emb, lab_labels):
     """Experimental §4.2-style merge: overlap-decided samples join the
     labeled class the baseline head assigns them to (plain argmax)."""
-    decisions = _load_indices(_require(stage, _path(cfg, "decisions.csv")))
-    overlap_idx = unlabeled_idx[decisions == evt.OVERLAP]
     if overlap_idx.size == 0:
         return lab_emb, lab_labels
     ov_emb = EmbeddingSet(train_emb.rows[overlap_idx], normalized=True)
@@ -649,12 +633,10 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
 
     out = {}
     for variant in ("baseline", "hard", "soft"):
-        blob = _path(cfg, f"{variant}.bin")
-        if not os.path.exists(blob):
-            if variant == "baseline":
-                raise MissingArtifact(stage, blob)
+        path = _path(cfg, f"{variant}.npz")
+        if variant != "baseline" and not os.path.exists(path):
             continue  # evaluate whatever models exist
-        model = train.load_trained_model(blob, _path(cfg, f"{variant}.json"))
+        model = train.load_trained_model(_require(stage, path))
         emb = train.embed(model, test_emb) if model.encoder is not None else test_emb
         acc, tars = metrics.verification_metrics(emb, protocol, fars=e["fars"])
         ranks = metrics.identification_rank(
@@ -684,24 +666,25 @@ def _run_stage(name: str, fn, cfg: PipelineConfig) -> dict:
     os.makedirs(cfg.out_dir, exist_ok=True)
     try:
         payload = _timed(fn, cfg)
+        write_json(payload, _path(cfg, f"stage_{name}.json"))
     except MissingArtifact:
         raise
     except LabelForgeError as exc:
         raise StageFailure(name, exc)
-    _write_json(payload, _path(cfg, f"stage_{name}.json"))
     return payload
 
 
 def build_report(cfg: PipelineConfig) -> dict:
-    stages = {}
-    for name, _ in STAGES:
-        stages[name] = _read_json("report", _path(cfg, f"stage_{name}.json"))
-    report = {
-        "config": cfg.echo(),
-        "seed": cfg["synth"]["seed"],
-        "stages": stages,
-    }
-    _write_json(report, _path(cfg, "report.json"))
+    paths = {name: _require("report", _path(cfg, f"stage_{name}.json")) for name, _ in STAGES}
+    try:
+        report = {
+            "config": cfg.echo(),
+            "seed": cfg["synth"]["seed"],
+            "stages": {name: read_json(path) for name, path in paths.items()},
+        }
+        write_json(report, _path(cfg, "report.json"))
+    except LabelForgeError as exc:
+        raise StageFailure("report", exc)
     return report
 
 

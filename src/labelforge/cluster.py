@@ -8,12 +8,19 @@ disjoint clustering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, relabel
+from .data import (
+    UNASSIGNED,
+    Clustering,
+    EmbeddingSet,
+    LabelSet,
+    load_archive,
+    relabel,
+    save_archive,
+)
 from .errors import KOutOfRange, LengthMismatch, NoProposals, TrainingDiverged
 from .knn import ClusterProposal, KnnGraph, symmetric_csr
 
@@ -350,14 +357,29 @@ def _gather(ps: _ProposalSet, idx: np.ndarray, emb: EmbeddingSet) -> _Batch:
     return _Batch(H0=H0, N=_block_operator(ps, idx), sizes=sizes, seg=_offsets(sizes)[:-1])
 
 
+def _segment_means(X: np.ndarray, seg: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each run ``X[seg[j]:seg[j] + sizes[j]]``, added up exactly as
+    ``X[rows].mean(axis=0)`` adds up one proposal's rows.
+
+    ``np.add.reduceat`` adds a run in another order, which can differ in
+    the last bit; after the centering and ReLUs nearly cancel, that bit is
+    a large share of a small activation. Runs of equal size are stacked
+    into one (count x m x d) array per size instead and reduced along the
+    member axis.
+    """
+    out = np.empty((len(sizes), X.shape[1]))
+    for m in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == m)
+        out[which] = X[seg[which][:, None] + np.arange(m)].mean(axis=1)
+    return out
+
+
 def _forward(model: GcnModel, batch: _Batch):
     """(proposals, 2) raw predictions of every proposal in the batch, and
     the activations the backward pass needs."""
-    sizes = batch.sizes[:, None]
     # center within each proposal: purity is a property of the relative
     # geometry, so absolute identity directions must not be learnable
-    mean = np.add.reduceat(batch.H0, batch.seg, axis=0) / sizes
-    H = batch.H0 - np.repeat(mean, batch.sizes, axis=0)
+    H = batch.H0 - np.repeat(_segment_means(batch.H0, batch.seg, batch.sizes), batch.sizes, axis=0)
     cache = []
     for w1, w2 in model.layer_weights:
         agg = batch.N @ H
@@ -366,7 +388,7 @@ def _forward(model: GcnModel, batch: _Batch):
         H = np.maximum(z, 0.0)
     # mean pooling keeps the summary size-invariant, so predictions do not
     # extrapolate upward on proposals larger than anything seen in training
-    pooled = np.add.reduceat(H, batch.seg, axis=0) / sizes
+    pooled = _segment_means(H, batch.seg, batch.sizes)
     return pooled @ model.head_weights, (cache, pooled)
 
 
@@ -577,35 +599,22 @@ def deoverlap(
 
 
 # ---------------------------------------------------------------------------
-# persistence: flat float32 blob + JSON shape sidecar
+# persistence: one .npz archive, weights as float32
 # ---------------------------------------------------------------------------
 
-def save_gcn_model(model: GcnModel, blob_path, sidecar_path) -> None:
-    arrays = []
-    shapes = []
-    for w1, w2 in model.layer_weights:
-        arrays.extend([w1, w2])
-        shapes.extend([list(w1.shape), list(w2.shape)])
-    arrays.append(model.head_weights)
-    shapes.append(list(model.head_weights.shape))
-    flat = np.concatenate([a.ravel() for a in arrays]).astype("<f4")
-    with open(blob_path, "wb") as fh:
-        fh.write(flat.tobytes())
-    with open(sidecar_path, "w") as fh:
-        json.dump({"kind": "gcn", "shapes": shapes}, fh, indent=2, sort_keys=True)
+def save_gcn_model(model: GcnModel, path) -> None:
+    """Each layer is stored as its stacked (W1, W2) pair, plus the head."""
+    arrays = {f"layer{i}": np.stack(pair) for i, pair in enumerate(model.layer_weights)}
+    arrays["head"] = model.head_weights
+    save_archive({k: v.astype(np.float32) for k, v in arrays.items()}, path)
 
 
-def load_gcn_model(blob_path, sidecar_path) -> GcnModel:
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    shapes = [tuple(s) for s in meta["shapes"]]
-    flat = np.fromfile(blob_path, dtype="<f4").astype(np.float64)
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        arrays.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    head = arrays[-1]
-    pairs = [(arrays[i], arrays[i + 1]) for i in range(0, len(arrays) - 1, 2)]
-    return GcnModel(layer_weights=pairs, head_weights=head)
+def load_gcn_model(path) -> GcnModel:
+    spec = {
+        "layer0": ("f4", 2, "d", "h1"),
+        "layer1": ("f4", 2, "h1", "h2"),
+        "head": ("f4", "h2", 2),
+    }
+    a = {k: v.astype(np.float64) for k, v in load_archive(path, spec).items()}
+    pairs = [(a[f"layer{i}"][0], a[f"layer{i}"][1]) for i in range(2)]
+    return GcnModel(layer_weights=pairs, head_weights=a["head"])

@@ -1,19 +1,26 @@
 """Core data containers and bit-exact file I/O.
 
 Embeddings are stored on disk as float32 (magic ``EMB1`` header) and held
-in memory as float64; labels and clusterings travel as plain CSV.
+in memory as float64; labels and clusterings travel as plain CSV; every
+other artifact is a NumPy ``.npz`` archive or sorted-key JSON. Each
+writer replaces its file atomically; each reader rejects a malformed
+file with a :class:`LabelForgeError`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     BadMagic,
+    CorruptArtifact,
     DuplicateIndex,
     IoFailure,
     MissingIndex,
@@ -174,16 +181,26 @@ def l2_normalize(emb: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(emb.rows / norms[:, None], normalized=True)
 
 
+def _write_atomic(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to a temp file beside ``path``, then
+    rename it into place: a failed write leaves the previous file as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_embeddings(emb: EmbeddingSet, path) -> None:
     """Write the EMB1 binary format: magic, n, d (u32 LE), float32 rows."""
     header = MAGIC + np.array([emb.n, emb.d], dtype="<u4").tobytes()
-    payload = emb.rows.astype("<f4").tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    _write_atomic(path, header, emb.rows.astype("<f4").tobytes())
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -245,25 +262,15 @@ def load_labels(path) -> LabelSet:
 
 
 def save_labels(labels: LabelSet, path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("index,label\n")
-            for i, lab in enumerate(labels.labels):
-                fh.write(f"{i},{int(lab)}\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    rows = "".join(f"{i},{int(lab)}\n" for i, lab in enumerate(labels.labels))
+    _write_atomic(path, ("index,label\n" + rows).encode())
 
 
 def save_clustering(c: Clustering, path) -> None:
     """Write ``index,cluster_id,p_minus`` CSV; UNASSIGNED as -1, absent p- empty."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("index,cluster_id,p_minus\n")
-            for i, cid in enumerate(c.assignment):
-                p = "" if c.p_minus is None else f"{c.p_minus[i]:.6f}"
-                fh.write(f"{i},{int(cid)},{p}\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    p = [""] * c.n if c.p_minus is None else [f"{v:.6f}" for v in c.p_minus]
+    rows = "".join(f"{i},{int(cid)},{p[i]}\n" for i, cid in enumerate(c.assignment))
+    _write_atomic(path, ("index,cluster_id,p_minus\n" + rows).encode())
 
 
 def load_clustering(path) -> Clustering:
@@ -301,3 +308,61 @@ def load_clustering(path) -> Clustering:
             [seen[i][1] if seen[i][1] is not None else 0.0 for i in range(n)]
         )
     return Clustering(assignment, p_minus=p_minus)
+
+
+def save_archive(arrays: dict[str, np.ndarray], path) -> None:
+    """Write named arrays as one uncompressed NumPy ``.npz`` archive."""
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    _write_atomic(path, buf.getbuffer())
+
+
+def load_archive(path, spec: dict[str, tuple], optional: tuple[str, ...] = ()) -> dict:
+    """Read a ``.npz`` archive and check it against ``spec``.
+
+    ``spec`` maps each expected array to ``(dtype, *shape)``; an axis is an
+    int or a name that must take the same length wherever it appears.
+    Arrays named in ``optional`` may be absent. Returns the arrays present,
+    in spec order.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a single .npy array")
+        with archive:
+            arrays = {name: archive[name] for name in spec if name in archive.files}
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CorruptArtifact(f"{path}: not a readable .npz archive ({exc})") from exc
+    dims: dict[str, int] = {}
+    for name, (dtype, *shape) in spec.items():
+        if name not in arrays:
+            if name in optional:
+                continue
+            raise CorruptArtifact(f"{path}: missing array {name!r}")
+        a = arrays[name]
+        want = [dims.setdefault(ax, n) if isinstance(ax, str) else ax
+                for ax, n in zip(shape, a.shape)]
+        if a.dtype != np.dtype(dtype) or list(a.shape) != want or a.ndim != len(shape):
+            raise CorruptArtifact(
+                f"{path}: array {name!r} is {a.dtype} {a.shape}, expected "
+                f"{np.dtype(dtype)} {tuple(shape)} with {dims}"
+            )
+    return arrays
+
+
+def write_json(payload: dict, path) -> None:
+    """Sorted-key, indented JSON with a trailing newline; NaN/inf rejected."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_atomic(path, text.encode())
+
+
+def read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    except ValueError as exc:
+        raise CorruptArtifact(f"{path}: not valid JSON ({exc})") from exc

@@ -35,6 +35,10 @@ class NegativeLabel(LabelForgeError):
     pass
 
 
+class CorruptArtifact(LabelForgeError):
+    pass
+
+
 class ZeroNormRow(LabelForgeError):
     def __init__(self, index: int):
         super().__init__(f"row {index} has zero L2 norm")

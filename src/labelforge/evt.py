@@ -7,7 +7,6 @@ into disjoint / overlap / rejected.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -183,6 +182,19 @@ def weibull_sample(p: WeibullParams, size: int, rng: np.random.Generator) -> np.
     return p.shift + p.scale_lambda * (-np.log1p(-u)) ** (1.0 / p.shape_k)
 
 
+def otsu_split(scores, n_bins: int = 256) -> tuple[float, np.ndarray, np.ndarray]:
+    """Otsu threshold t and the scores below it and at or above it.
+
+    Raises OneSidedData when either side has fewer than MIN_SIDE_SAMPLES.
+    """
+    x = np.asarray(scores, dtype=np.float64).ravel()
+    t = otsu_threshold(x, n_bins=n_bins)
+    low, high = x[x < t], x[x >= t]
+    if low.size < MIN_SIDE_SAMPLES or high.size < MIN_SIDE_SAMPLES:
+        raise OneSidedData(f"sides of Otsu threshold too small: {low.size} / {high.size}")
+    return t, low, high
+
+
 def fit_two_weibull_mixture(
     scores, n_bins: int = 256, confidence: float = 0.95
 ) -> MixtureSeparation:
@@ -192,14 +204,7 @@ def fit_two_weibull_mixture(
     component; upper_cut is the lower quantile of the high (overlap)
     component. Scores between the cuts fall in the rejection band.
     """
-    x = np.asarray(scores, dtype=np.float64).ravel()
-    t = otsu_threshold(x, n_bins=n_bins)
-    low_side = x[x < t]
-    high_side = x[x >= t]
-    if low_side.size < MIN_SIDE_SAMPLES or high_side.size < MIN_SIDE_SAMPLES:
-        raise OneSidedData(
-            f"sides of Otsu threshold too small: {low_side.size} / {high_side.size}"
-        )
+    t, low_side, high_side = otsu_split(scores, n_bins=n_bins)
     low = weibull_fit_mle(low_side)
     high = weibull_fit_mle(high_side)
     lower_cut = weibull_eval(low, confidence, "quantile")
@@ -243,35 +248,3 @@ def gaussian_pdf(mean: float, std: float):
         return math.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
 
     return pdf
-
-
-def save_mixture(mix: MixtureSeparation, path) -> None:
-    payload = {
-        "otsu_t": float(mix.otsu_t),
-        "low": {
-            "shape_k": mix.low.shape_k,
-            "scale_lambda": mix.low.scale_lambda,
-            "shift": mix.low.shift,
-        },
-        "high": {
-            "shape_k": mix.high.shape_k,
-            "scale_lambda": mix.high.scale_lambda,
-            "shift": mix.high.shift,
-        },
-        "lower_cut": mix.lower_cut,
-        "upper_cut": mix.upper_cut,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def load_mixture(path) -> MixtureSeparation:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return MixtureSeparation(
-        otsu_t=payload["otsu_t"],
-        low=WeibullParams(**payload["low"]),
-        high=WeibullParams(**payload["high"]),
-        lower_cut=payload["lower_cut"],
-        upper_cut=payload["upper_cut"],
-    )

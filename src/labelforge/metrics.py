@@ -92,14 +92,17 @@ def verification_metrics(
     same = np.array([p[2] for p in protocol.pairs], dtype=bool)
     scores = np.sum(rows[ai] * rows[bi], axis=1)
 
-    pos = scores[same]
-    neg = scores[~same]
-    best_acc = 0.0
-    for t in np.unique(scores):
-        acc = (np.sum(pos >= t) + np.sum(neg < t)) / scores.size
-        best_acc = max(best_acc, float(acc))
+    pos = np.sort(scores[same])
+    neg = np.sort(scores[~same])
+    # accuracy at every observed threshold t from exact counts: pos >= t
+    # and neg < t (NaN scores sort last and pass no threshold)
+    t = np.unique(scores)
+    t = t[~np.isnan(t)]
+    n_pos = np.count_nonzero(~np.isnan(pos))
+    acc = (n_pos - np.searchsorted(pos, t) + np.searchsorted(neg, t)) / scores.size
+    best_acc = float(acc.max(initial=0.0))
 
-    neg_sorted = np.sort(neg)[::-1]
+    neg_sorted = neg[::-1]
     tar_at_far: dict[float, float] = {}
     for far in fars:
         allowed = int(np.floor(far * neg.size))

@@ -9,20 +9,13 @@ per-sample probability of incorrect clustering. Ground-truth diagnostics
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, LinearHead
-from .errors import NoPositives, OneSidedData, TooFewClusters
-from .evt import (
-    MIN_SIDE_SAMPLES,
-    WeibullParams,
-    otsu_threshold,
-    weibull_fit_mle,
-    weibull_survival,
-)
+from .errors import NoPositives, TooFewClusters
+from .evt import WeibullParams, otsu_split, weibull_fit_mle, weibull_survival
 
 CORRECT = 0
 OUTLIER = 1
@@ -111,14 +104,7 @@ def fit_noise_model(
     margin_scores, metric: str = "class_margin", n_bins: int = 256
 ) -> NoiseModel:
     """Otsu split of the score distribution, Weibull MLE on the lower mode."""
-    x = np.asarray(margin_scores, dtype=np.float64).ravel()
-    t = otsu_threshold(x, n_bins=n_bins)
-    low = x[x < t]
-    high = x[x >= t]
-    if low.size < MIN_SIDE_SAMPLES or high.size < MIN_SIDE_SAMPLES:
-        raise OneSidedData(
-            f"sides of Otsu threshold too small: {low.size} / {high.size}"
-        )
+    t, low, _ = otsu_split(margin_scores, n_bins=n_bins)
     return NoiseModel(metric=metric, otsu_t=t, wb_low=weibull_fit_mle(low))
 
 
@@ -183,27 +169,3 @@ def average_precision(scores, positives) -> float:
     ranks = np.flatnonzero(hits) + 1
     cum_hits = np.arange(1, ranks.size + 1)
     return float(np.mean(cum_hits / ranks))
-
-
-def save_noise_model(m: NoiseModel, path) -> None:
-    payload = {
-        "metric": m.metric,
-        "otsu_t": m.otsu_t,
-        "wb_low": {
-            "shape_k": m.wb_low.shape_k,
-            "scale_lambda": m.wb_low.scale_lambda,
-            "shift": m.wb_low.shift,
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-
-def load_noise_model(path) -> NoiseModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return NoiseModel(
-        metric=payload["metric"],
-        otsu_t=payload["otsu_t"],
-        wb_low=WeibullParams(**payload["wb_low"]),
-    )

@@ -8,13 +8,21 @@ provides the new feature space for a second clustering iteration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, LinearHead
+from .data import (
+    UNASSIGNED,
+    Clustering,
+    EmbeddingSet,
+    LabelSet,
+    LinearHead,
+    load_archive,
+    save_archive,
+)
 from .errors import (
+    CorruptArtifact,
     EmptyTrainingSet,
     LabelCollision,
     NoEncoder,
@@ -216,44 +224,37 @@ def embed(model: TrainedModel, emb: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(out, normalized=True)
 
 
-def save_trained_model(model: TrainedModel, blob_path, sidecar_path) -> None:
-    arrays = [model.head.weights]
-    shapes = {"head": list(model.head.weights.shape)}
-    if model.encoder is not None:
-        arrays.extend([model.encoder.W, model.encoder.U, model.encoder.V])
-        shapes["encoder"] = list(model.encoder.W.shape)
-    flat = np.concatenate([a.ravel() for a in arrays]).astype("<f4")
-    with open(blob_path, "wb") as fh:
-        fh.write(flat.tobytes())
-    meta = {
-        "kind": "trained_head",
-        "shapes": shapes,
-        "initial_loss": model.initial_loss,
-        "final_loss": model.final_loss,
+def save_trained_model(model: TrainedModel, path) -> None:
+    """Weights as float32 (the encoder as stacked W, U, V); losses as float64."""
+    arrays = {
+        "head": model.head.weights.astype(np.float32),
+        "initial_loss": np.float64(model.initial_loss),
+        "final_loss": np.float64(model.final_loss),
     }
-    with open(sidecar_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    if model.encoder is not None:
+        enc = model.encoder
+        arrays["encoder"] = np.stack([enc.W, enc.U, enc.V]).astype(np.float32)
+    save_archive(arrays, path)
 
 
-def load_trained_model(blob_path, sidecar_path) -> TrainedModel:
-    with open(sidecar_path) as fh:
-        meta = json.load(fh)
-    flat = np.fromfile(blob_path, dtype="<f4").astype(np.float64)
-    hk, hd = meta["shapes"]["head"]
-    offset = hk * hd
-    head = LinearHead(flat[:offset].reshape(hk, hd))
+def load_trained_model(path) -> TrainedModel:
+    spec = {
+        "head": ("f4", "k", "d"),
+        "encoder": ("f4", 3, "d", "d"),
+        "initial_loss": ("f8",),
+        "final_loss": ("f8",),
+    }
+    a = load_archive(path, spec, optional=("encoder",))
+    try:
+        head = LinearHead(a["head"].astype(np.float64))
+    except ValueError as exc:
+        raise CorruptArtifact(f"{path}: {exc}") from exc
     enc = None
-    if "encoder" in meta["shapes"]:
-        d, d2 = meta["shapes"]["encoder"]
-        size = d * d2
-        parts = []
-        for _ in range(3):
-            parts.append(flat[offset : offset + size].reshape(d, d2))
-            offset += size
-        enc = EncoderParams(W=parts[0], U=parts[1], V=parts[2])
+    if "encoder" in a:
+        enc = EncoderParams(*a["encoder"].astype(np.float64))
     return TrainedModel(
         head=head,
         encoder=enc,
-        initial_loss=meta["initial_loss"],
-        final_loss=meta["final_loss"],
+        initial_loss=float(a["initial_loss"]),
+        final_loss=float(a["final_loss"]),
     )

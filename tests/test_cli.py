@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -219,3 +220,129 @@ def test_gcn_divergence_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "cluster" in err and "diverged" in err
+
+
+def test_k_at_or_above_sample_count_exits_2(tmp_path, capsys):
+    cfg = _write_ini(tmp_path, BASE_INI + "\n[knn]\nk = 10000\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'cluster' failed:")
+    assert "k=10000" in err and "n=" in err
+
+
+# --- artifacts: one format, unreadable files exit 2 ---
+
+TINY_INI = BASE_INI.replace("gcn_epochs = 60", "gcn_epochs = 5") + "\n[train]\nepochs = 5\n"
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """Output directory of one complete pipeline run, shared read-only."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg = root / "tiny.ini"
+    cfg.write_text(TINY_INI)
+    out = root / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    return str(cfg), out
+
+
+@pytest.fixture
+def run_copy(finished_run, tmp_path):
+    """(config, writable copy of the finished run's output directory)."""
+    cfg, out = finished_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    return cfg, copy
+
+
+def _stage_exit(capsys, stage, cfg, out):
+    code = main([stage, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+def test_output_directory_holds_one_artifact_format(finished_run):
+    _, out = finished_run
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["train.emb", "test.emb", "train_labels.csv", "test_labels.csv", "split.npz",
+         "baseline.npz", "mixture.json", "decisions.npz", "gcn.npz",
+         "pseudo_clusters.csv", "noise_model.json", "pseudo_clusters_pm.csv",
+         "hard.npz", "soft.npz", "report.json"]
+        + [f"stage_{name}.json" for name in
+           ("gen", "separate", "cluster", "noise", "retrain", "evaluate")]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [("baseline.npz", "retrain"), ("baseline.npz", "evaluate"), ("hard.npz", "evaluate"),
+     ("split.npz", "separate"), ("decisions.npz", "cluster")],
+)
+def test_truncated_archive_exits_2(run_copy, capsys, name, stage):
+    cfg, out = run_copy
+    blob = (out / name).read_bytes()
+    (out / name).write_bytes(blob[: len(blob) // 2])
+    code, err = _stage_exit(capsys, stage, cfg, out)
+    assert code == 2
+    assert err.startswith(f"error: stage '{stage}' failed:") and name in err
+
+
+def test_missing_model_archive_exits_2(run_copy, capsys):
+    cfg, out = run_copy
+    (out / "baseline.npz").unlink()
+    code, err = _stage_exit(capsys, "retrain", cfg, out)
+    assert code == 2 and "baseline.npz" in err
+
+
+def test_non_archive_split_exits_2(run_copy, capsys):
+    cfg, out = run_copy
+    (out / "split.npz").write_text("index\n0\njunk\n")
+    code, err = _stage_exit(capsys, "cluster", cfg, out)
+    assert code == 2 and "split.npz" in err
+
+
+def test_archive_missing_array_exits_2(run_copy, capsys):
+    cfg, out = run_copy
+    with np.load(out / "baseline.npz") as z:
+        kept = {k: z[k] for k in z.files if k != "head"}
+    np.savez(out / "baseline.npz", **kept)
+    code, err = _stage_exit(capsys, "retrain", cfg, out)
+    assert code == 2 and "'head'" in err
+
+
+def test_archive_arrays_must_fit_together(run_copy, capsys):
+    cfg, out = run_copy
+    with np.load(out / "split.npz") as z:
+        split = {k: z[k] for k in z.files}
+    split["overlap_mask"] = split["overlap_mask"][:-1]
+    np.savez(out / "split.npz", **split)
+    code, err = _stage_exit(capsys, "noise", cfg, out)
+    assert code == 2 and "'overlap_mask'" in err
+
+
+def test_decisions_must_match_unlabeled_count(run_copy, capsys):
+    cfg, out = run_copy
+    with np.load(out / "decisions.npz") as z:
+        decisions = z["decisions"]
+    np.savez(out / "decisions.npz", decisions=decisions[:-1])
+    code, err = _stage_exit(capsys, "retrain", cfg, out)
+    assert code == 2 and "unlabeled samples" in err
+
+
+def test_split_index_out_of_range_exits_2(run_copy, capsys):
+    cfg, out = run_copy
+    with np.load(out / "split.npz") as z:
+        split = {k: z[k] for k in z.files}
+    split["labeled_idx"][-1] = 10**6
+    np.savez(out / "split.npz", **split)
+    code, err = _stage_exit(capsys, "separate", cfg, out)
+    assert code == 2 and "out of range" in err
+
+
+def test_corrupt_stage_fragment_fails_report(run_copy, capsys):
+    cfg, out = run_copy
+    (out / "stage_gen.json").write_text('{"n_train": ')
+    code, err = _stage_exit(capsys, "report", cfg, out)
+    assert code == 2
+    assert err.startswith("error: stage 'report' failed:") and "stage_gen.json" in err

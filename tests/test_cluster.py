@@ -463,8 +463,8 @@ def test_deoverlap_partition_property_randomized():
 
 def test_model_roundtrip(tmp_path):
     model = GcnModel.init(6, seed=2)
-    save_gcn_model(model, tmp_path / "m.bin", tmp_path / "m.json")
-    back = load_gcn_model(tmp_path / "m.bin", tmp_path / "m.json")
+    save_gcn_model(model, tmp_path / "m.npz")
+    back = load_gcn_model(tmp_path / "m.npz")
     for (w1, w2), (b1, b2) in zip(model.layer_weights, back.layer_weights):
         np.testing.assert_allclose(b1, w1, atol=1e-6)
         np.testing.assert_allclose(b2, w2, atol=1e-6)
@@ -489,3 +489,12 @@ def test_gcn_pipeline_recovers_identities():
     # k-means without the true cluster count is the realistic comparison
     km = kmeans(emb, K=10, seed=0)
     assert f1_gcn > pairwise_prf(km, labels)[2]
+
+
+def test_model_archive_missing_head_rejected(tmp_path):
+    save_gcn_model(GcnModel.init(6, seed=2), tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as z:
+        layers = {k: z[k] for k in z.files if k != "head"}
+    np.savez(tmp_path / "m.npz", **layers)
+    with pytest.raises(errors.CorruptArtifact, match="'head'"):
+        load_gcn_model(tmp_path / "m.npz")

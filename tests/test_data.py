@@ -1,21 +1,28 @@
+import errno
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforge import errors
+from labelforge import data, errors
 from labelforge.data import (
     UNASSIGNED,
     Clustering,
     EmbeddingSet,
     LabelSet,
     l2_normalize,
+    load_archive,
     load_clustering,
     load_embeddings,
     load_labels,
+    read_json,
+    save_archive,
     save_clustering,
     save_embeddings,
     save_labels,
+    write_json,
 )
 
 
@@ -175,3 +182,120 @@ def test_labelset_invariants():
         LabelSet(np.array([0, 2]))
     with pytest.raises(errors.NegativeLabel):
         LabelSet(np.array([-1, 0]))
+
+
+# --- .npz archives and JSON ---
+
+SPLIT_SPEC = {"idx": ("i8", "n"), "mask": ("?", "n"), "w": ("f4", "n", 2)}
+
+
+def _split_arrays(n=3):
+    return {
+        "idx": np.arange(n, dtype=np.int64),
+        "mask": np.arange(n) % 2 == 0,
+        "w": np.ones((n, 2), dtype=np.float32),
+    }
+
+
+def test_archive_roundtrip(tmp_path):
+    arrays = _split_arrays()
+    save_archive(arrays, tmp_path / "a.npz")
+    back = load_archive(tmp_path / "a.npz", SPLIT_SPEC)
+    assert list(back) == list(SPLIT_SPEC)
+    for name, a in arrays.items():
+        assert back[name].dtype == a.dtype
+        np.testing.assert_array_equal(back[name], a)
+
+
+def test_archive_optional_array_may_be_absent(tmp_path):
+    arrays = _split_arrays()
+    del arrays["w"]
+    save_archive(arrays, tmp_path / "a.npz")
+    assert "w" not in load_archive(tmp_path / "a.npz", SPLIT_SPEC, optional=("w",))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda a: a.pop("w"), "missing array 'w'"),
+        (lambda a: a.update(mask=a["mask"][:-1]), "'mask'"),
+        (lambda a: a.update(w=np.ones((3, 3), dtype=np.float32)), "'w'"),
+        (lambda a: a.update(w=np.ones(3, dtype=np.float32)), "'w'"),
+        (lambda a: a.update(idx=a["idx"].astype(np.float64)), "'idx'"),
+    ],
+)
+def test_archive_rejects_arrays_that_do_not_fit(tmp_path, change, message):
+    arrays = _split_arrays()
+    change(arrays)
+    np.savez(tmp_path / "a.npz", **arrays)
+    with pytest.raises(errors.CorruptArtifact, match=message):
+        load_archive(tmp_path / "a.npz", SPLIT_SPEC)
+
+
+def _saved(save, value) -> bytes:
+    buf = io.BytesIO()
+    save(buf, value)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        b"",
+        b"index\n0\njunk\n",
+        _saved(np.save, np.arange(3)),
+        _saved(lambda f, arrays: np.savez(f, **arrays), _split_arrays())[:-40],
+    ],
+    ids=["empty", "text", "single-npy", "truncated"],
+)
+def test_archive_rejects_unreadable_file(tmp_path, blob):
+    path = tmp_path / "a.npz"
+    path.write_bytes(blob)
+    with pytest.raises(errors.CorruptArtifact, match="not a readable .npz archive"):
+        load_archive(path, SPLIT_SPEC)
+
+
+def test_missing_archive_is_io_failure(tmp_path):
+    with pytest.raises(errors.IoFailure):
+        load_archive(tmp_path / "nope.npz", SPLIT_SPEC)
+
+
+def test_json_roundtrip_and_corruption(tmp_path):
+    path = tmp_path / "p.json"
+    write_json({"b": [1, 2.5], "a": None}, path)
+    assert path.read_text() == '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    assert read_json(path) == {"a": None, "b": [1, 2.5]}
+    path.write_text('{"a": ')
+    with pytest.raises(errors.CorruptArtifact, match="not valid JSON"):
+        read_json(path)
+
+
+# every artifact writer: (writer, first payload, second payload)
+WRITERS = {
+    "embeddings": (save_embeddings, EmbeddingSet(np.eye(2)), EmbeddingSet(np.ones((3, 2)))),
+    "labels": (save_labels, LabelSet(np.array([0, 1])), LabelSet(np.array([0, 0, 1]))),
+    "clustering": (save_clustering, Clustering(np.array([0])), Clustering(np.array([0, 1]))),
+    "archive": (save_archive, {"x": np.zeros(2)}, {"x": np.ones(9)}),
+    "json": (write_json, {"x": 1}, {"x": list(range(50))}),
+}
+
+
+class _DiskFull(io.FileIO):
+    """A file that accepts half of a write, then fails as a full disk does."""
+
+    def write(self, b):
+        super().write(bytes(b)[: len(b) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("kind", sorted(WRITERS))
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
+    write, first, second = WRITERS[kind]
+    path = tmp_path / "artifact"
+    write(first, path)
+    before = path.read_bytes()
+    monkeypatch.setattr(data, "open", lambda p, mode: _DiskFull(p, "w"), raising=False)
+    with pytest.raises(errors.IoFailure, match="No space left"):
+        write(second, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]

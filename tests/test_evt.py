@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from labelforge import errors
-from labelforge.data import EmbeddingSet, LinearHead
+from labelforge.data import EmbeddingSet, LinearHead, read_json, write_json
 from labelforge.evt import (
     DISJOINT,
     OVERLAP,
@@ -14,10 +15,9 @@ from labelforge.evt import (
     fit_sse,
     fit_two_weibull_mixture,
     gaussian_pdf,
-    load_mixture,
     max_logits,
+    otsu_split,
     otsu_threshold,
-    save_mixture,
     separate_overlap,
     weibull_eval,
     weibull_fit_mle,
@@ -249,6 +249,13 @@ def test_mixture_json_roundtrip(tmp_path):
     x = _bimodal_scores(seed=3)
     mix = fit_two_weibull_mixture(x)
     path = tmp_path / "mix.json"
-    save_mixture(mix, path)
-    back = load_mixture(path)
-    assert back == mix
+    write_json(dataclasses.asdict(mix), path)
+    assert read_json(path) == dataclasses.asdict(mix)
+
+
+def test_otsu_split_partitions_at_threshold():
+    x = _bimodal_scores(seed=1)
+    t, low, high = otsu_split(x, n_bins=64)
+    assert t == otsu_threshold(x, n_bins=64)
+    np.testing.assert_array_equal(low, x[x < t])
+    np.testing.assert_array_equal(high, x[x >= t])

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforge import errors
 from labelforge.data import Clustering, EmbeddingSet, LabelSet, l2_normalize
@@ -153,6 +155,62 @@ def test_verification_accuracy_sweep_oracle():
         best = max(best, correct / len(scores))
     assert acc == pytest.approx(best)
     assert acc == pytest.approx(1.0)  # this case is separable
+
+
+def verification_reference(emb, protocol, fars):
+    """The original sweep, kept as the reference: two full passes over the
+    pair scores per unique score (O(pairs^2))."""
+    rows = emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None]
+    ai = np.array([p[0] for p in protocol.pairs])
+    bi = np.array([p[1] for p in protocol.pairs])
+    same = np.array([p[2] for p in protocol.pairs], dtype=bool)
+    scores = np.sum(rows[ai] * rows[bi], axis=1)
+    pos = scores[same]
+    neg = scores[~same]
+    best_acc = 0.0
+    for t in np.unique(scores):
+        acc = (np.sum(pos >= t) + np.sum(neg < t)) / scores.size
+        best_acc = max(best_acc, float(acc))
+    neg_sorted = np.sort(neg)[::-1]
+    tar_at_far = {}
+    for far in fars:
+        allowed = int(np.floor(far * neg.size))
+        if allowed >= neg.size:
+            threshold = -np.inf
+        elif allowed == 0:
+            threshold = np.nextafter(neg_sorted[0], np.inf)
+        else:
+            threshold = np.nextafter(neg_sorted[allowed], np.inf)
+        tar_at_far[far] = float(np.mean(pos >= threshold))
+    return best_acc, tar_at_far
+
+
+@st.composite
+def tied_protocols(draw):
+    """Unit rows at a few angles (so pair scores tie often), optionally one
+    zero row (NaN scores), and random same/different pair flags."""
+    n = draw(st.integers(2, 12))
+    angles = np.array(draw(st.lists(st.integers(0, 7), min_size=n, max_size=n))) * np.pi / 4
+    rows = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))] = 0.0
+    m = draw(st.integers(2, 60))
+    pairs = [
+        (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), i % 2 == 0 or draw(st.booleans()))
+        for i in range(m)
+    ]
+    pairs[1] = (pairs[1][0], pairs[1][1], False)
+    return EmbeddingSet(rows), VerificationProtocol(tuple(pairs))
+
+
+@given(tied_protocols(), st.lists(st.sampled_from([1e-3, 1e-2, 0.1, 0.5, 1.0]), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_verification_matches_reference_sweep(case, fars):
+    emb, protocol = case
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = verification_metrics(emb, protocol, fars=tuple(fars))
+        want = verification_reference(emb, protocol, tuple(fars))
+    assert got == want
 
 
 def test_protocol_needs_both_pair_kinds():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from labelforge import errors
 from labelforge.cluster import clustering_from_labels
-from labelforge.data import Clustering, EmbeddingSet, LabelSet, LinearHead
+from labelforge.data import Clustering, EmbeddingSet, LabelSet, LinearHead, read_json, write_json
 from labelforge.evt import WeibullParams, weibull_sample
 from labelforge.noise import (
     CORRECT,
@@ -15,9 +16,7 @@ from labelforge.noise import (
     cross_entropy,
     fit_noise_model,
     label_cluster_errors,
-    load_noise_model,
     p_minus,
-    save_noise_model,
     train_linear_classifier,
     uncertainty_scores,
 )
@@ -249,6 +248,5 @@ def test_average_precision_monotone_transform_invariant():
 def test_noise_model_roundtrip(tmp_path):
     m = fit_noise_model(_bimodal_margins(seed=4))
     path = tmp_path / "noise.json"
-    save_noise_model(m, path)
-    back = load_noise_model(path)
-    assert back == m
+    write_json(dataclasses.asdict(m), path)
+    assert read_json(path) == dataclasses.asdict(m)

@@ -296,8 +296,8 @@ def test_encoder_training_tightens_identities():
 def test_roundtrip_without_encoder(tmp_path):
     emb, labels = _harness(num_ids=2, per_id=10, seed=11)
     model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0)
-    save_trained_model(model, tmp_path / "m.bin", tmp_path / "m.json")
-    back = load_trained_model(tmp_path / "m.bin", tmp_path / "m.json")
+    save_trained_model(model, tmp_path / "m.npz")
+    back = load_trained_model(tmp_path / "m.npz")
     np.testing.assert_allclose(back.head.weights, model.head.weights, atol=1e-6)
     assert back.encoder is None
     assert back.final_loss == pytest.approx(model.final_loss)
@@ -307,8 +307,29 @@ def test_roundtrip_with_encoder(tmp_path):
     emb, labels = _harness(num_ids=2, per_id=10, seed=12)
     model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0,
                        with_encoder=True)
-    save_trained_model(model, tmp_path / "m.bin", tmp_path / "m.json")
-    back = load_trained_model(tmp_path / "m.bin", tmp_path / "m.json")
+    save_trained_model(model, tmp_path / "m.npz")
+    back = load_trained_model(tmp_path / "m.npz")
     np.testing.assert_allclose(back.encoder.W, model.encoder.W, atol=1e-6)
     np.testing.assert_allclose(back.encoder.U, model.encoder.U, atol=1e-6)
     np.testing.assert_allclose(back.encoder.V, model.encoder.V, atol=1e-6)
+
+
+def test_roundtrip_keeps_losses_exact(tmp_path):
+    emb, labels = _harness(num_ids=2, per_id=10, seed=13)
+    model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0)
+    save_trained_model(model, tmp_path / "m.npz")
+    back = load_trained_model(tmp_path / "m.npz")
+    assert (back.initial_loss, back.final_loss) == (model.initial_loss, model.final_loss)
+
+
+@pytest.mark.parametrize(
+    "arrays, message",
+    [
+        ({"head": np.ones((3, 4), np.float32), "encoder": np.ones((3, 5, 5), np.float32)}, "'encoder'"),
+        ({"head": np.ones((1, 4), np.float32)}, "num_classes >= 2"),
+    ],
+)
+def test_model_archive_that_does_not_fit_rejected(tmp_path, arrays, message):
+    np.savez(tmp_path / "m.npz", initial_loss=1.0, final_loss=0.5, **arrays)
+    with pytest.raises(errors.CorruptArtifact, match=message):
+        load_trained_model(tmp_path / "m.npz")
