@@ -62,11 +62,18 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(float(v) for v in raw.split(","))
+    return tuple(_parse_float(v) for v in raw.split(","))
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
@@ -82,12 +89,12 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "samples_per_id": (int, 20),
         "samples_per_id_max": (int, 0),  # 0 disables the long tail
         "dim": (int, 32),
-        "within_id_sigma": (float, 0.25),
+        "within_id_sigma": (_parse_float, 0.25),
         "seed": (int, 0),
     },
     "split": {
-        "labeled_id_fraction": (float, 0.5),
-        "overlap_id_fraction": (float, 0.0),
+        "labeled_id_fraction": (_parse_float, 0.5),
+        "overlap_id_fraction": (_parse_float, 0.0),
         "seed": (int, 1),
     },
     "knn": {
@@ -101,37 +108,36 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "min_cluster_size": (int, 2),
         "augment_unions": (int, -1),  # -1 -> two thirds of the proposal count
         "gcn_epochs": (int, 300),
-        "gcn_lr": (float, 0.5),
+        "gcn_lr": (_parse_float, 0.5),
         "gcn_batch_size": (int, 16),
         "gcn_seed": (int, 2),
         "kmeans_k": (int, 0),  # 0 -> n_samples // samples_per_id
         "kmeans_seed": (int, 3),
-        "hac_threshold": (float, 0.5),
-        "dbscan_eps": (float, 0.5),
+        "hac_threshold": (_parse_float, 0.5),
+        "dbscan_eps": (_parse_float, 0.5),
         "dbscan_min_size": (int, 2),
     },
     "evt": {
         "enabled": (_parse_bool, True),
         "n_bins": (int, 64),
-        "confidence": (float, 0.95),
+        "confidence": (_parse_float, 0.95),
     },
     "noise": {
         "metric": (str, "class_margin"),
-        "gamma": (float, 1.0),
+        "gamma": (_parse_float, 1.0),
         "classifier_epochs": (int, 30),
-        "classifier_lr": (float, 1.0),
+        "classifier_lr": (_parse_float, 1.0),
         "classifier_seed": (int, 4),
         "n_bins": (int, 64),
     },
     "train": {
-        "alpha": (float, 16.0),
-        "margin_m": (float, 0.35),
+        "alpha": (_parse_float, 16.0),
+        "margin_m": (_parse_float, 0.35),
         "epochs": (int, 40),
-        "lr": (float, 0.1),
+        "lr": (_parse_float, 0.1),
         "batch_size": (int, 256),
         "seed": (int, 6),
         "with_encoder": (_parse_bool, True),
-        "merge_overlap": (_parse_bool, False),  # experimental argmax merge
     },
     "eval": {
         "holdout_per_id": (int, 4),
@@ -181,6 +187,11 @@ class PipelineConfig:
                 raise ConfigError(f"[cluster] {key} must be >= 1, got {c[key]}")
         if not (math.isfinite(c["gcn_lr"]) and c["gcn_lr"] > 0):
             raise ConfigError(f"[cluster] gcn_lr must be finite and > 0, got {c['gcn_lr']}")
+        if not c["dbscan_eps"] > 0:
+            raise ConfigError(f"[cluster] dbscan_eps must be > 0, got {c['dbscan_eps']}")
+        for key, least in (("dbscan_min_size", 1), ("kmeans_k", 0)):
+            if c[key] < least:
+                raise ConfigError(f"[cluster] {key} must be >= {least}, got {c[key]}")
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -559,15 +570,11 @@ def stage_noise(cfg: PipelineConfig) -> dict:
 def stage_retrain(cfg: PipelineConfig) -> dict:
     stage = "retrain"
     train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_gen(stage, cfg)
-    decisions = _load_decisions(stage, cfg, unlabeled_idx)
-    disjoint_idx = unlabeled_idx[decisions == evt.DISJOINT]
+    disjoint_idx = unlabeled_idx[_load_decisions(stage, cfg, unlabeled_idx) == evt.DISJOINT]
     clustering = load_clustering(_require(stage, _path(cfg, "pseudo_clusters_pm.csv")))
     baseline = train.load_trained_model(_require(stage, _path(cfg, "baseline.npz")))
 
     lab_emb, lab_labels = _labeled_subset(train_emb, train_labels, labeled_idx)
-    if cfg["train"]["merge_overlap"]:
-        overlap_idx = unlabeled_idx[decisions == evt.OVERLAP]
-        lab_emb, lab_labels = _merge_overlap(baseline, train_emb, overlap_idx, lab_emb, lab_labels)
     dis_emb = EmbeddingSet(train_emb.rows[disjoint_idx], normalized=True)
 
     t = cfg["train"]
@@ -599,18 +606,6 @@ def stage_retrain(cfg: PipelineConfig) -> dict:
         "num_classes": int(baseline.head.weights.shape[0]),
     }
     return out
-
-
-def _merge_overlap(baseline, train_emb, overlap_idx, lab_emb, lab_labels):
-    """Experimental §4.2-style merge: overlap-decided samples join the
-    labeled class the baseline head assigns them to (plain argmax)."""
-    if overlap_idx.size == 0:
-        return lab_emb, lab_labels
-    ov_emb = EmbeddingSet(train_emb.rows[overlap_idx], normalized=True)
-    assigned = baseline.head.logits(ov_emb).argmax(axis=1)
-    merged_rows = np.vstack([lab_emb.rows, ov_emb.rows])
-    merged_labels = np.concatenate([lab_labels.labels, assigned])
-    return EmbeddingSet(merged_rows, normalized=True), LabelSet(merged_labels)
 
 
 def stage_evaluate(cfg: PipelineConfig) -> dict:

@@ -18,11 +18,12 @@ from .data import (
     EmbeddingSet,
     LabelSet,
     load_archive,
+    modal,
     relabel,
     save_archive,
 )
 from .errors import KOutOfRange, LengthMismatch, NoProposals, TrainingDiverged
-from .knn import ClusterProposal, KnnGraph, symmetric_csr
+from .knn import ClusterProposal, KnnGraph, component_labels, symmetric_csr
 
 
 # ---------------------------------------------------------------------------
@@ -79,20 +80,19 @@ def hac(emb: EmbeddingSet, dist_threshold: float) -> Clustering:
 
     Merging proceeds while the closest pair of clusters is within the
     threshold; Lance-Williams update keeps the n x n matrix consistent.
+    A merge keeps the smaller index of the pair and sets the other's row
+    and column to inf. The clusters are the connected components of the
+    merged pairs, numbered by their smallest member.
     """
     n = emb.n
     rows = emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None]
     dist = 1.0 - rows @ rows.T
     np.fill_diagonal(dist, np.inf)
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    members: list[list[int]] = [[i] for i in range(n)]
-
-    while active.sum() > 1:
-        masked = np.where(active[:, None] & active[None, :], dist, np.inf)
-        flat = int(np.argmin(masked))
-        a, b = divmod(flat, n)
-        if masked[a, b] > dist_threshold:
+    merges = []
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmin(dist)), n)
+        if dist[a, b] > dist_threshold:
             break
         if b < a:
             a, b = b, a
@@ -101,26 +101,22 @@ def hac(emb: EmbeddingSet, dist_threshold: float) -> Clustering:
         dist[a] = merged
         dist[:, a] = merged
         dist[a, a] = np.inf
-        active[b] = False
+        dist[b] = np.inf
+        dist[:, b] = np.inf
         sizes[a] = na + nb
-        members[a].extend(members[b])
-        members[b] = []
-
-    assignment = np.empty(n, dtype=np.int64)
-    cid = 0
-    for i in range(n):
-        if active[i]:
-            for m in members[i]:
-                assignment[m] = cid
-            cid += 1
-    return Clustering(relabel(assignment))
+        merges.append((a, b))
+    lo, hi = np.array(merges, dtype=np.int64).reshape(-1, 2).T
+    return Clustering(relabel(component_labels(np.arange(n), lo, hi)))
 
 
 def dbscan(emb: EmbeddingSet, eps: float, min_size: int) -> Clustering:
     """Density clustering on cosine distance; noise points UNASSIGNED.
 
     A point is core when at least ``min_size`` points (itself included)
-    lie within ``eps``.
+    lie within ``eps``. Core points within ``eps`` of each other form the
+    clusters; a non-core point within ``eps`` of a core point joins the
+    cluster with the smallest core member among those it touches. Clusters
+    are numbered by their smallest core member.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -132,24 +128,13 @@ def dbscan(emb: EmbeddingSet, eps: float, min_size: int) -> Clustering:
     within = dist <= eps
     core = within.sum(axis=1) >= min_size
 
-    assignment = np.full(n, UNASSIGNED, dtype=np.int64)
-    cid = 0
-    for i in range(n):
-        if assignment[i] != UNASSIGNED or not core[i]:
-            continue
-        # BFS over density-reachable points
-        assignment[i] = cid
-        frontier = [i]
-        while frontier:
-            p = frontier.pop()
-            if not core[p]:
-                continue
-            for q in np.flatnonzero(within[p]):
-                if assignment[q] == UNASSIGNED:
-                    assignment[q] = cid
-                    frontier.append(int(q))
-        cid += 1
-    return Clustering(relabel(assignment))
+    core_idx = np.flatnonzero(core)
+    lo, hi = np.nonzero(np.triu(within[np.ix_(core, core)], 1))
+    label = component_labels(np.arange(n), core_idx[lo], core_idx[hi])
+    touch = within[np.ix_(core, ~core)]
+    border = np.where(touch, label[core][:, None], n).min(axis=0, initial=n)
+    label[~core] = np.where(border < n, border, UNASSIGNED)
+    return Clustering(relabel(label))
 
 
 def clustering_from_labels(labels: LabelSet) -> Clustering:
@@ -420,16 +405,8 @@ def _targets(members: np.ndarray, starts: np.ndarray, labels: LabelSet) -> np.nd
     go to the smaller label.
     """
     sizes = np.diff(starts)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    member_labels = labels.labels[members]
-    width = int(labels.labels.max()) + 1
-    pairs, counts = np.unique(owner * width + member_labels, return_counts=True)
-    pid, ident = np.divmod(pairs, width)
-    # per proposal: largest count first, then smaller identity
-    order = np.lexsort((ident, -counts, pid))
-    best = order[np.flatnonzero(np.r_[True, pid[order][1:] != pid[order][:-1]])]
-    inter = counts[best]
-    union = sizes + np.bincount(labels.labels)[ident[best]] - inter
+    ident, inter = modal(np.repeat(np.arange(len(sizes)), sizes), labels.labels[members])
+    union = sizes + np.bincount(labels.labels)[ident] - inter
     return np.stack([inter / union, inter / sizes], axis=1)
 
 

@@ -172,6 +172,30 @@ def relabel(ids: np.ndarray) -> np.ndarray:
     return out
 
 
+def modal(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Most frequent of the non-negative ``values`` per owner, and its count.
+
+    Entry ``i`` pairs ``owner[i]`` with ``values[i]``. The result has one
+    entry per owner ``0..owner.max()``; ties go to the smaller value, and an
+    owner with no entries gets value -1 and count 0.
+    """
+    owner = np.asarray(owner, dtype=np.int64)
+    values = np.asarray(values, dtype=np.int64)
+    size = int(owner.max()) + 1 if owner.size else 0
+    value = np.full(size, -1, dtype=np.int64)
+    count = np.zeros(size, dtype=np.int64)
+    if owner.size:
+        width = int(values.max()) + 1
+        pairs, counts = np.unique(owner * width + values, return_counts=True)
+        own, val = np.divmod(pairs, width)
+        # pairs ascend by (owner, value); per owner, the largest count first
+        order = np.lexsort((-counts, own))
+        best = order[np.r_[True, own[order][1:] != own[order][:-1]]]
+        value[own[best]] = val[best]
+        count[own[best]] = counts[best]
+    return value, count
+
+
 def l2_normalize(emb: EmbeddingSet) -> EmbeddingSet:
     """Scale every row to unit L2 norm."""
     norms = np.linalg.norm(emb.rows, axis=1)

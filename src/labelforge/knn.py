@@ -144,7 +144,7 @@ def symmetric_csr(g: KnnGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return result
 
 
-def _component_labels(label: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def component_labels(label: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Smallest member of each node's connected component.
 
     ``label`` is a starting labelling in which every node points at a
@@ -201,7 +201,7 @@ def proposals_from_thresholds(
     for ti, t in enumerate(ts):
         keep = sim >= t
         # lower thresholds only merge components: start from the last labels
-        label = _component_labels(label, lo[keep], hi[keep])
+        label = component_labels(label, lo[keep], hi[keep])
         size = np.bincount(label, minlength=g.n)
         reps = np.flatnonzero(label == nodes)  # smallest members, ascending
         if ti > 0:

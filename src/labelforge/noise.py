@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, LinearHead
+from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, LinearHead, modal
 from .errors import NoPositives, TooFewClusters
 from .evt import WeibullParams, otsu_split, weibull_fit_mle, weibull_survival
 
@@ -123,38 +123,16 @@ def label_cluster_errors(c: Clustering, labels: LabelSet) -> np.ndarray:
     smaller cluster id); its samples elsewhere are split-id unless already
     outliers there. UNASSIGNED samples keep -1.
     """
-    n = c.n
-    tags = np.full(n, -1, dtype=np.int64)
-    assignment = c.assignment
-    num_clusters = c.num_clusters
-    num_ids = labels.num_ids
-
-    modal_label = np.full(num_clusters, -1, dtype=np.int64)
-    for cid in range(num_clusters):
-        members = np.flatnonzero(assignment == cid)
-        counts = np.bincount(labels.labels[members], minlength=num_ids)
-        modal_label[cid] = int(np.argmax(counts))
-
+    assigned = np.flatnonzero(c.assignment != UNASSIGNED)
+    cid = c.assignment[assigned]
+    ident = labels.labels[assigned]
+    modal_label, _ = modal(cid, ident)
     # per identity: cluster with the largest share of its samples
-    true_cluster = np.full(num_ids, -1, dtype=np.int64)
-    for ident in range(num_ids):
-        members = np.flatnonzero((labels.labels == ident) & (assignment != UNASSIGNED))
-        if members.size == 0:
-            continue
-        counts = np.bincount(assignment[members], minlength=num_clusters)
-        true_cluster[ident] = int(np.argmax(counts))
-
-    for i in range(n):
-        cid = assignment[i]
-        if cid == UNASSIGNED:
-            continue
-        ident = labels.labels[i]
-        if modal_label[cid] != ident:
-            tags[i] = OUTLIER
-        elif true_cluster[ident] != cid:
-            tags[i] = SPLIT_ID
-        else:
-            tags[i] = CORRECT
+    true_cluster, _ = modal(ident, cid)
+    tags = np.full(c.n, -1, dtype=np.int64)
+    tags[assigned] = np.select(
+        [modal_label[cid] != ident, true_cluster[ident] != cid], [OUTLIER, SPLIT_ID], CORRECT
+    )
     return tags
 
 

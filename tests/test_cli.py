@@ -27,6 +27,8 @@ gcn_epochs = 60
 holdout_per_id = 2
 """
 
+TINY_INI = BASE_INI.replace("gcn_epochs = 60", "gcn_epochs = 5") + "\n[train]\nepochs = 5\n"
+
 
 @pytest.fixture
 def base_config(tmp_path):
@@ -215,6 +217,40 @@ def test_gcn_key_out_of_range_rejected(tmp_path, capsys, line, key):
     assert err.startswith("config error:") and key in err
 
 
+# --- value ranges of the other keys ---
+
+OUT_OF_RANGE = [
+    ("gcn_epochs = 60", "algorithm = dbscan\ndbscan_eps = 0", "dbscan_eps"),
+    ("gcn_epochs = 60", "algorithm = dbscan\ndbscan_min_size = 0", "dbscan_min_size"),
+    ("gcn_epochs = 60", "algorithm = hac\nhac_threshold = nan", "hac_threshold"),
+    ("gcn_epochs = 60", "algorithm = kmeans\nkmeans_k = -1", "kmeans_k"),
+    ("labeled_id_fraction = 0.5", "labeled_id_fraction = nan", "labeled_id_fraction"),
+    ("[eval]", "[noise]\ngamma = inf\n\n[eval]", "gamma"),
+    ("[eval]", "[knn]\nthresholds = 0.9, inf\n\n[eval]", "thresholds"),
+]
+
+
+@pytest.mark.parametrize("old, new, key", OUT_OF_RANGE, ids=[key for *_, key in OUT_OF_RANGE])
+def test_config_value_out_of_range_rejected(tmp_path, capsys, old, new, key):
+    cfg = _write_ini(tmp_path, BASE_INI.replace(old, new))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
+
+
+# --- baseline algorithms ---
+
+@pytest.mark.parametrize("algorithm", ["kmeans", "hac", "dbscan"])
+def test_baseline_algorithm_runs(tmp_path, algorithm):
+    cfg = _write_ini(tmp_path, TINY_INI.replace("gcn_epochs = 5", f"algorithm = {algorithm}"))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    stage = _load_report(out)["stages"]["cluster"]
+    assert stage["algorithm"] == algorithm
+    assert stage["n_clustered_input"] > 0
+
+
 def test_gcn_divergence_exits_2(tmp_path, capsys):
     cfg = _write_ini(tmp_path, BASE_INI.replace("gcn_epochs = 60", "gcn_epochs = 60\ngcn_lr = 1e150"))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -231,9 +267,6 @@ def test_k_at_or_above_sample_count_exits_2(tmp_path, capsys):
 
 
 # --- artifacts: one format, unreadable files exit 2 ---
-
-TINY_INI = BASE_INI.replace("gcn_epochs = 60", "gcn_epochs = 5") + "\n[train]\nepochs = 5\n"
-
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):

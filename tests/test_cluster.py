@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from labelforge import errors
 from labelforge.cluster import (
@@ -28,6 +30,7 @@ from labelforge.knn import ClusterProposal, build_knn_graph, proposals_from_thre
 from labelforge.metrics import pairwise_prf
 from labelforge.synth import SynthConfig, generate_identities
 from gcn_reference import proposal_operator
+from test_graph_oracles import tied_embeddings
 
 
 def two_blobs(per_id=15, sigma=0.05, seed=0, dim=8):
@@ -63,23 +66,34 @@ def test_kmeans_k_out_of_range():
 # --- HAC ---
 
 def hac_oracle(rows, threshold):
-    """Brute-force average-linkage dendrogram from raw pairwise distances."""
+    """Brute-force average-linkage dendrogram from raw pairwise distances.
+
+    Returns the clusters, sorted, and whether the dendrogram hinged on a
+    near-tie: at some step the closest pair lay within 1e-9 of the
+    threshold, or, at a positive distance, of another pair that shares a
+    cluster with it. Average linkage does not decide such a tie, and the
+    same means summed in another order can decide it the other way. (Tied
+    pairs without a common cluster are merged in either order alike.)
+    """
     rows = rows / np.linalg.norm(rows, axis=1)[:, None]
     dist = 1.0 - rows @ rows.T
     clusters = [[i] for i in range(rows.shape[0])]
+    tol, tied = 1e-9, False
     while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = np.mean([dist[a, b] for a in clusters[i] for b in clusters[j]])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        if best[0] > threshold:
+        pairs = sorted(
+            (np.mean([dist[a, b] for a in clusters[i] for b in clusters[j]]), i, j)
+            for i in range(len(clusters))
+            for j in range(i + 1, len(clusters))
+        )
+        d, i, j = pairs[0]
+        tied |= abs(d - threshold) <= tol
+        rivals = [(a, b) for e, a, b in pairs[1:] if e - d <= tol]
+        tied |= d > tol and any({a, b} & {i, j} for a, b in rivals)
+        if d > threshold:
             break
-        d, i, j = best
         clusters[i] = clusters[i] + clusters[j]
         del clusters[j]
-    return sorted(tuple(sorted(c)) for c in clusters)
+    return sorted(tuple(sorted(c)) for c in clusters), tied
 
 
 def test_hac_zero_threshold_singletons():
@@ -105,7 +119,7 @@ def test_hac_two_tight_pairs_matches_oracle():
         tuple(np.flatnonzero(c.assignment == cid).tolist())
         for cid in range(c.num_clusters)
     )
-    assert got == hac_oracle(rows, 0.5) == [(0, 1), (2, 3)]
+    assert got == hac_oracle(rows, 0.5)[0] == [(0, 1), (2, 3)]
 
 
 def test_hac_matches_oracle_randomized():
@@ -119,13 +133,46 @@ def test_hac_matches_oracle_randomized():
             tuple(np.flatnonzero(c.assignment == cid).tolist())
             for cid in range(c.num_clusters)
         )
-        assert got == hac_oracle(rows, threshold)
+        assert got == hac_oracle(rows, threshold)[0]
+
+
+def _clusters_in_id_order(assignment):
+    return [tuple(np.flatnonzero(assignment == cid).tolist()) for cid in range(assignment.max() + 1)]
+
+
+@st.composite
+def duplicated_rows(draw, max_n=30):
+    """Gaussian rows, some copied onto others: the copies tie exactly in
+    every distance, while the rest stay in general position. (The grid rows
+    of ``tied_embeddings`` put most dendrograms on an undecided tie.)"""
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(2, 4))
+    rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        rows[dst] = rows[src]
+    return l2_normalize(EmbeddingSet(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(emb=duplicated_rows(), threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0))
+def test_hac_matches_oracle_on_duplicated_rows(emb, threshold):
+    clusters, tied = hac_oracle(emb.rows, threshold)
+    assume(not tied)
+    # the oracle's list is sorted, so equality also checks that cluster
+    # ids ascend with their smallest member
+    assert _clusters_in_id_order(hac(emb, dist_threshold=threshold).assignment) == clusters
 
 
 # --- DBSCAN ---
 
 def dbscan_oracle(rows, eps, min_size):
-    """Quadratic textbook DBSCAN on cosine distance."""
+    """Quadratic textbook DBSCAN on cosine distance.
+
+    Clusters grow from each unvisited core point in index order, so they are
+    numbered by their smallest core member, and a border point stays with
+    the first cluster that reaches it: the one with the smallest core member
+    among those within ``eps`` of it.
+    """
     rows = rows / np.linalg.norm(rows, axis=1)[:, None]
     n = rows.shape[0]
     dist = 1.0 - rows @ rows.T
@@ -154,17 +201,6 @@ def dbscan_oracle(rows, eps, min_size):
     return [UNASSIGNED if v is None else v for v in labels]
 
 
-def _as_partition(assignment):
-    clusters = {}
-    noise = set()
-    for i, cid in enumerate(assignment):
-        if cid == UNASSIGNED:
-            noise.add(i)
-        else:
-            clusters.setdefault(cid, set()).add(i)
-    return sorted(tuple(sorted(c)) for c in clusters.values()), noise
-
-
 def test_dbscan_all_noise():
     emb = EmbeddingSet(np.eye(4), normalized=True)
     c = dbscan(emb, eps=0.5, min_size=2)
@@ -188,13 +224,40 @@ def test_dbscan_matches_reference():
     rows = np.vstack([emb.rows, noise_rows])
     full = l2_normalize(EmbeddingSet(rows))  # n = 300
     c = dbscan(full, eps=0.08, min_size=4)
-    ref = dbscan_oracle(rows, eps=0.08, min_size=4)
-    got_clusters, got_noise = _as_partition(c.assignment.tolist())
-    ref_clusters, ref_noise = _as_partition(ref)
-    # core structure must agree; border points may differ by visit order,
-    # so compare after removing points the reference marks noise
-    assert got_noise == ref_noise
-    assert got_clusters == ref_clusters
+    assert c.assignment.tolist() == dbscan_oracle(full.rows, eps=0.08, min_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(emb=tied_embeddings(), eps=st.floats(1e-6, 2.0), min_size=st.integers(1, 6))
+def test_dbscan_matches_oracle_on_tied_rows(emb, eps, min_size):
+    c = dbscan(emb, eps=eps, min_size=min_size)
+    assert c.assignment.tolist() == dbscan_oracle(emb.rows, eps, min_size)
+
+
+@st.composite
+def arc_rows(draw):
+    """Unit vectors at angles 0.05 * k along an arc: runs of one to three
+    copies per step, a lone point between consecutive runs, in random
+    order. With ``eps`` one step, the lone point is a border point of both
+    neighbouring runs when it is not dense enough to be core itself."""
+    runs = draw(st.lists(st.lists(st.integers(1, 3), min_size=2, max_size=3), min_size=2, max_size=4))
+    angle, at = [], 0
+    for run in runs:
+        for copies in run:
+            angle += [at] * copies
+            at += 1
+        angle.append(at)
+        at += 1
+    angle = 0.05 * np.array(draw(st.permutations(angle)))
+    return EmbeddingSet(np.stack([np.cos(angle), np.sin(angle)], axis=1), normalized=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(emb=arc_rows(), min_size=st.integers(3, 5))
+def test_dbscan_border_points_match_oracle(emb, min_size):
+    eps = 1.0 - np.cos(0.05) + 1e-9
+    c = dbscan(emb, eps=eps, min_size=min_size)
+    assert c.assignment.tolist() == dbscan_oracle(emb.rows, eps, min_size)
 
 
 # --- proposal targets ---

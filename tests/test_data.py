@@ -184,6 +184,24 @@ def test_labelset_invariants():
         LabelSet(np.array([-1, 0]))
 
 
+# --- modal value per owner ---
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_modal_sends_ties_to_the_smaller_value(pairs):
+    owner = np.array([o for o, _ in pairs], dtype=np.int64)
+    values = np.array([v for _, v in pairs], dtype=np.int64)
+    value, count = data.modal(owner, values)
+    want_value, want_count = [], []
+    for o in range(owner.max() + 1 if pairs else 0):
+        seen = [v for p, v in pairs if p == o]
+        best = max(seen.count(v) for v in seen) if seen else 0
+        want_value.append(min(v for v in seen if seen.count(v) == best) if seen else -1)
+        want_count.append(best)
+    assert value.tolist() == want_value
+    assert count.tolist() == want_count
+
+
 # --- .npz archives and JSON ---
 
 SPLIT_SPEC = {"idx": ("i8", "n"), "mask": ("?", "n"), "w": ("f4", "n", 2)}

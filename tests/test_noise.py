@@ -3,10 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforge import errors
 from labelforge.cluster import clustering_from_labels
-from labelforge.data import Clustering, EmbeddingSet, LabelSet, LinearHead, read_json, write_json
+from labelforge.data import (
+    UNASSIGNED,
+    Clustering,
+    EmbeddingSet,
+    LabelSet,
+    LinearHead,
+    read_json,
+    relabel,
+    write_json,
+)
 from labelforge.evt import WeibullParams, weibull_sample
 from labelforge.noise import (
     CORRECT,
@@ -204,6 +215,49 @@ def test_label_cluster_errors_unassigned_kept():
     c = Clustering(np.array([0, 0, 1, -1]))
     tags = label_cluster_errors(c, labels)
     assert tags[3] == -1
+
+
+def label_cluster_errors_reference(c, labels):
+    """Per-cluster, per-identity and per-sample loops: the rule stated on
+    label_cluster_errors, one item at a time."""
+    n = c.n
+    tags = np.full(n, -1, dtype=np.int64)
+    assignment = c.assignment
+    modal_label = np.full(c.num_clusters, -1, dtype=np.int64)
+    for cid in range(c.num_clusters):
+        members = np.flatnonzero(assignment == cid)
+        counts = np.bincount(labels.labels[members], minlength=labels.num_ids)
+        modal_label[cid] = int(np.argmax(counts))
+    true_cluster = np.full(labels.num_ids, -1, dtype=np.int64)
+    for ident in range(labels.num_ids):
+        members = np.flatnonzero((labels.labels == ident) & (assignment != UNASSIGNED))
+        if members.size == 0:
+            continue
+        counts = np.bincount(assignment[members], minlength=c.num_clusters)
+        true_cluster[ident] = int(np.argmax(counts))
+    for i in range(n):
+        cid = assignment[i]
+        if cid == UNASSIGNED:
+            continue
+        ident = labels.labels[i]
+        if modal_label[cid] != ident:
+            tags[i] = OUTLIER
+        elif true_cluster[ident] != cid:
+            tags[i] = SPLIT_ID
+        else:
+            tags[i] = CORRECT
+    return tags
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(-1, 4)), min_size=1, max_size=40))
+def test_label_cluster_errors_matches_reference(pairs):
+    # few labels and clusters, so modal counts tie often
+    labels = LabelSet(relabel(np.array([label for label, _ in pairs])))
+    c = Clustering(relabel(np.array([cid for _, cid in pairs])))
+    np.testing.assert_array_equal(
+        label_cluster_errors(c, labels), label_cluster_errors_reference(c, labels)
+    )
 
 
 def test_injected_noise_is_recovered_by_tags():
