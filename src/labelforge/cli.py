@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import math
+import hashlib
+import json
 import os
 import sys
 import time
@@ -41,9 +42,9 @@ from .errors import (
     ConfigError,
     CorruptArtifact,
     LabelForgeError,
-    MissingArtifact,
     OneSidedData,
     StageFailure,
+    StaleArtifact,
     TooFewClusters,
 )
 
@@ -62,89 +63,120 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw.strip()!r}")
-    return value
+def _float_in(interval: str):
+    """Parser of a float inside ``interval``, written like ``"(0, 1]"``;
+    NaN lies in no interval."""
+    lo, hi = (float(v) for v in interval[1:-1].split(","))
+
+    def parse(raw: str) -> float:
+        value = float(raw)
+        above = lo < value if interval[0] == "(" else lo <= value
+        below = value < hi if interval[-1] == ")" else value <= hi
+        if not (above and below):
+            raise ValueError(f"must be in {interval}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_parse_float(v) for v in raw.split(","))
+def _int_from(lo: int):
+    """Parser of an int that is at least ``lo``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < lo:
+            raise ValueError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(int(v) for v in raw.split(","))
+def _one_of(*names: str):
+    def parse(raw: str) -> str:
+        if raw not in names:
+            raise ValueError(f"must be one of {', '.join(names)}, got {raw!r}")
+        return raw
 
+    return parse
+
+
+def _list_of(parse):
+    """Parser of a comma-separated list; an empty value is the empty tuple."""
+
+    def parse_list(raw: str) -> tuple:
+        raw = raw.strip()
+        return tuple(parse(v) for v in raw.split(",")) if raw else ()
+
+    return parse_list
+
+
+_SEED = _int_from(0)
+_FINITE = _float_in("(-inf, inf)")
+_POSITIVE = _float_in("(0, inf)")
 
 SCHEMA: dict[str, dict[str, tuple]] = {
     "synth": {
-        "num_ids": (int, 60),
-        "samples_per_id": (int, 20),
-        "samples_per_id_max": (int, 0),  # 0 disables the long tail
-        "dim": (int, 32),
-        "within_id_sigma": (_parse_float, 0.25),
-        "seed": (int, 0),
+        "num_ids": (_int_from(2), 60),
+        "samples_per_id": (_int_from(1), 20),
+        "samples_per_id_max": (_int_from(0), 0),  # 0 disables the long tail
+        "dim": (_int_from(2), 32),
+        "within_id_sigma": (_float_in("[0, inf)"), 0.25),
+        "seed": (_SEED, 0),
     },
     "split": {
-        "labeled_id_fraction": (_parse_float, 0.5),
-        "overlap_id_fraction": (_parse_float, 0.0),
-        "seed": (int, 1),
+        # both sides need an identity of their own
+        "labeled_id_fraction": (_float_in("(0, 1)"), 0.5),
+        "overlap_id_fraction": (_float_in("[0, 1]"), 0.0),
+        "seed": (_SEED, 1),
     },
     "knn": {
-        "k": (int, 8),
-        "thresholds": (_parse_floats, ()),  # empty -> quantile defaults
-        "threshold_count": (int, 12),
-        "max_size": (int, 100),
+        "k": (_int_from(1), 8),
+        "thresholds": (_list_of(_FINITE), ()),  # empty -> quantile defaults
+        "threshold_count": (_int_from(1), 12),
+        "max_size": (_int_from(2), 100),
     },
     "cluster": {
-        "algorithm": (str, "gcn"),
-        "min_cluster_size": (int, 2),
-        "augment_unions": (int, -1),  # -1 -> two thirds of the proposal count
-        "gcn_epochs": (int, 300),
-        "gcn_lr": (_parse_float, 0.5),
-        "gcn_batch_size": (int, 16),
-        "gcn_seed": (int, 2),
-        "kmeans_k": (int, 0),  # 0 -> n_samples // samples_per_id
-        "kmeans_seed": (int, 3),
-        "hac_threshold": (_parse_float, 0.5),
-        "dbscan_eps": (_parse_float, 0.5),
-        "dbscan_min_size": (int, 2),
+        "algorithm": (_one_of("gcn", "kmeans", "hac", "dbscan"), "gcn"),
+        "min_cluster_size": (_int_from(1), 2),
+        "augment_unions": (_int_from(-1), -1),  # -1 -> two thirds of the proposal count
+        "gcn_epochs": (_int_from(1), 300),
+        "gcn_lr": (_POSITIVE, 0.5),
+        "gcn_batch_size": (_int_from(1), 16),
+        "gcn_seed": (_SEED, 2),
+        "kmeans_k": (_int_from(0), 0),  # 0 -> n_samples // samples_per_id
+        "kmeans_seed": (_SEED, 3),
+        "hac_threshold": (_FINITE, 0.5),
+        "dbscan_eps": (_POSITIVE, 0.5),
+        "dbscan_min_size": (_int_from(1), 2),
     },
     "evt": {
         "enabled": (_parse_bool, True),
-        "n_bins": (int, 64),
-        "confidence": (_parse_float, 0.95),
+        "n_bins": (_int_from(2), 64),
+        "confidence": (_float_in("(0, 1)"), 0.95),
     },
     "noise": {
-        "metric": (str, "class_margin"),
-        "gamma": (_parse_float, 1.0),
-        "classifier_epochs": (int, 30),
-        "classifier_lr": (_parse_float, 1.0),
-        "classifier_seed": (int, 4),
-        "n_bins": (int, 64),
+        "metric": (_one_of(*noise.METRICS), "class_margin"),
+        "gamma": (_float_in("[0, inf)"), 1.0),
+        "classifier_epochs": (_int_from(1), 30),
+        "classifier_lr": (_POSITIVE, 1.0),
+        "classifier_seed": (_SEED, 4),
+        "n_bins": (_int_from(2), 64),
     },
     "train": {
-        "alpha": (_parse_float, 16.0),
-        "margin_m": (_parse_float, 0.35),
-        "epochs": (int, 40),
-        "lr": (_parse_float, 0.1),
-        "batch_size": (int, 256),
-        "seed": (int, 6),
+        "alpha": (_POSITIVE, 16.0),
+        "margin_m": (_float_in("[0, 1]"), 0.35),
+        "epochs": (_int_from(1), 40),
+        "lr": (_POSITIVE, 0.1),
+        "batch_size": (_int_from(1), 256),
+        "seed": (_SEED, 6),
         "with_encoder": (_parse_bool, True),
     },
     "eval": {
-        "holdout_per_id": (int, 4),
-        "fars": (_parse_floats, (1e-2, 1e-3)),
-        "ks": (_parse_ints, (1, 5)),
-        "pairs_per_class": (int, 3),
-        "seed": (int, 5),
+        "holdout_per_id": (_int_from(2), 4),
+        "fars": (_list_of(_float_in("[0, 1]")), (1e-2, 1e-3)),
+        "ks": (_list_of(_int_from(1)), (1, 5)),
+        "pairs_per_class": (_int_from(1), 3),
+        "seed": (_SEED, 5),
     },
     "paths": {
         "out_dir": (str, "out"),
@@ -164,34 +196,13 @@ _SEED_KEYS = (
 
 
 class PipelineConfig:
-    """Fully resolved configuration: every schema key has a typed value."""
+    """Fully resolved configuration: every schema key has a typed value.
+    ``load_config`` checks each value's range; values passed in directly are
+    taken as they are."""
 
     def __init__(self, values: dict[str, dict]):
         self.values = values
         self.threads = 1
-        if self.values["cluster"]["algorithm"] not in ("gcn", "kmeans", "hac", "dbscan"):
-            raise ConfigError(
-                f"[cluster] algorithm must be gcn/kmeans/hac/dbscan, "
-                f"got {self.values['cluster']['algorithm']!r}"
-            )
-        if self.values["noise"]["metric"] not in noise.METRICS:
-            raise ConfigError(
-                f"[noise] metric must be one of {noise.METRICS}, "
-                f"got {self.values['noise']['metric']!r}"
-            )
-        if self.values["eval"]["holdout_per_id"] < 2:
-            raise ConfigError("[eval] holdout_per_id must be >= 2")
-        c = self.values["cluster"]
-        for key in ("gcn_epochs", "gcn_batch_size"):
-            if c[key] < 1:
-                raise ConfigError(f"[cluster] {key} must be >= 1, got {c[key]}")
-        if not (math.isfinite(c["gcn_lr"]) and c["gcn_lr"] > 0):
-            raise ConfigError(f"[cluster] gcn_lr must be finite and > 0, got {c['gcn_lr']}")
-        if not c["dbscan_eps"] > 0:
-            raise ConfigError(f"[cluster] dbscan_eps must be > 0, got {c['dbscan_eps']}")
-        for key, least in (("dbscan_min_size", 1), ("kmeans_k", 0)):
-            if c[key] < least:
-                raise ConfigError(f"[cluster] {key} must be >= {least}, got {c[key]}")
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -202,6 +213,12 @@ class PipelineConfig:
             section: {k: list(v) if isinstance(v, tuple) else v for k, v in keys.items()}
             for section, keys in self.values.items()
         }
+
+    def sha(self) -> str:
+        """sha256 of the resolved configuration, ``[paths]`` excepted."""
+        echo = self.echo()
+        del echo["paths"]
+        return hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
 
     @property
     def out_dir(self) -> str:
@@ -250,17 +267,45 @@ def _path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _require(stage: str, path: str) -> str:
-    if not os.path.exists(path):
-        raise MissingArtifact(stage, path)
-    return path
+def _load_split(cfg: PipelineConfig):
+    """Train embeddings and labels, the labeled and unlabeled row indices,
+    and the ground-truth overlap mask of the unlabeled rows."""
+    train_emb = load_embeddings(_path(cfg, "train.emb"))
+    train_labels = load_labels(_path(cfg, "train_labels.csv"))
+    path = _path(cfg, "split.npz")
+    spec = {"labeled_idx": ("i8", "l"), "unlabeled_idx": ("i8", "u"), "overlap_mask": ("?", "u")}
+    labeled_idx, unlabeled_idx, gt_overlap = load_archive(path, spec).values()
+    for idx in (labeled_idx, unlabeled_idx):
+        if idx.size and not (0 <= idx.min() and idx.max() < train_emb.n):
+            raise CorruptArtifact(f"{path}: sample index out of range for n={train_emb.n}")
+    return train_emb, train_labels, labeled_idx, unlabeled_idx, gt_overlap
 
 
-def _timed(stage_fn, cfg: PipelineConfig) -> dict:
-    start = time.perf_counter()
-    payload = stage_fn(cfg)
-    payload["wall_clock_sec"] = time.perf_counter() - start
-    return payload
+def _subset(emb: EmbeddingSet, labels: LabelSet, idx: np.ndarray):
+    """Rows ``idx`` and their labels, relabeled to contiguous ids."""
+    return EmbeddingSet(emb.rows[idx], normalized=True), LabelSet(relabel(labels.labels[idx]))
+
+
+def _load_disjoint(cfg: PipelineConfig, train_emb, train_labels, unlabeled_idx):
+    """Embeddings and ground-truth labels of the unlabeled samples that
+    ``separate`` marked evt.DISJOINT, the input of cluster, noise and retrain."""
+    path = _path(cfg, "decisions.npz")
+    decisions = load_archive(path, {"decisions": ("i8", "u")})["decisions"]
+    if decisions.shape != unlabeled_idx.shape:
+        raise CorruptArtifact(
+            f"{path}: {decisions.size} decisions for {unlabeled_idx.size} unlabeled samples"
+        )
+    return _subset(train_emb, train_labels, unlabeled_idx[decisions == evt.DISJOINT])
+
+
+def _train_head(cfg: PipelineConfig, labeled, pseudo=None, use_weights=False):
+    """The baseline (no ``pseudo``), hard or soft (``use_weights``) head."""
+    t, gamma = cfg["train"], cfg["noise"]["gamma"]
+    loss_cfg = train.LossConfig(alpha=t["alpha"], margin_m=t["margin_m"], gamma=gamma)
+    return train.train_head(
+        labeled, pseudo, loss_cfg, epochs=t["epochs"], lr=t["lr"], seed=t["seed"],
+        use_weights=use_weights, with_encoder=t["with_encoder"], batch_size=t["batch_size"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +334,8 @@ def stage_gen(cfg: PipelineConfig) -> dict:
     for ident in range(labels.num_ids):
         members = np.flatnonzero(labels.labels == ident)
         test_mask[members[-holdout:]] = True
-    train_emb = EmbeddingSet(emb.rows[~test_mask], normalized=True)
-    train_labels = LabelSet(labels.labels[~test_mask])
-    test_emb = EmbeddingSet(emb.rows[test_mask], normalized=True)
-    test_labels = LabelSet(labels.labels[test_mask])
+    train_emb, train_labels = _subset(emb, labels, ~test_mask)
+    test_emb, test_labels = _subset(emb, labels, test_mask)
 
     spec = synth.SplitSpec(
         labeled_id_fraction=cfg["split"]["labeled_id_fraction"],
@@ -322,34 +365,6 @@ def stage_gen(cfg: PipelineConfig) -> dict:
     }
 
 
-def _load_gen(stage: str, cfg: PipelineConfig):
-    train_emb = load_embeddings(_require(stage, _path(cfg, "train.emb")))
-    train_labels = load_labels(_require(stage, _path(cfg, "train_labels.csv")))
-    path = _require(stage, _path(cfg, "split.npz"))
-    spec = {"labeled_idx": ("i8", "l"), "unlabeled_idx": ("i8", "u"), "overlap_mask": ("?", "u")}
-    labeled_idx, unlabeled_idx, gt_overlap = load_archive(path, spec).values()
-    for idx in (labeled_idx, unlabeled_idx):
-        if idx.size and not (0 <= idx.min() and idx.max() < train_emb.n):
-            raise CorruptArtifact(f"{path}: sample index out of range for n={train_emb.n}")
-    return train_emb, train_labels, labeled_idx, unlabeled_idx, gt_overlap
-
-
-def _load_decisions(stage: str, cfg: PipelineConfig, unlabeled_idx: np.ndarray) -> np.ndarray:
-    """Per unlabeled sample: evt.DISJOINT, OVERLAP or REJECTED."""
-    path = _require(stage, _path(cfg, "decisions.npz"))
-    decisions = load_archive(path, {"decisions": ("i8", "u")})["decisions"]
-    if decisions.shape != unlabeled_idx.shape:
-        raise CorruptArtifact(
-            f"{path}: {decisions.size} decisions for {unlabeled_idx.size} unlabeled samples"
-        )
-    return decisions
-
-
-def _labeled_subset(train_emb, train_labels, labeled_idx):
-    emb = EmbeddingSet(train_emb.rows[labeled_idx], normalized=True)
-    return emb, LabelSet(relabel(train_labels.labels[labeled_idx]))
-
-
 def _rates(decided_overlap: np.ndarray, gt_overlap: np.ndarray):
     """(false_positive_rate, false_negative_rate) against ground truth;
     None where the truth side is empty."""
@@ -366,22 +381,8 @@ def _rates(decided_overlap: np.ndarray, gt_overlap: np.ndarray):
 
 
 def stage_separate(cfg: PipelineConfig) -> dict:
-    stage = "separate"
-    train_emb, train_labels, labeled_idx, unlabeled_idx, gt_overlap = _load_gen(stage, cfg)
-    lab_emb, lab_labels = _labeled_subset(train_emb, train_labels, labeled_idx)
-
-    t = cfg["train"]
-    loss_cfg = train.LossConfig(alpha=t["alpha"], margin_m=t["margin_m"])
-    baseline = train.train_head(
-        (lab_emb, lab_labels),
-        None,
-        loss_cfg,
-        epochs=t["epochs"],
-        lr=t["lr"],
-        seed=t["seed"],
-        with_encoder=t["with_encoder"],
-        batch_size=t["batch_size"],
-    )
+    train_emb, train_labels, labeled_idx, unlabeled_idx, gt_overlap = _load_split(cfg)
+    baseline = _train_head(cfg, _subset(train_emb, train_labels, labeled_idx))
     train.save_trained_model(baseline, _path(cfg, "baseline.npz"))
 
     unl_emb = EmbeddingSet(train_emb.rows[unlabeled_idx], normalized=True)
@@ -390,18 +391,12 @@ def stage_separate(cfg: PipelineConfig) -> dict:
     out: dict = {"enabled": cfg["evt"]["enabled"]}
     if not cfg["evt"]["enabled"]:
         decisions = np.full(unl_emb.n, evt.DISJOINT, dtype=np.int64)
-        out["counts"] = {"disjoint": int(unl_emb.n), "overlap": 0, "rejected": 0}
     else:
         mix = evt.fit_two_weibull_mixture(
             scores, n_bins=cfg["evt"]["n_bins"], confidence=cfg["evt"]["confidence"]
         )
         write_json(dataclasses.asdict(mix), _path(cfg, "mixture.json"))
         decisions = evt.separate_overlap(scores, mix)
-        counts = {
-            "disjoint": int(np.sum(decisions == evt.DISJOINT)),
-            "overlap": int(np.sum(decisions == evt.OVERLAP)),
-            "rejected": int(np.sum(decisions == evt.REJECTED)),
-        }
         wb_fpr, wb_fnr = _rates(decisions == evt.OVERLAP, gt_overlap)
         otsu_fpr, otsu_fnr = _rates(scores >= mix.otsu_t, gt_overlap)
 
@@ -421,7 +416,6 @@ def stage_separate(cfg: PipelineConfig) -> dict:
                 "otsu_t": mix.otsu_t,
                 "lower_cut": mix.lower_cut,
                 "upper_cut": mix.upper_cut,
-                "counts": counts,
                 "weibull_fpr": wb_fpr,
                 "weibull_fnr": wb_fnr,
                 "otsu_fpr": otsu_fpr,
@@ -430,20 +424,20 @@ def stage_separate(cfg: PipelineConfig) -> dict:
                 "sse_gaussian": sse_gaussian,
             }
         )
+    codes = {"disjoint": evt.DISJOINT, "overlap": evt.OVERLAP, "rejected": evt.REJECTED}
+    out["counts"] = {name: int(np.sum(decisions == code)) for name, code in codes.items()}
     save_archive({"decisions": decisions}, _path(cfg, "decisions.npz"))
     return out
 
 
 def stage_cluster(cfg: PipelineConfig) -> dict:
-    stage = "cluster"
-    train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_gen(stage, cfg)
-    disjoint_idx = unlabeled_idx[_load_decisions(stage, cfg, unlabeled_idx) == evt.DISJOINT]
-    dis_emb = EmbeddingSet(train_emb.rows[disjoint_idx], normalized=True)
+    train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_split(cfg)
+    dis_emb, gt = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
 
     c = cfg["cluster"]
     algorithm = c["algorithm"]
     if algorithm == "gcn":
-        clustering = _gcn_cluster(cfg, train_emb, train_labels, labeled_idx, dis_emb)
+        clustering = _gcn_cluster(cfg, _subset(train_emb, train_labels, labeled_idx), dis_emb)
     elif algorithm == "kmeans":
         K = c["kmeans_k"] or max(2, dis_emb.n // cfg["synth"]["samples_per_id"])
         clustering = cl.kmeans(dis_emb, K=K, seed=c["kmeans_seed"])
@@ -455,7 +449,6 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
     save_clustering(clustering, _path(cfg, "pseudo_clusters.csv"))
 
     # diagnostics against the synthetic ground truth
-    gt = LabelSet(relabel(train_labels.labels[disjoint_idx]))
     pw = metrics.pairwise_prf(clustering, gt)
     bc = metrics.bcubed_prf(clustering, gt)
     return {
@@ -468,11 +461,11 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
     }
 
 
-def _gcn_cluster(cfg, train_emb, train_labels, labeled_idx, dis_emb) -> Clustering:
+def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
     c = cfg["cluster"]
     k = cfg["knn"]["k"]
     max_size = cfg["knn"]["max_size"]
-    lab_emb, lab_labels = _labeled_subset(train_emb, train_labels, labeled_idx)
+    lab_emb, lab_labels = labeled
 
     # purity regressor is trained on the labeled split, where IoU/IoP
     # targets are known
@@ -509,14 +502,11 @@ def _thresholds(cfg: PipelineConfig, g: knn.KnnGraph) -> list[float]:
 
 
 def stage_noise(cfg: PipelineConfig) -> dict:
-    stage = "noise"
-    train_emb, train_labels, _, unlabeled_idx, _ = _load_gen(stage, cfg)
-    disjoint_idx = unlabeled_idx[_load_decisions(stage, cfg, unlabeled_idx) == evt.DISJOINT]
-    clustering = load_clustering(_require(stage, _path(cfg, "pseudo_clusters.csv")))
-    dis_emb = EmbeddingSet(train_emb.rows[disjoint_idx], normalized=True)
+    train_emb, train_labels, _, unlabeled_idx, _ = _load_split(cfg)
+    dis_emb, gt = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
+    clustering = load_clustering(_path(cfg, "pseudo_clusters.csv"))
 
     n = cfg["noise"]
-    gt = LabelSet(relabel(train_labels.labels[disjoint_idx]))
     tags = noise.label_cluster_errors(clustering, gt)
     assigned = clustering.assignment != UNASSIGNED
     ap: dict[str, float | None] = {metric: None for metric in noise.METRICS}
@@ -568,50 +558,28 @@ def stage_noise(cfg: PipelineConfig) -> dict:
 
 
 def stage_retrain(cfg: PipelineConfig) -> dict:
-    stage = "retrain"
-    train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_gen(stage, cfg)
-    disjoint_idx = unlabeled_idx[_load_decisions(stage, cfg, unlabeled_idx) == evt.DISJOINT]
-    clustering = load_clustering(_require(stage, _path(cfg, "pseudo_clusters_pm.csv")))
-    baseline = train.load_trained_model(_require(stage, _path(cfg, "baseline.npz")))
+    train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_split(cfg)
+    dis_emb, _ = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
+    clustering = load_clustering(_path(cfg, "pseudo_clusters_pm.csv"))
+    models = {"baseline": train.load_trained_model(_path(cfg, "baseline.npz"))}
 
-    lab_emb, lab_labels = _labeled_subset(train_emb, train_labels, labeled_idx)
-    dis_emb = EmbeddingSet(train_emb.rows[disjoint_idx], normalized=True)
-
-    t = cfg["train"]
-    loss_cfg = train.LossConfig(
-        alpha=t["alpha"], margin_m=t["margin_m"], gamma=cfg["noise"]["gamma"]
-    )
-    out = {}
+    labeled = _subset(train_emb, train_labels, labeled_idx)
     for variant, use_weights in (("hard", False), ("soft", True)):
-        model = train.train_head(
-            (lab_emb, lab_labels),
-            (dis_emb, clustering),
-            loss_cfg,
-            epochs=t["epochs"],
-            lr=t["lr"],
-            seed=t["seed"],
-            use_weights=use_weights,
-            with_encoder=t["with_encoder"],
-            batch_size=t["batch_size"],
-        )
-        train.save_trained_model(model, _path(cfg, f"{variant}.npz"))
-        out[variant] = {
+        models[variant] = _train_head(cfg, labeled, (dis_emb, clustering), use_weights)
+        train.save_trained_model(models[variant], _path(cfg, f"{variant}.npz"))
+    return {
+        variant: {
             "initial_loss": model.initial_loss,
             "final_loss": model.final_loss,
             "num_classes": int(model.head.weights.shape[0]),
         }
-    out["baseline"] = {
-        "initial_loss": baseline.initial_loss,
-        "final_loss": baseline.final_loss,
-        "num_classes": int(baseline.head.weights.shape[0]),
+        for variant, model in models.items()
     }
-    return out
 
 
 def stage_evaluate(cfg: PipelineConfig) -> dict:
-    stage = "evaluate"
-    test_emb = load_embeddings(_require(stage, _path(cfg, "test.emb")))
-    test_labels = load_labels(_require(stage, _path(cfg, "test_labels.csv")))
+    test_emb = load_embeddings(_path(cfg, "test.emb"))
+    test_labels = load_labels(_path(cfg, "test_labels.csv"))
 
     e = cfg["eval"]
     protocol = metrics.build_verification_protocol(
@@ -628,10 +596,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
 
     out = {}
     for variant in ("baseline", "hard", "soft"):
-        path = _path(cfg, f"{variant}.npz")
-        if variant != "baseline" and not os.path.exists(path):
-            continue  # evaluate whatever models exist
-        model = train.load_trained_model(_require(stage, path))
+        model = train.load_trained_model(_path(cfg, f"{variant}.npz"))
         emb = train.embed(model, test_emb) if model.encoder is not None else test_emb
         acc, tars = metrics.verification_metrics(emb, protocol, fars=e["fars"])
         ranks = metrics.identification_rank(
@@ -657,26 +622,40 @@ STAGES = (
 )
 
 
+def _check_config(cfg: PipelineConfig, fragments: dict) -> None:
+    """Every stage builds on all the stages before it: reject a fragment
+    written under another config."""
+    sha = cfg.sha()
+    for name, fragment in fragments.items():
+        if not isinstance(fragment, dict) or fragment.get("config_sha") != sha:
+            raise StaleArtifact(
+                f"stage '{name}' ran under a different config; rerun it "
+                f"({_path(cfg, f'stage_{name}.json')})"
+            )
+
+
 def _run_stage(name: str, fn, cfg: PipelineConfig) -> dict:
     os.makedirs(cfg.out_dir, exist_ok=True)
+    names = [n for n, _ in STAGES]
+    # an earlier stage that has not run is left for the readers to report
+    earlier = {n: _path(cfg, f"stage_{n}.json") for n in names[: names.index(name)]}
     try:
-        payload = _timed(fn, cfg)
+        _check_config(cfg, {n: read_json(p) for n, p in earlier.items() if os.path.exists(p)})
+        start = time.perf_counter()
+        payload = fn(cfg)
+        payload["wall_clock_sec"] = time.perf_counter() - start
+        payload["config_sha"] = cfg.sha()
         write_json(payload, _path(cfg, f"stage_{name}.json"))
-    except MissingArtifact:
-        raise
     except LabelForgeError as exc:
         raise StageFailure(name, exc)
     return payload
 
 
 def build_report(cfg: PipelineConfig) -> dict:
-    paths = {name: _require("report", _path(cfg, f"stage_{name}.json")) for name, _ in STAGES}
     try:
-        report = {
-            "config": cfg.echo(),
-            "seed": cfg["synth"]["seed"],
-            "stages": {name: read_json(path) for name, path in paths.items()},
-        }
+        stages = {name: read_json(_path(cfg, f"stage_{name}.json")) for name, _ in STAGES}
+        _check_config(cfg, stages)
+        report = {"config": cfg.echo(), "seed": cfg["synth"]["seed"], "stages": stages}
         write_json(report, _path(cfg, "report.json"))
     except LabelForgeError as exc:
         raise StageFailure("report", exc)
@@ -727,6 +706,8 @@ def main(argv=None) -> int:
         apply_overrides(cfg, seed=args.seed, out=args.out)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         cfg.threads = args.threads
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -740,7 +721,7 @@ def main(argv=None) -> int:
         else:
             fn = dict(STAGES)[args.command]
             _run_stage(args.command, fn, cfg)
-    except (MissingArtifact, StageFailure) as exc:
+    except StageFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -139,11 +139,8 @@ class ConfigError(LabelForgeError):
     pass
 
 
-class MissingArtifact(LabelForgeError):
-    def __init__(self, stage: str, path):
-        super().__init__(f"stage '{stage}' requires missing artifact: {path}")
-        self.stage = stage
-        self.path = path
+class StaleArtifact(LabelForgeError):
+    """An earlier stage's output was written under a different config."""
 
 
 class StageFailure(LabelForgeError):

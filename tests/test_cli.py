@@ -83,18 +83,31 @@ def test_threads_must_be_positive(base_config, tmp_path, capsys):
 
 # --- stage errors (exit code 2) ---
 
-def test_stage_without_artifacts_exits_2(base_config, tmp_path, capsys):
+# stage -> the input its first reader opens
+FIRST_INPUT = {"separate": "train.emb", "cluster": "train.emb", "noise": "train.emb",
+               "retrain": "train.emb", "evaluate": "test.emb", "report": "stage_gen.json"}
+
+
+@pytest.mark.parametrize("stage", FIRST_INPUT)
+def test_stage_without_artifacts_exits_2(base_config, tmp_path, capsys, stage):
     out = str(tmp_path / "empty")
-    assert main(["cluster", "--config", base_config, "--out", out]) == 2
+    assert main([stage, "--config", base_config, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert "cluster" in err  # message names the stage
-    assert "decisions" in err or "train.emb" in err  # and the missing path
+    # the message names the stage and the missing path
+    assert err.startswith(f"error: stage '{stage}' failed:") and FIRST_INPUT[stage] in err
 
 
-def test_report_before_stages_exits_2(base_config, tmp_path, capsys):
-    out = str(tmp_path / "empty")
-    assert main(["report", "--config", base_config, "--out", out]) == 2
-    assert "stage_gen.json" in capsys.readouterr().err
+def test_stage_rejects_output_of_another_config(base_config, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["gen", "--config", base_config, "--out", out, "--seed", "0"]) == 0
+    assert main(["separate", "--config", base_config, "--out", out, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'separate' failed: stage 'gen' ran under a different")
+
+
+def test_negative_seed_override_rejected(base_config, tmp_path, capsys):
+    assert main(["gen", "--config", base_config, "--out", str(tmp_path), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: --seed")
 
 
 # --- overrides ---
@@ -219,18 +232,72 @@ def test_gcn_key_out_of_range_rejected(tmp_path, capsys, line, key):
 
 # --- value ranges of the other keys ---
 
-OUT_OF_RANGE = [
-    ("gcn_epochs = 60", "algorithm = dbscan\ndbscan_eps = 0", "dbscan_eps"),
-    ("gcn_epochs = 60", "algorithm = dbscan\ndbscan_min_size = 0", "dbscan_min_size"),
-    ("gcn_epochs = 60", "algorithm = hac\nhac_threshold = nan", "hac_threshold"),
-    ("gcn_epochs = 60", "algorithm = kmeans\nkmeans_k = -1", "kmeans_k"),
-    ("labeled_id_fraction = 0.5", "labeled_id_fraction = nan", "labeled_id_fraction"),
-    ("[eval]", "[noise]\ngamma = inf\n\n[eval]", "gamma"),
-    ("[eval]", "[knn]\nthresholds = 0.9, inf\n\n[eval]", "thresholds"),
-]
+# test id -> (text of BASE_INI, its replacement, the key the error must name)
+OUT_OF_RANGE = {
+    "dbscan_eps": ("gcn_epochs = 60", "algorithm = dbscan\ndbscan_eps = 0", "dbscan_eps"),
+    "dbscan_min_size": (
+        "gcn_epochs = 60", "algorithm = dbscan\ndbscan_min_size = 0", "dbscan_min_size"
+    ),
+    "hac_threshold": ("gcn_epochs = 60", "algorithm = hac\nhac_threshold = nan", "hac_threshold"),
+    "kmeans_k": ("gcn_epochs = 60", "algorithm = kmeans\nkmeans_k = -1", "kmeans_k"),
+    "labeled_id_fraction": (
+        "labeled_id_fraction = 0.5", "labeled_id_fraction = nan", "labeled_id_fraction"
+    ),
+    "gamma": ("[eval]", "[noise]\ngamma = inf\n\n[eval]", "gamma"),
+    "thresholds": ("[eval]", "[knn]\nthresholds = 0.9, inf\n\n[eval]", "thresholds"),
+    "labeled_id_fraction=0": (
+        "labeled_id_fraction = 0.5", "labeled_id_fraction = 0", "[split] labeled_id_fraction"
+    ),
+    "labeled_id_fraction=1": (
+        "labeled_id_fraction = 0.5\noverlap_id_fraction = 0.3",
+        "labeled_id_fraction = 1.0\noverlap_id_fraction = 0",
+        "[split] labeled_id_fraction",
+    ),
+    "overlap_id_fraction": (
+        "overlap_id_fraction = 0.3", "overlap_id_fraction = 1.5", "[split] overlap_id_fraction"
+    ),
+    "num_ids": ("num_ids = 20", "num_ids = 1", "[synth] num_ids"),
+    "samples_per_id": ("samples_per_id = 10", "samples_per_id = 0", "[synth] samples_per_id"),
+    "samples_per_id_max": (
+        "samples_per_id = 10", "samples_per_id = 10\nsamples_per_id_max = -1",
+        "[synth] samples_per_id_max",
+    ),
+    "dim": ("dim = 16", "dim = 1", "[synth] dim"),
+    "within_id_sigma": (
+        "within_id_sigma = 0.15", "within_id_sigma = -1", "[synth] within_id_sigma"
+    ),
+    "seed": ("seed = 0", "seed = -1", "[synth] seed"),
+    "k": ("[eval]", "[knn]\nk = 0\n\n[eval]", "[knn] k"),
+    "threshold_count": ("[eval]", "[knn]\nthreshold_count = 0\n\n[eval]", "[knn] threshold_count"),
+    "max_size": ("[eval]", "[knn]\nmax_size = 0\n\n[eval]", "[knn] max_size"),
+    "min_cluster_size": (
+        "gcn_epochs = 60", "gcn_epochs = 60\nmin_cluster_size = 0", "[cluster] min_cluster_size"
+    ),
+    "augment_unions": (
+        "gcn_epochs = 60", "gcn_epochs = 60\naugment_unions = -2", "[cluster] augment_unions"
+    ),
+    "evt_n_bins": ("[eval]", "[evt]\nn_bins = 1\n\n[eval]", "[evt] n_bins"),
+    "confidence": ("[eval]", "[evt]\nconfidence = 1\n\n[eval]", "[evt] confidence"),
+    "gamma=-1": ("[eval]", "[noise]\ngamma = -1\n\n[eval]", "[noise] gamma"),
+    "classifier_epochs": (
+        "[eval]", "[noise]\nclassifier_epochs = 0\n\n[eval]", "[noise] classifier_epochs"
+    ),
+    "classifier_lr": ("[eval]", "[noise]\nclassifier_lr = 0\n\n[eval]", "[noise] classifier_lr"),
+    "noise_n_bins": ("[eval]", "[noise]\nn_bins = 1\n\n[eval]", "[noise] n_bins"),
+    "alpha": ("[eval]", "[train]\nalpha = 0\n\n[eval]", "[train] alpha"),
+    "margin_m": ("[eval]", "[train]\nmargin_m = 2\n\n[eval]", "[train] margin_m"),
+    "epochs": ("[eval]", "[train]\nepochs = -1\n\n[eval]", "[train] epochs"),
+    "lr": ("[eval]", "[train]\nlr = 0\n\n[eval]", "[train] lr"),
+    "batch_size": ("[eval]", "[train]\nbatch_size = 0\n\n[eval]", "[train] batch_size"),
+    "pairs_per_class": (
+        "holdout_per_id = 2", "holdout_per_id = 2\npairs_per_class = 0", "[eval] pairs_per_class"
+    ),
+    "ks": ("holdout_per_id = 2", "holdout_per_id = 2\nks = 1, 0", "[eval] ks"),
+    "fars": ("holdout_per_id = 2", "holdout_per_id = 2\nfars = 0.01, 2", "[eval] fars"),
+}
 
 
-@pytest.mark.parametrize("old, new, key", OUT_OF_RANGE, ids=[key for *_, key in OUT_OF_RANGE])
+@pytest.mark.parametrize("old, new, key", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
 def test_config_value_out_of_range_rejected(tmp_path, capsys, old, new, key):
     cfg = _write_ini(tmp_path, BASE_INI.replace(old, new))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -323,9 +390,11 @@ def test_truncated_archive_exits_2(run_copy, capsys, name, stage):
 
 def test_missing_model_archive_exits_2(run_copy, capsys):
     cfg, out = run_copy
-    (out / "baseline.npz").unlink()
-    code, err = _stage_exit(capsys, "retrain", cfg, out)
-    assert code == 2 and "baseline.npz" in err
+    # evaluate needs every model, not only the baseline
+    for name, stage in (("hard.npz", "evaluate"), ("baseline.npz", "retrain")):
+        (out / name).unlink()
+        code, err = _stage_exit(capsys, stage, cfg, out)
+        assert code == 2 and name in err
 
 
 def test_non_archive_split_exits_2(run_copy, capsys):
@@ -371,6 +440,16 @@ def test_split_index_out_of_range_exits_2(run_copy, capsys):
     np.savez(out / "split.npz", **split)
     code, err = _stage_exit(capsys, "separate", cfg, out)
     assert code == 2 and "out of range" in err
+
+
+def test_report_rejects_fragments_of_another_config(run_copy, tmp_path, capsys):
+    cfg, out = run_copy
+    other = _write_ini(tmp_path, TINY_INI.replace("epochs = 5\n", "epochs = 6\n"), "other.ini")
+    code, err = _stage_exit(capsys, "report", other, out)
+    assert code == 2
+    assert err.startswith("error: stage 'report' failed: stage 'gen' ran under a different config")
+    # a full run under the new config replaces every fragment
+    assert _stage_exit(capsys, "run", other, out)[0] == 0
 
 
 def test_corrupt_stage_fragment_fails_report(run_copy, capsys):
