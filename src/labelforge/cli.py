@@ -145,7 +145,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "gcn_seed": (_SEED, 2),
         "kmeans_k": (_int_from(0), 0),  # 0 -> n_samples // samples_per_id
         "kmeans_seed": (_SEED, 3),
-        "hac_threshold": (_FINITE, 0.5),
+        "hac_threshold": (_float_in("[0, 2]"), 0.5),  # a cosine distance
         "dbscan_eps": (_POSITIVE, 0.5),
         "dbscan_min_size": (_int_from(1), 2),
     },
@@ -247,6 +247,12 @@ def load_config(path) -> PipelineConfig:
                 values[section][key] = conv(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}")
+    s = values["synth"]
+    if 0 < s["samples_per_id_max"] < s["samples_per_id"]:
+        raise ConfigError(
+            f"[synth] samples_per_id_max = {s['samples_per_id_max']} is below "
+            f"[synth] samples_per_id = {s['samples_per_id']}; 0 disables the long tail"
+        )
     return PipelineConfig(values)
 
 

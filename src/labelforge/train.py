@@ -26,6 +26,7 @@ from .errors import (
     EmptyTrainingSet,
     LabelCollision,
     NoEncoder,
+    TrainingDiverged,
 )
 
 
@@ -62,6 +63,9 @@ class EncoderParams:
             V=np.zeros((d, d)),
         )
 
+    def astype(self, dtype) -> "EncoderParams":
+        return EncoderParams(*(a.astype(dtype) for a in (self.W, self.U, self.V)))
+
 
 @dataclass
 class TrainedModel:
@@ -87,10 +91,16 @@ def _loss_and_grads(
     y: np.ndarray,
     weights: np.ndarray,
     cfg: LossConfig,
+    grads: bool = True,
 ):
     """Weighted mean cosine-margin loss and gradients w.r.t. the raw head
-    matrix (rows normalized inside) and, if present, the encoder params."""
+    matrix (rows normalized inside) and, if present, the encoder params.
+
+    Works in the dtype of its inputs. With ``grads=False`` only the loss is
+    computed and both gradients are None.
+    """
     b = X.shape[0]
+    rows = np.arange(b)
     row_norms = np.linalg.norm(W, axis=1)
     W_hat = W / row_norms[:, None]
 
@@ -99,17 +109,24 @@ def _loss_and_grads(
     else:
         F = X
 
-    logits = cfg.alpha * (F @ W_hat.T)
-    logits[np.arange(b), y] -= cfg.alpha * cfg.margin_m
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    nll = np.log(exp.sum(axis=1)) - shifted[np.arange(b), y]
+    # one softmax pass, in place: scaled logits, shifted, exponentiated
+    logits = F @ W_hat.T
+    logits *= cfg.alpha
+    logits[rows, y] -= cfg.alpha * cfg.margin_m
+    logits -= logits.max(axis=1, keepdims=True)
+    target = logits[rows, y]
+    exp = np.exp(logits, out=logits)
+    sums = exp.sum(axis=1)
+    nll = np.log(sums) - target
     total_w = weights.sum()
     loss = float(np.sum(weights * nll) / total_w)
+    if not grads:
+        return loss, None, None
 
-    dlogits = probs.copy()
-    dlogits[np.arange(b), y] -= 1.0
+    # the probabilities, normalized in place, become the logit gradient
+    dlogits = exp
+    dlogits /= sums[:, None]
+    dlogits[rows, y] -= 1.0
     dlogits *= (weights / total_w)[:, None]
     dW_hat = cfg.alpha * (dlogits.T @ F)
     # back through per-row normalization of the head
@@ -178,7 +195,12 @@ def train_head(
     """SGD from scratch on the union of labeled and pseudo-labeled samples.
 
     Pseudo cluster ids are offset past the labeled id range. Head rows are
-    renormalized to the unit sphere after every step.
+    renormalized to the unit sphere after every step. The class-mean init is
+    computed in float64; training then runs in float32 and the model holds
+    float64 copies of the float32 weights, so it equals its saved archive.
+
+    Raises :class:`TrainingDiverged` when a batch loss or the final weights
+    are not finite (``lr`` too large for the data).
     """
     X, y, w, num_classes = _assemble(labeled, pseudo, cfg.gamma, use_weights)
     d = X.shape[1]
@@ -192,25 +214,38 @@ def train_head(
     W /= np.linalg.norm(W, axis=1)[:, None]
     enc = EncoderParams.identity(d, seed=seed + 1) if with_encoder else None
 
-    initial_loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg)
+    # train in float32, the precision save_trained_model stores
+    X, w, W = X.astype(np.float32), w.astype(np.float32), W.astype(np.float32)
+    if enc is not None:
+        enc = enc.astype(np.float32)
     n = X.shape[0]
     order = np.arange(n)
     enc_lr = lr * 0.1  # encoder moves slower than the head
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            _, dW, d_enc = _loss_and_grads(W, enc, X[idx], y[idx], w[idx], cfg)
-            W -= lr * dW
-            W /= np.linalg.norm(W, axis=1)[:, None]
-            if enc is not None and d_enc is not None:
-                enc.W -= enc_lr * d_enc.W
-                enc.U -= enc_lr * d_enc.U
-                enc.V -= enc_lr * d_enc.V
-    final_loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg)
+    # overflow surfaces as a non-finite loss, raised below as a typed error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        initial_loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg, grads=False)
+        for epoch in range(epochs):
+            rng.shuffle(order)
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                loss, dW, d_enc = _loss_and_grads(W, enc, X[idx], y[idx], w[idx], cfg)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"head training diverged: loss {loss} in epoch {epoch + 1} (lr={lr})"
+                    )
+                W -= lr * dW
+                W /= np.linalg.norm(W, axis=1)[:, None]
+                if enc is not None:
+                    enc.W -= enc_lr * d_enc.W
+                    enc.U -= enc_lr * d_enc.U
+                    enc.V -= enc_lr * d_enc.V
+        final_loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg, grads=False)
+    params = [W] + ([enc.W, enc.U, enc.V] if enc is not None else [])
+    if not all(np.isfinite(p).all() for p in params):
+        raise TrainingDiverged(f"head training diverged: weights not finite (lr={lr})")
     return TrainedModel(
         head=LinearHead(W),
-        encoder=enc,
+        encoder=enc.astype(np.float64) if enc is not None else None,
         initial_loss=initial_loss,
         final_loss=final_loss,
     )

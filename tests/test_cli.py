@@ -239,6 +239,9 @@ OUT_OF_RANGE = {
         "gcn_epochs = 60", "algorithm = dbscan\ndbscan_min_size = 0", "dbscan_min_size"
     ),
     "hac_threshold": ("gcn_epochs = 60", "algorithm = hac\nhac_threshold = nan", "hac_threshold"),
+    "hac_threshold=-1": (
+        "gcn_epochs = 60", "algorithm = hac\nhac_threshold = -1", "[cluster] hac_threshold"
+    ),
     "kmeans_k": ("gcn_epochs = 60", "algorithm = kmeans\nkmeans_k = -1", "kmeans_k"),
     "labeled_id_fraction": (
         "labeled_id_fraction = 0.5", "labeled_id_fraction = nan", "labeled_id_fraction"
@@ -261,6 +264,10 @@ OUT_OF_RANGE = {
     "samples_per_id_max": (
         "samples_per_id = 10", "samples_per_id = 10\nsamples_per_id_max = -1",
         "[synth] samples_per_id_max",
+    ),
+    "samples_per_id_max<samples_per_id": (
+        "samples_per_id = 10", "samples_per_id = 10\nsamples_per_id_max = 5",
+        "[synth] samples_per_id_max = 5 is below [synth] samples_per_id = 10",
     ),
     "dim": ("dim = 16", "dim = 1", "[synth] dim"),
     "within_id_sigma": (
@@ -323,6 +330,14 @@ def test_gcn_divergence_exits_2(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "cluster" in err and "diverged" in err
+
+
+def test_head_divergence_exits_2(tmp_path, capsys):
+    cfg = _write_ini(tmp_path, BASE_INI + "\n[train]\nlr = 1e30\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'separate' failed:") and "diverged" in err
+    assert "Traceback" not in err
 
 
 def test_k_at_or_above_sample_count_exits_2(tmp_path, capsys):

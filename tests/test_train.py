@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import head_reference as ref
 from labelforge import errors
 from labelforge.data import Clustering, EmbeddingSet, LabelSet, LinearHead
 from labelforge.synth import SynthConfig, generate_identities
@@ -178,6 +179,55 @@ def test_encoder_gradient_matches_finite_differences():
     assert max_rel < 1e-4
 
 
+def _batch(with_encoder, dtype=np.float64, seed=15):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, 6))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    y = rng.integers(0, 4, size=40)
+    w = rng.uniform(0.2, 1.0, size=40)
+    W = rng.standard_normal((4, 6))
+    enc = None
+    if with_encoder:
+        enc = EncoderParams.identity(6, seed=seed)
+        enc.V += rng.standard_normal((6, 6)) * 0.1
+        enc = enc.astype(dtype)
+    return X.astype(dtype), y, w.astype(dtype), W.astype(dtype), enc
+
+
+@pytest.mark.parametrize("with_encoder", [False, True])
+def test_float64_loss_and_grads_match_the_reference(with_encoder):
+    X, y, w, W, enc = _batch(with_encoder)
+    cfg = LossConfig(alpha=16.0, margin_m=0.35)
+    loss, dW, d_enc = _loss_and_grads(W, enc, X, y, w, cfg)
+    ref_loss, ref_dW, ref_enc = ref.loss_and_grads(W, enc, X, y, w, cfg)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    np.testing.assert_allclose(dW, ref_dW, rtol=1e-12, atol=1e-15)
+    if with_encoder:
+        for name in "WUV":
+            np.testing.assert_allclose(
+                getattr(d_enc, name), getattr(ref_enc, name), rtol=1e-12, atol=1e-15
+            )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("with_encoder", [False, True])
+def test_gradients_follow_the_input_dtype(dtype, with_encoder):
+    X, y, w, W, enc = _batch(with_encoder, dtype)
+    _, dW, d_enc = _loss_and_grads(W, enc, X, y, w, LossConfig())
+    assert dW.dtype == dtype
+    if with_encoder:
+        assert {d_enc.W.dtype, d_enc.U.dtype, d_enc.V.dtype} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("with_encoder", [False, True])
+def test_loss_without_grads_is_the_same_loss(dtype, with_encoder):
+    X, y, w, W, enc = _batch(with_encoder, dtype)
+    cfg = LossConfig()
+    loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg)
+    assert _loss_and_grads(W, enc, X, y, w, cfg, grads=False) == (loss, None, None)
+
+
 # --- training ---
 
 def _harness(num_ids=6, per_id=20, dim=8, sigma=0.1, seed=0):
@@ -255,6 +305,42 @@ def test_zero_weight_pseudo_samples_are_ignored():
     assert np.mean(pred == labels.labels) >= np.mean(clean_pred == labels.labels) - 0.02
 
 
+def _labeled_and_pseudo(seed):
+    """Labeled ids 0-3 and a weighted pseudo clustering of ids 4-7."""
+    emb, labels = _harness(num_ids=8, per_id=20, dim=16, sigma=0.3, seed=seed)
+    lab = labels.labels < 4
+    labeled = (EmbeddingSet(emb.rows[lab], normalized=True), LabelSet(labels.labels[lab]))
+    p_minus = np.random.default_rng(seed).uniform(0.0, 0.8, size=int((~lab).sum()))
+    pseudo = Clustering(labels.labels[~lab] - 4, p_minus=p_minus)
+    return labeled, (EmbeddingSet(emb.rows[~lab], normalized=True), pseudo)
+
+
+@pytest.mark.parametrize("with_encoder", [False, True])
+@pytest.mark.parametrize("with_pseudo", [False, True])
+def test_float32_training_tracks_the_float64_reference(with_encoder, with_pseudo):
+    labeled, pseudo = _labeled_and_pseudo(seed=14)
+    pseudo = pseudo if with_pseudo else None
+    kwargs = dict(epochs=30, seed=3, use_weights=True, with_encoder=with_encoder, batch_size=32)
+    model = train_head(labeled, pseudo, LossConfig(), **kwargs)
+    W, enc, initial_loss, final_loss = ref.train_head(labeled, pseudo, LossConfig(), **kwargs)
+    assert abs(model.initial_loss - initial_loss) < 1e-4
+    assert abs(model.final_loss - final_loss) < 1e-4
+    np.testing.assert_allclose(model.head.weights, W, rtol=0, atol=1e-4)
+    if with_encoder:
+        for name in "WUV":
+            np.testing.assert_allclose(
+                getattr(model.encoder, name), getattr(enc, name), rtol=0, atol=1e-4
+            )
+    else:
+        assert model.encoder is None
+
+
+def test_head_divergence_is_a_typed_error():
+    emb, labels = _harness(seed=16)
+    with pytest.raises(errors.TrainingDiverged, match="diverged"):
+        train_head((emb, labels), None, LossConfig(), epochs=5, lr=1e30, seed=0)
+
+
 # --- encoder ---
 
 def test_encoder_identity_at_init():
@@ -298,7 +384,8 @@ def test_roundtrip_without_encoder(tmp_path):
     model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0)
     save_trained_model(model, tmp_path / "m.npz")
     back = load_trained_model(tmp_path / "m.npz")
-    np.testing.assert_allclose(back.head.weights, model.head.weights, atol=1e-6)
+    # training runs at the archive's float32: the model is its archive
+    assert np.array_equal(back.head.weights, model.head.weights)
     assert back.encoder is None
     assert back.final_loss == pytest.approx(model.final_loss)
 
@@ -309,9 +396,8 @@ def test_roundtrip_with_encoder(tmp_path):
                        with_encoder=True)
     save_trained_model(model, tmp_path / "m.npz")
     back = load_trained_model(tmp_path / "m.npz")
-    np.testing.assert_allclose(back.encoder.W, model.encoder.W, atol=1e-6)
-    np.testing.assert_allclose(back.encoder.U, model.encoder.U, atol=1e-6)
-    np.testing.assert_allclose(back.encoder.V, model.encoder.V, atol=1e-6)
+    for name in "WUV":
+        assert np.array_equal(getattr(back.encoder, name), getattr(model.encoder, name))
 
 
 def test_roundtrip_keeps_losses_exact(tmp_path):
