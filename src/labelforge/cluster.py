@@ -8,7 +8,7 @@ disjoint clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -157,7 +157,9 @@ class GcnModel:
     """Two graph-conv layers (widths d -> h1 -> h2) and a linear head that
     maps the mean-pooled features to (iou_pred, iop_pred).
 
-    Each layer computes relu(H @ W1 + (Dinv A H) @ W2).
+    Each layer computes relu(H @ W1 + (Dinv A H) @ W2). Forward and
+    backward passes run in the dtype of the weights: float32 for a trained
+    or loaded model, float64 for :meth:`init` and :meth:`zeros`.
     """
 
     layer_weights: list[tuple[np.ndarray, np.ndarray]]
@@ -185,6 +187,12 @@ class GcnModel:
         head = rng.standard_normal((h2, 2)) * np.sqrt(1.0 / h2)
         return cls(layer_weights=layers, head_weights=head)
 
+    def astype(self, dtype) -> "GcnModel":
+        return GcnModel(
+            layer_weights=[(w1.astype(dtype), w2.astype(dtype)) for w1, w2 in self.layer_weights],
+            head_weights=self.head_weights.astype(dtype),
+        )
+
     @classmethod
     def zeros(cls, d: int, widths: tuple[int, int] | None = None) -> "GcnModel":
         h1, h2 = widths if widths is not None else cls.hidden_widths(d)
@@ -200,6 +208,10 @@ class GcnModel:
 # together. Smaller blocks pay NumPy's per-call overhead more often; larger
 # ones spend more time on the zeros of the dense (rows x rows) block
 # operator. 128 was the fastest of 32..512 on n=5k, d=32 and n=2k, d=128.
+# Re-measured with the float32 model on a 2-core Xeon, one BLAS thread,
+# best of 15 scorings of the seed-0 cluster-stage proposals: 128 is still
+# fastest, 21.0 ms against 21.9-27.3 ms on tail-d128 and 24.4 ms against
+# 29.9-58.0 ms on scale-n5k.
 _SCORE_BLOCK_ROWS = 128
 
 
@@ -223,6 +235,10 @@ class _ProposalSet:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.starts)
+
+    def astype(self, dtype) -> "_ProposalSet":
+        """The same proposals with the operator values cast to ``dtype``."""
+        return replace(self, edge_val=self.edge_val.astype(dtype, copy=False))
 
 
 @dataclass(frozen=True)
@@ -330,32 +346,40 @@ def _block_operator(ps: _ProposalSet, idx: np.ndarray) -> np.ndarray:
     counts = ps.edge_starts[idx + 1] - ps.edge_starts[idx]
     edge = _ranges(ps.edge_starts[idx], counts)
     shift = np.repeat(seg[:-1], counts)
-    N = np.zeros((seg[-1], seg[-1]))
+    N = np.zeros((seg[-1], seg[-1]), dtype=ps.edge_val.dtype)
     N[ps.edge_row[edge] + shift, ps.edge_col[edge] + shift] = ps.edge_val[edge]
     return N
 
 
-def _gather(ps: _ProposalSet, idx: np.ndarray, emb: EmbeddingSet) -> _Batch:
-    """The batch of proposals ``idx``, stacked in that order."""
+def _gather(ps: _ProposalSet, idx: np.ndarray, emb: EmbeddingSet | np.ndarray) -> _Batch:
+    """The batch of proposals ``idx``, stacked in that order. ``emb`` is the
+    embedding set or its rows, already cast to the model's dtype."""
+    rows = emb.rows if isinstance(emb, EmbeddingSet) else emb
     sizes = ps.sizes[idx]
-    H0 = emb.rows[ps.members[_ranges(ps.starts[idx], sizes)]]
+    H0 = rows[ps.members[_ranges(ps.starts[idx], sizes)]]
     return _Batch(H0=H0, N=_block_operator(ps, idx), sizes=sizes, seg=_offsets(sizes)[:-1])
 
 
 def _segment_means(X: np.ndarray, seg: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Mean of each run ``X[seg[j]:seg[j] + sizes[j]]``, added up exactly as
-    ``X[rows].mean(axis=0)`` adds up one proposal's rows.
+    """Mean of each run ``X[seg[j]:seg[j] + sizes[j]]`` of the consecutive
+    runs that tile ``X``, added up exactly as ``X[rows].mean(axis=0)`` adds
+    up one proposal's rows.
 
     ``np.add.reduceat`` adds a run in another order, which can differ in
     the last bit; after the centering and ReLUs nearly cancel, that bit is
-    a large share of a small activation. Runs of equal size are stacked
-    into one (count x m x d) array per size instead and reduced along the
-    member axis.
+    a large share of a small activation. Each stretch of consecutive
+    proposals of equal size is reshaped instead into one (count x m x d)
+    view and reduced along the member axis, which adds every proposal's
+    rows in sequence. Proposals sorted by size make one stretch per size.
     """
-    out = np.empty((len(sizes), X.shape[1]))
-    for m in np.unique(sizes).tolist():
-        which = np.flatnonzero(sizes == m)
-        out[which] = X[seg[which][:, None] + np.arange(m)].mean(axis=1)
+    out = np.empty((len(sizes), X.shape[1]), dtype=X.dtype)
+    bounds = np.flatnonzero(np.diff(sizes)) + 1
+    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(sizes)]):
+        m, start = int(sizes[lo]), int(seg[lo])
+        view = X[start : start + (hi - lo) * m].reshape(hi - lo, m, -1)
+        np.add.reduce(view, axis=1, out=out[lo:hi])
+    # the division mean() does, for every proposal at once
+    out /= sizes[:, None].astype(X.dtype)
     return out
 
 
@@ -386,7 +410,9 @@ def _gcn_loss_and_grads(model: GcnModel, batch: _Batch, targets: np.ndarray):
     loss = float(np.sum(err * err)) / (2.0 * count)
     dpred = err / count
     d_head = pooled.T @ dpred
-    dH = np.repeat((dpred @ model.head_weights.T) / batch.sizes[:, None], batch.sizes, axis=0)
+    # sizes are int64: cast them, or the division promotes float32 to float64
+    dpooled = (dpred @ model.head_weights.T) / batch.sizes[:, None].astype(dpred.dtype)
+    dH = np.repeat(dpooled, batch.sizes, axis=0)
     d_layers = []
     for li in range(len(model.layer_weights) - 1, -1, -1):
         w1, w2 = model.layer_weights[li]
@@ -471,19 +497,24 @@ def gcn_train(
     Every epoch shuffles the proposals and steps once per ``batch_size``
     consecutive proposals of that order (the last batch may be smaller).
     A step evaluates its whole batch at once, as one block-diagonal
-    graph, and descends on the mean over the batch's proposals of the
-    squared (iou, iop) error / 2. The operators and IoU/IoP targets are
-    built once, before the first epoch.
+    graph with its proposals ordered by size, and descends on the mean
+    over the batch's proposals of the squared (iou, iop) error / 2. The
+    operators and IoU/IoP targets are built once, before the first epoch.
+
+    Training runs in float32, the precision :func:`save_gcn_model` stores:
+    the float64 initial weights, the embedding rows, the operators and the
+    targets are cast once, and the returned model holds float32 weights.
 
     Raises :class:`TrainingDiverged` when a batch loss or the final
     weights are not finite (``lr`` too large for the data).
     """
     if not proposals:
         raise NoProposals("need at least one proposal to train on")
-    model = GcnModel.init(emb.d, seed=seed, widths=widths)
+    model = GcnModel.init(emb.d, seed=seed, widths=widths).astype(np.float32)
     rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
     ps = _prepare(proposals, g)
-    targets = _targets(ps.members, ps.starts, labels)
+    targets = _targets(ps.members, ps.starts, labels).astype(np.float32)
+    ps, rows = ps.astype(np.float32), emb.rows.astype(np.float32)
     order = np.arange(len(proposals))
     # overflow surfaces as a non-finite loss, raised below as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -491,18 +522,20 @@ def gcn_train(
             rng.shuffle(order)
             for start in range(0, len(order), batch_size):
                 idx = order[start : start + batch_size]
+                # equal sizes side by side: one reshape per size in _segment_means
+                idx = idx[np.argsort(ps.sizes[idx], kind="stable")]
                 loss, d_head, d_layers = _gcn_loss_and_grads(
-                    model, _gather(ps, idx, emb), targets[idx]
+                    model, _gather(ps, idx, rows), targets[idx]
                 )
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"GCN training diverged: loss {loss} in epoch {epoch + 1} (lr={lr})"
                     )
-                model.head_weights = model.head_weights - lr * d_head
-                model.layer_weights = [
-                    (w1 - lr * g1, w2 - lr * g2)
-                    for (w1, w2), (g1, g2) in zip(model.layer_weights, d_layers)
-                ]
+                # in place: the float32 weights stay float32 whatever lr's type
+                model.head_weights -= lr * d_head
+                for (w1, w2), (g1, g2) in zip(model.layer_weights, d_layers):
+                    w1 -= lr * g1
+                    w2 -= lr * g2
     weights = [model.head_weights] + [w for pair in model.layer_weights for w in pair]
     if not all(np.isfinite(w).all() for w in weights):
         raise TrainingDiverged(f"GCN training diverged: weights not finite (lr={lr})")
@@ -517,14 +550,17 @@ def score_proposals(
     Consecutive proposals are evaluated together, in blocks of at most
     ``_SCORE_BLOCK_ROWS`` member rows; a proposal larger than that forms
     a block of its own. Each proposal's score depends only on its own
-    members and operator, never on its block.
+    members and operator, never on its block. The computation runs in the
+    dtype of the model's weights.
     """
     if not proposals:
         return []
-    ps = _prepare(proposals, g)
+    dtype = model.head_weights.dtype
+    ps = _prepare(proposals, g).astype(dtype)
+    rows = emb.rows.astype(dtype, copy=False)
     preds = []
     for lo, hi in _score_blocks(ps.sizes):
-        pred, _ = _forward(model, _gather(ps, np.arange(lo, hi), emb))
+        pred, _ = _forward(model, _gather(ps, np.arange(lo, hi), rows))
         preds.append(pred)
     return [ProposalScore(iou, iop) for iou, iop in np.concatenate(preds).tolist()]
 
@@ -587,11 +623,12 @@ def save_gcn_model(model: GcnModel, path) -> None:
 
 
 def load_gcn_model(path) -> GcnModel:
+    """The float32 weights exactly as stored."""
     spec = {
         "layer0": ("f4", 2, "d", "h1"),
         "layer1": ("f4", 2, "h1", "h2"),
         "head": ("f4", "h2", 2),
     }
-    a = {k: v.astype(np.float64) for k, v in load_archive(path, spec).items()}
+    a = load_archive(path, spec)
     pairs = [(a[f"layer{i}"][0], a[f"layer{i}"][1]) for i in range(2)]
     return GcnModel(layer_weights=pairs, head_weights=a["head"])

@@ -181,6 +181,26 @@ def _assemble(
     return X, y, w, num_classes
 
 
+def _class_mean_init(X: np.ndarray, y: np.ndarray, num_classes: int, rng) -> np.ndarray:
+    """Unit head rows: small random rows plus each class's mean sample.
+
+    The class-mean init avoids the dead-class local optima of random rows.
+    The samples are stably sorted by class once, so each class's rows form
+    one contiguous slice in their original order and its mean is bit-equal
+    to ``X[y == j].mean(axis=0)``; a class without samples keeps its
+    random row.
+    """
+    W = rng.standard_normal((num_classes, X.shape[1])) * 1e-3
+    by_class = np.argsort(y, kind="stable")
+    Xs = X[by_class]
+    bounds = np.searchsorted(y[by_class], np.arange(num_classes + 1)).tolist()
+    for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi > lo:
+            W[j] += Xs[lo:hi].mean(axis=0)
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    return W
+
+
 def train_head(
     labeled: tuple[EmbeddingSet, LabelSet],
     pseudo: tuple[EmbeddingSet, Clustering] | None,
@@ -205,13 +225,7 @@ def train_head(
     X, y, w, num_classes = _assemble(labeled, pseudo, cfg.gamma, use_weights)
     d = X.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    # class-mean init avoids the dead-class local optima of random rows
-    W = rng.standard_normal((num_classes, d)) * 1e-3
-    for j in range(num_classes):
-        members = X[y == j]
-        if members.shape[0]:
-            W[j] += members.mean(axis=0)
-    W /= np.linalg.norm(W, axis=1)[:, None]
+    W = _class_mean_init(X, y, num_classes, rng)
     enc = EncoderParams.identity(d, seed=seed + 1) if with_encoder else None
 
     # train in float32, the precision save_trained_model stores

@@ -3,10 +3,14 @@
 This is the plain formulation the batched ``labelforge.cluster`` code
 replaced: each proposal gets its own dense Dinv A, forward pass and
 backward pass, and a batch's gradients are summed proposal by proposal.
+``train`` is the float64 SGD loop that float32 ``gcn_train`` replaced:
+the same initial weights, RNG stream, shuffle, batches and updates, with
+every batch in shuffled order.
 """
 
 import numpy as np
 
+from labelforge.cluster import GcnModel
 from labelforge.knn import symmetric_csr
 
 
@@ -87,3 +91,24 @@ def score(model, p, emb, g):
     members = np.asarray(p.members, dtype=np.int64)
     pred, _ = forward_cached(model, emb.rows[members], proposal_operator(p, g))
     return pred
+
+
+def train(proposals, emb, g, labels, epochs, lr, seed=0, batch_size=16, widths=None):
+    """The float64 ``GcnModel`` after per-proposal mini-batch SGD."""
+    model = GcnModel.init(emb.d, seed=seed, widths=widths)
+    rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
+    triples = [
+        (p, np.array(proposal_targets(p, labels)), proposal_operator(p, g)) for p in proposals
+    ]
+    order = np.arange(len(proposals))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), batch_size):
+            batch = [triples[j] for j in order[start : start + batch_size]]
+            _, d_head, d_layers = loss_and_grads(model, batch, emb)
+            model.head_weights = model.head_weights - lr * d_head
+            model.layer_weights = [
+                (w1 - lr * g1, w2 - lr * g2)
+                for (w1, w2), (g1, g2) in zip(model.layer_weights, d_layers)
+            ]
+    return model

@@ -2,7 +2,8 @@
 
 This is the plain formulation ``labelforge.train`` replaced: the same SGD
 loop (RNG stream, shuffle, batches, updates) run entirely in float64, with
-a two-pass softmax whose probabilities are copied into the logit gradient.
+a two-pass softmax whose probabilities are copied into the logit gradient,
+and with the class-mean init taken one class mask at a time.
 """
 
 import numpy as np
@@ -53,18 +54,24 @@ def loss_and_grads(W, enc, X, y, weights, cfg):
     return loss, dW, d_enc
 
 
+def class_mean_init(X, y, num_classes, rng):
+    """Small random rows plus each class's mean, one masked pass per class."""
+    W = rng.standard_normal((num_classes, X.shape[1])) * 1e-3
+    for j in range(num_classes):
+        members = X[y == j]
+        if members.shape[0]:
+            W[j] += members.mean(axis=0)
+    W /= np.linalg.norm(W, axis=1)[:, None]
+    return W
+
+
 def train_head(labeled, pseudo, cfg, epochs=40, lr=0.1, seed=0,
                use_weights=False, with_encoder=False, batch_size=256):
     """(W, encoder, initial_loss, final_loss) after float64 SGD."""
     X, y, w, num_classes = _assemble(labeled, pseudo, cfg.gamma, use_weights)
     d = X.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    W = rng.standard_normal((num_classes, d)) * 1e-3
-    for j in range(num_classes):
-        members = X[y == j]
-        if members.shape[0]:
-            W[j] += members.mean(axis=0)
-    W /= np.linalg.norm(W, axis=1)[:, None]
+    W = class_mean_init(X, y, num_classes, rng)
     enc = EncoderParams.identity(d, seed=seed + 1) if with_encoder else None
 
     initial_loss = loss_and_grads(W, enc, X, y, w, cfg)[0]

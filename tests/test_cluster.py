@@ -7,6 +7,7 @@ from labelforge import errors
 from labelforge.cluster import (
     GcnModel,
     ProposalScore,
+    _forward,
     _gather,
     _gcn_loss_and_grads,
     _prepare,
@@ -29,6 +30,7 @@ from labelforge.data import UNASSIGNED, EmbeddingSet, LabelSet, l2_normalize
 from labelforge.knn import ClusterProposal, build_knn_graph, proposals_from_thresholds
 from labelforge.metrics import pairwise_prf
 from labelforge.synth import SynthConfig, generate_identities
+import gcn_reference
 from gcn_reference import proposal_operator
 from test_graph_oracles import tied_embeddings
 
@@ -415,6 +417,74 @@ def test_gcn_train_divergence_raises(epochs, lr, found):
     props = [ClusterProposal((0, 1), 0.5), ClusterProposal((0, 1, 2), 0.5)]
     with pytest.raises(errors.TrainingDiverged, match=found):
         gcn_train(props, emb, g, labels, epochs=epochs, lr=lr, seed=0)
+
+
+def test_gcn_train_float32_overflow_raises_where_float64_does_not():
+    # float32 tops out near 3.4e38: at lr = 1e20 the second step's loss
+    # overflows it, while the float64 reference loop stays finite
+    emb, g = _tiny_graph()
+    labels = LabelSet(np.array([0, 0, 1, 1]))
+    props = [ClusterProposal((0, 1), 0.5), ClusterProposal((0, 1, 2), 0.5)]
+    with pytest.raises(errors.TrainingDiverged, match="loss inf in epoch 2"):
+        gcn_train(props, emb, g, labels, epochs=2, lr=1e20, seed=0)
+    with np.errstate(over="raise", invalid="raise"):
+        model = gcn_reference.train(props, emb, g, labels, epochs=2, lr=1e20, seed=0)
+    assert all(np.isfinite(w).all() for w in _weights(model))
+
+
+def _weights(model):
+    return [model.head_weights] + [w for pair in model.layer_weights for w in pair]
+
+
+def _float32_batch():
+    cfg = SynthConfig(num_ids=2, samples_per_id=6, dim=4, within_id_sigma=0.2, seed=7)
+    emb, labels = generate_identities(cfg)
+    g = build_knn_graph(emb, k=3)
+    props = [
+        ClusterProposal(tuple(np.flatnonzero(labels.labels == 0).tolist()), 0.5),
+        ClusterProposal((0, 1, 6, 7), 0.3),
+    ]
+    ps = _prepare(props, g)
+    targets = _targets(ps.members, ps.starts, labels).astype(np.float32)
+    batch = _gather(ps.astype(np.float32), np.arange(len(props)), emb.rows.astype(np.float32))
+    return batch, targets
+
+
+def test_float32_batch_gives_float32_loss_gradients():
+    # any float64 operand (operator, sizes, targets) would promote silently
+    batch, targets = _float32_batch()
+    assert batch.N.dtype == batch.H0.dtype == np.float32
+    model = GcnModel.init(4, seed=4, widths=(3, 2)).astype(np.float32)
+    loss, d_head, d_layers = _gcn_loss_and_grads(model, batch, targets)
+    assert np.isfinite(loss)
+    grads = [d_head] + [gw for pair in d_layers for gw in pair]
+    assert [gw.dtype for gw in grads] == [np.float32] * 5
+    assert all(np.linalg.norm(gw) > 0 for gw in grads)
+
+
+def test_float32_model_scores_in_float32():
+    # a float64 model scores in float64: test_gcn_oracles pins its scores
+    # to the per-proposal reference within 1e-12
+    batch, _ = _float32_batch()
+    model = GcnModel.init(4, seed=4, widths=(3, 2)).astype(np.float32)
+    pred, (cache, pooled) = _forward(model, batch)
+    assert pred.dtype == pooled.dtype == np.float32
+    assert all(a.dtype == np.float32 for layer in cache for a in layer)
+
+
+def test_gcn_train_returns_float32_model_equal_to_its_archive(tmp_path):
+    emb, labels = two_blobs(per_id=8, seed=1)
+    g = build_knn_graph(emb, k=4)
+    props = proposals_from_thresholds(g, [0.9, 0.7, 0.5], max_size=16)
+    # a NumPy float64 lr must not promote the weights either
+    model = gcn_train(props, emb, g, labels, epochs=3, lr=np.float64(0.5), seed=0)
+    save_gcn_model(model, tmp_path / "m.npz")
+    back = load_gcn_model(tmp_path / "m.npz")
+    for got, want in zip(_weights(back), _weights(model)):
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+    # the loaded model scores exactly as the trained one
+    assert score_proposals(back, props, emb, g) == score_proposals(model, props, emb, g)
 
 
 def test_score_blocks_group_consecutive_proposals_up_to_128_rows():

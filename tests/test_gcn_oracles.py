@@ -3,9 +3,10 @@
 The references in ``gcn_reference`` evaluate one proposal at a time with
 its own dense operator. The batched code must build the same operators
 bit for bit, the same IoU/IoP targets bit for bit (ties on the modal
-identity included), and the same loss, gradients and scores up to the
-reordering of floating-point sums: within 1e-12 of each array's largest
-magnitude.
+identity included), and, for a float64 model, the same loss, gradients
+and scores up to the reordering of floating-point sums: within 1e-12 of
+each array's largest magnitude. Float32 training must stay within float32
+rounding of the float64 reference loop.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import gcn_reference as ref
 from labelforge import cluster as cl
 from labelforge.data import EmbeddingSet, LabelSet, relabel
-from labelforge.knn import ClusterProposal, build_knn_graph
+from labelforge.knn import ClusterProposal, build_knn_graph, proposals_from_thresholds
+from labelforge.synth import SynthConfig, generate_identities
 
 RTOL = 1e-12
 
@@ -125,3 +127,44 @@ def test_batched_scores_match_reference(scene, seed):
     got = np.array([[s.iou_pred, s.iop_pred] for s in cl.score_proposals(model, proposals, emb, g)])
     want = np.array([ref.score(model, p, emb, g) for p in proposals])
     assert_close(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+    d=st.integers(1, 40),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    by_size=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segment_means_are_bit_equal_to_per_proposal_means(sizes, d, dtype, by_size, seed):
+    # sorted sizes make one run per size (as gcn_train batches them);
+    # unsorted ones, as score_proposals blocks them, make more runs
+    sizes = np.array(sorted(sizes) if by_size else sizes)
+    seg = cl._offsets(sizes)[:-1]
+    X = np.random.default_rng(seed).standard_normal((int(sizes.sum()), d)).astype(dtype)
+    got = cl._segment_means(X, seg, sizes)
+    want = np.stack([X[np.arange(s, s + m)].mean(axis=0) for s, m in zip(seg, sizes)])
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+
+
+def test_float32_training_stays_close_to_float64_reference():
+    # a few epochs of the float32 SGD loop against the float64 one: the
+    # weights and scores may differ only by float32 rounding, accumulated
+    cfg = SynthConfig(num_ids=8, samples_per_id=20, dim=16, within_id_sigma=0.15, seed=13)
+    emb, labels = generate_identities(cfg)
+    g = build_knn_graph(emb, k=8)
+    props = proposals_from_thresholds(g, [0.9, 0.8, 0.6, 0.3], max_size=100)
+    props = props + cl.union_augment(props, len(props) // 2, seed=1)
+    got = cl.gcn_train(props, emb, g, labels, epochs=3, lr=0.5, seed=2)
+    want = ref.train(props, emb, g, labels, epochs=3, lr=0.5, seed=2)
+    pairs = [(got.head_weights, want.head_weights)] + [
+        (a, b) for ga, wa in zip(got.layer_weights, want.layer_weights) for a, b in zip(ga, wa)
+    ]
+    for a, b in pairs:
+        assert a.dtype == np.float32 and b.dtype == np.float64
+        assert np.max(np.abs(a - b)) <= 1e-4 * np.max(np.abs(b))
+    scores = np.array([[s.iou_pred, s.iop_pred] for s in cl.score_proposals(got, props, emb, g)])
+    want_scores = np.array([ref.score(want, p, emb, g) for p in props])
+    assert np.max(np.abs(scores - want_scores)) <= 1e-4 * np.max(np.abs(want_scores))

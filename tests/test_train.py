@@ -11,6 +11,7 @@ from labelforge.train import (
     EncoderParams,
     LossConfig,
     TrainedModel,
+    _class_mean_init,
     _loss_and_grads,
     embed,
     load_trained_model,
@@ -333,6 +334,17 @@ def test_float32_training_tracks_the_float64_reference(with_encoder, with_pseudo
             )
     else:
         assert model.encoder is None
+
+
+@pytest.mark.parametrize("n, k, d", [(200, 7, 16), (300, 40, 5), (57, 9, 128)])
+def test_class_mean_init_equals_per_class_masks(n, k, d):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, d))
+    # classes 0 and k - 1 left empty: their rows stay random
+    y = rng.integers(1, k - 1, size=n)
+    got = _class_mean_init(X, y, k, np.random.default_rng(5))
+    want = ref.class_mean_init(X, y, k, np.random.default_rng(5))
+    np.testing.assert_array_equal(got, want)
 
 
 def test_head_divergence_is_a_typed_error():
