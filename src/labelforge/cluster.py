@@ -23,6 +23,7 @@ from .data import (
     save_archive,
 )
 from .errors import KOutOfRange, LengthMismatch, NoProposals, TrainingDiverged
+from . import knn
 from .knn import ClusterProposal, KnnGraph, component_labels, symmetric_csr
 
 
@@ -117,6 +118,12 @@ def dbscan(emb: EmbeddingSet, eps: float, min_size: int) -> Clustering:
     clusters; a non-core point within ``eps`` of a core point joins the
     cluster with the smallest core member among those it touches. Clusters
     are numbered by their smallest core member.
+
+    Distances are taken a row block at a time (:func:`knn.block_rows`
+    rows against every row), in three passes: one counts each row's
+    neighbours to find the core points, one feeds each block's core
+    ε-edges to :func:`knn.component_labels`, one gives each non-core row
+    its border cluster. No n × n array is held.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -124,16 +131,30 @@ def dbscan(emb: EmbeddingSet, eps: float, min_size: int) -> Clustering:
         raise ValueError("min_size must be >= 1")
     n = emb.n
     rows = emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None]
-    dist = 1.0 - rows @ rows.T
-    within = dist <= eps
-    core = within.sum(axis=1) >= min_size
+    step = knn.block_rows(n)
+    starts = range(0, n, step)
+    buf = np.empty((min(step, n), n))  # reused, as in knn.build_knn_graph
 
-    core_idx = np.flatnonzero(core)
-    lo, hi = np.nonzero(np.triu(within[np.ix_(core, core)], 1))
-    label = component_labels(np.arange(n), core_idx[lo], core_idx[hi])
-    touch = within[np.ix_(core, ~core)]
-    border = np.where(touch, label[core][:, None], n).min(axis=0, initial=n)
-    label[~core] = np.where(border < n, border, UNASSIGNED)
+    def within(start: int) -> np.ndarray:
+        """``dist <= eps`` between the rows of the block at ``start`` and every row."""
+        block = rows[start : start + step]
+        dist = np.matmul(block, rows.T, out=buf[: len(block)])
+        np.subtract(1.0, dist, out=dist)
+        return dist <= eps
+
+    core = np.concatenate([within(a).sum(axis=1) >= min_size for a in starts])
+    label = np.arange(n)
+    for a in starts:
+        touch = within(a)
+        touch &= core
+        touch[~core[a : a + step]] = False
+        lo, hi = np.nonzero(touch)
+        lo += a
+        upper = hi > lo
+        label = component_labels(label, lo[upper], hi[upper])
+    core_label = np.where(core, label, n)
+    border = np.concatenate([np.where(within(a), core_label, n).min(axis=1) for a in starts])
+    label[~core] = np.where(border < n, border, UNASSIGNED)[~core]
     return Clustering(relabel(label))
 
 
@@ -278,20 +299,48 @@ def _concat_members(proposals: list[ClusterProposal]) -> tuple[np.ndarray, np.nd
 
 
 def _prepare(proposals: list[ClusterProposal], g: KnnGraph) -> _ProposalSet:
-    """Concatenate the proposals and build every Dinv A in one gather.
+    """Concatenate the proposals and build every Dinv A.
 
+    The operators are gathered a run of consecutive proposals at a time
+    (:func:`_operators`). A run holds about eight int64 arrays over the
+    CSR edges of its members and one dense (m x m) row-sum block per
+    proposal of m members. A run's edges plus squared sizes stay within
+    a quarter of :data:`knn.BLOCK_ELEMENTS`, the bytes of a k-NN block,
+    which holds two 8-byte arrays per element; a proposal larger than
+    that is a run of its own. The runs are concatenated in order.
+    """
+    members, starts = _concat_members(proposals)
+    sizes = np.diff(starts)
+    indptr = symmetric_csr(g)[0]
+    edges = _offsets(indptr[members + 1] - indptr[members])[starts]
+    runs = [
+        _operators(members[starts[lo] : starts[hi]], starts[lo : hi + 1] - starts[lo], g)
+        for lo, hi in _runs(np.diff(edges) + sizes * sizes, knn.BLOCK_ELEMENTS // 4)
+    ]
+    # concatenate one output at a time and drop its parts: the runs are
+    # never held twice over
+    columns = [list(parts) for parts in zip(*runs)]
+    del runs
+    counts, row, col, val = [np.concatenate(columns.pop(0)) for _ in range(4)]
+    return _ProposalSet(members, starts, _offsets(counts), row, col, val)
+
+
+def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np.ndarray, ...]:
+    """Every Dinv A of consecutive proposals, in one gather.
+
+    Proposal ``j`` owns the member slots ``starts[j]:starts[j + 1]``.
     Each member slot is keyed ``proposal * n + node``; the keys ascend
     because proposals come in order and members are sorted. An edge of
     the graph's CSR adjacency stays in a proposal's operator when the key
     of its other end is one of that proposal's slots. The weights are the
     edge similarities, each row scaled by its inverse degree (rows
-    without edges stay zero).
+    without edges stay zero). Returns each proposal's entry count and the
+    entries' rows, columns (positions within the proposal) and values.
     """
-    members, starts = _concat_members(proposals)
-    sizes = np.diff(starts)
-    owner = np.repeat(np.arange(len(proposals)), sizes)
-    keys = owner * g.n + members
     indptr, nbr, sim = symmetric_csr(g)
+    sizes = np.diff(starts)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    keys = owner * g.n + members
     first = indptr[members]
     counts = indptr[members + 1] - first
     src = np.repeat(np.arange(len(members)), counts)
@@ -304,14 +353,7 @@ def _prepare(proposals: list[ClusterProposal], g: KnnGraph) -> _ProposalSet:
     base = starts[own]
     deg = _row_sums(src, dst - base, w, sizes[owner])
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    return _ProposalSet(
-        members=members,
-        starts=starts,
-        edge_starts=_offsets(np.bincount(own, minlength=len(proposals))),
-        edge_row=src - base,
-        edge_col=dst - base,
-        edge_val=inv[src] * w,
-    )
+    return np.bincount(own, minlength=len(sizes)), src - base, dst - base, inv[src] * w
 
 
 def _row_sums(slot: np.ndarray, col: np.ndarray, w: np.ndarray, slot_size: np.ndarray) -> np.ndarray:
@@ -567,14 +609,20 @@ def score_proposals(
 
 def _score_blocks(sizes: np.ndarray) -> list[tuple[int, int]]:
     """Greedy ``[lo, hi)`` runs of proposals of at most _SCORE_BLOCK_ROWS rows."""
+    return _runs(sizes, _SCORE_BLOCK_ROWS)
+
+
+def _runs(weights: np.ndarray, limit: int) -> list[tuple[int, int]]:
+    """Greedy ``[lo, hi)`` runs of consecutive items whose weights add up to
+    at most ``limit``; an item heavier than that is a run of its own."""
     blocks = []
-    lo, rows = 0, 0
-    for i, size in enumerate(sizes.tolist()):
-        if rows and rows + size > _SCORE_BLOCK_ROWS:
+    lo, total = 0, 0
+    for i, w in enumerate(weights.tolist()):
+        if total and total + w > limit:
             blocks.append((lo, i))
-            lo, rows = i, 0
-        rows += size
-    blocks.append((lo, len(sizes)))
+            lo, total = i, 0
+        total += w
+    blocks.append((lo, len(weights)))
     return blocks
 
 

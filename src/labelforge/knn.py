@@ -18,9 +18,17 @@ class KnnGraph:
     Row ``i`` holds the k largest ``rows[i] @ rows[j]`` (j != i) in
     (-sim, j) order: ``sims`` descending, equal sims ordered by ascending
     neighbor index. The same rule decides ties at the k-th value, so of
-    several equally similar candidates the smaller indices are kept. The
-    result is therefore a pure function of the embeddings, independent of
-    block size and thread count.
+    several equally similar candidates the smaller indices are kept.
+
+    The rule is applied to the sims as the matrix product of a row block
+    computes them. The thread count never changes the result, but the
+    block height (:func:`block_rows`) can, because BLAS rounds a product
+    according to how it tiles it. Every sim is within the rounding of a
+    d-term dot product of the exact ``rows[i] @ rows[j]``, so under two
+    block heights the sims at each rank differ by at most ``d * 2**-52``,
+    and the neighbors at a rank can differ only between candidates whose
+    exact sims are within twice that: two different rows exactly as
+    similar to row ``i`` may be rounded into either order.
     """
 
     neighbors: np.ndarray
@@ -49,16 +57,36 @@ class ClusterProposal:
         object.__setattr__(self, "members", members)
 
 
+# elements of the largest scratch array a graph-layer pass may hold: the
+# (rows x n) similarity block of a k-NN worker (a float64 block and its
+# int64 argpartition indices: 4 MiB), the (rows x n) distance block of a
+# DBSCAN pass, or, at a quarter of it, the edges of a run of a proposal
+# gather (cluster._prepare). Scratch memory then stays flat in n instead
+# of growing as a fixed row count times n. On a 2-core Xeon with one
+# BLAS thread, 2**18 built k=8 graphs in 59, 218 and 35 ms at n=2500 and
+# n=5000 (d=32) and n=1600 (d=128), against 73, 275 and 43 ms with
+# 1024-row blocks; 2**17 and 2**19 were within 11% of it either way,
+# except 2**19 at d=128 (45 ms). In a whole scale-n5k pipeline 2**18
+# gave the lowest peak RSS (58 MB, against 61 and 64 MB) and the fewest
+# page faults.
+BLOCK_ELEMENTS = 2**18
+
+
+def block_rows(width: int) -> int:
+    """Rows of a (rows x width) block that fits :data:`BLOCK_ELEMENTS`, at least one."""
+    return max(1, BLOCK_ELEMENTS // width)
+
+
 def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
     """Exact top-k cosine neighbors via blockwise dense products.
 
-    Each block of up to 1024 rows is scored against every row; the top k
-    per row are selected with ``argpartition`` and then ordered by
+    Each block of :func:`block_rows` rows is scored against every row; the
+    top k per row are selected with ``argpartition`` and then ordered by
     (-sim, index), the rule stated on :class:`KnnGraph`. Rows whose k-th
     value is tied with an unselected candidate are re-selected from all
     candidates at or above that value, so the smaller indices win the
-    tie. ``threads > 1`` processes blocks concurrently with identical
-    output.
+    tie. ``threads > 1`` splits the blocks among that many workers, with
+    identical output; each worker holds one block.
     """
     if not emb.normalized:
         raise NotNormalized("build_knn_graph requires unit-norm embeddings")
@@ -68,34 +96,39 @@ def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
     rows = emb.rows
     neighbors = np.empty((n, k), dtype=np.int64)
     sims = np.empty((n, k), dtype=np.float64)
-    block = max(1, min(1024, n))
-
-    def process(start: int) -> None:
-        stop = min(start + block, n)
-        local = np.arange(stop - start)
-        s = rows[start:stop] @ rows.T
-        s[local, local + start] = -np.inf  # exclude self
-        top = np.argpartition(-s, k - 1, axis=1)[:, :k]
-        kth = s[local, top[:, k - 1]]
-        top.sort(axis=1)
-        # a tie at the k-th value leaves argpartition free to pick any of
-        # the tied candidates: take the smallest indices instead
-        for r in np.flatnonzero((s >= kth[:, None]).sum(axis=1) > k):
-            cand = np.flatnonzero(s[r] >= kth[r])
-            top[r] = np.sort(cand[np.argsort(-s[r, cand], kind="stable")[:k]])
-        # top is in index order, so a stable sort on -sim gives (-sim, index)
-        top_sims = np.take_along_axis(s, top, axis=1)
-        order = np.argsort(-top_sims, axis=1, kind="stable")
-        neighbors[start:stop] = np.take_along_axis(top, order, axis=1)
-        sims[start:stop] = np.take_along_axis(top_sims, order, axis=1)
-
+    block = block_rows(n)
     starts = range(0, n, block)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(process, starts))
+    workers = min(threads, len(starts))
+
+    def process(worker: int) -> None:
+        # one block buffer per worker, reused: a block allocated afresh for
+        # every step is handed back to the OS when freed and faulted in
+        # again, which doubled the build time at n=2500
+        buf = np.empty((min(block, n), n))
+        for start in starts[worker::workers]:
+            stop = min(start + block, n)
+            local = np.arange(stop - start)
+            s = np.matmul(rows[start:stop], rows.T, out=buf[: stop - start])
+            s[local, local + start] = -np.inf  # exclude self
+            top = np.argpartition(s, n - k, axis=1)[:, n - k :]
+            kth = s[local, top[:, 0]]
+            top.sort(axis=1)
+            # a tie at the k-th value leaves argpartition free to pick any of
+            # the tied candidates: take the smallest indices instead
+            for r in np.flatnonzero((s >= kth[:, None]).sum(axis=1) > k):
+                cand = np.flatnonzero(s[r] >= kth[r])
+                top[r] = np.sort(cand[np.argsort(-s[r, cand], kind="stable")[:k]])
+            # top is in index order, so a stable sort on -sim gives (-sim, index)
+            top_sims = np.take_along_axis(s, top, axis=1)
+            order = np.argsort(-top_sims, axis=1, kind="stable")
+            neighbors[start:stop] = np.take_along_axis(top, order, axis=1)
+            sims[start:stop] = np.take_along_axis(top_sims, order, axis=1)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(process, range(workers)))
     else:
-        for start in starts:
-            process(start)
+        process(0)
     return KnnGraph(neighbors, sims)
 
 

@@ -32,7 +32,7 @@ from labelforge.metrics import pairwise_prf
 from labelforge.synth import SynthConfig, generate_identities
 import gcn_reference
 from gcn_reference import proposal_operator
-from test_graph_oracles import tied_embeddings
+from test_graph_oracles import block_budget, tied_embeddings
 
 
 def two_blobs(per_id=15, sigma=0.05, seed=0, dim=8):
@@ -260,6 +260,28 @@ def test_dbscan_border_points_match_oracle(emb, min_size):
     eps = 1.0 - np.cos(0.05) + 1e-9
     c = dbscan(emb, eps=eps, min_size=min_size)
     assert c.assignment.tolist() == dbscan_oracle(emb.rows, eps, min_size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(emb=arc_rows(), min_size=st.integers(3, 5), data=st.data())
+def test_dbscan_in_row_blocks_matches_oracle(emb, min_size, data):
+    eps = 1.0 - np.cos(0.05) + 1e-9
+    want = dbscan_oracle(emb.rows, eps, min_size)
+    for rows in (1, data.draw(st.integers(2, emb.n))):
+        with block_budget(rows * emb.n):
+            assert dbscan(emb, eps=eps, min_size=min_size).assignment.tolist() == want
+
+
+def test_dbscan_in_row_blocks_matches_reference():
+    rng = np.random.default_rng(21)
+    cfg = SynthConfig(num_ids=6, samples_per_id=40, dim=6,
+                      within_id_sigma=0.15, seed=4)
+    emb, _ = generate_identities(cfg)
+    full = l2_normalize(EmbeddingSet(np.vstack([emb.rows, rng.standard_normal((60, 6))])))
+    want = dbscan_oracle(full.rows, eps=0.08, min_size=4)
+    for rows in (1, 7, 64):
+        with block_budget(rows * full.n):
+            assert dbscan(full, eps=0.08, min_size=4).assignment.tolist() == want
 
 
 # --- proposal targets ---

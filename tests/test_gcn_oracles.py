@@ -18,6 +18,7 @@ from labelforge import cluster as cl
 from labelforge.data import EmbeddingSet, LabelSet, relabel
 from labelforge.knn import ClusterProposal, build_knn_graph, proposals_from_thresholds
 from labelforge.synth import SynthConfig, generate_identities
+from test_graph_oracles import block_budget
 
 RTOL = 1e-12
 
@@ -168,3 +169,20 @@ def test_float32_training_stays_close_to_float64_reference():
     scores = np.array([[s.iou_pred, s.iop_pred] for s in cl.score_proposals(got, props, emb, g)])
     want_scores = np.array([ref.score(want, p, emb, g) for p in props])
     assert np.max(np.abs(scores - want_scores)) <= 1e-4 * np.max(np.abs(want_scores))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scene=scenes(), data=st.data())
+def test_prepare_in_runs_equals_one_gather(scene, data):
+    _, g, _, proposals, _ = scene
+    with block_budget(2**60):
+        whole = cl._prepare(proposals, g)
+    # _prepare takes a quarter of the budget per run; a run limit of one
+    # puts every proposal in a run of its own
+    for limit in (1, data.draw(st.integers(2, 4000))):
+        with block_budget(4 * limit):
+            runs = cl._prepare(proposals, g)
+        for field in ("members", "starts", "edge_starts", "edge_row", "edge_col", "edge_val"):
+            got, want = getattr(runs, field), getattr(whole, field)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)

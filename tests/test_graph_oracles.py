@@ -8,11 +8,14 @@ batch). Inputs are quantized and duplicated rows, so that
 similarity ties land on the k-th boundary and on the thresholds.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforge import cluster as cl
+from labelforge import knn
 from labelforge.data import EmbeddingSet
 from labelforge.knn import (
     ClusterProposal,
@@ -140,6 +143,50 @@ def test_knn_matches_full_argsort(emb, data):
     neighbors, sims = reference_knn(emb.rows, k)
     np.testing.assert_array_equal(g.neighbors, neighbors)
     np.testing.assert_array_equal(g.sims, sims)
+
+
+@contextmanager
+def block_budget(elements):
+    """Run the graph layer with ``knn.BLOCK_ELEMENTS`` set to ``elements``."""
+    saved = knn.BLOCK_ELEMENTS
+    knn.BLOCK_ELEMENTS = elements
+    try:
+        yield
+    finally:
+        knn.BLOCK_ELEMENTS = saved
+
+
+@settings(max_examples=150, deadline=None)
+@given(emb=tied_embeddings(), data=st.data())
+def test_knn_guarantee_holds_under_any_block_height(emb, data):
+    n, k = emb.n, data.draw(st.integers(1, emb.n - 1))
+    graphs = []
+    for rows in (1, data.draw(st.integers(2, n - 1)), n):
+        with block_budget(rows * n):
+            graphs.append(build_knn_graph(emb, k=k))
+    product = emb.rows @ emb.rows.T
+    np.fill_diagonal(product, -np.inf)
+    # two roundings of one d-term dot product of unit vectors differ by at most this
+    tol = emb.d * 2.0**-52
+    i = np.arange(n)[:, None]
+    for g in graphs:
+        # the (-sim, index) order of its own sims, self excluded
+        assert np.all(g.neighbors != i)
+        step = np.diff(g.sims, axis=1)
+        assert np.all(step <= 0)
+        assert np.all(np.diff(g.neighbors, axis=1)[step == 0] > 0)
+        # each sim is the dot product up to rounding; no candidate left out is more similar
+        np.testing.assert_allclose(g.sims, product[i, g.neighbors], rtol=0, atol=tol)
+        left_out = product.copy()
+        left_out[i, g.neighbors] = -np.inf
+        assert np.all(left_out.max(axis=1) <= g.sims[:, -1] + tol)
+    for g in graphs[1:]:
+        np.testing.assert_allclose(g.sims, graphs[0].sims, rtol=0, atol=tol)
+        # a rank may change hands only between candidates that close in exact
+        # arithmetic, which is 2 * tol; ``product`` adds one rounding more
+        moved = g.neighbors != graphs[0].neighbors
+        gap = np.abs(product[i, g.neighbors] - product[i, graphs[0].neighbors])
+        assert np.all(gap[moved] <= 3 * tol)
 
 
 def test_knn_tie_at_kth_value_keeps_smaller_indices():
