@@ -26,6 +26,7 @@ from .data import (
     Clustering,
     EmbeddingSet,
     LabelSet,
+    groups,
     load_archive,
     load_clustering,
     load_embeddings,
@@ -304,6 +305,14 @@ def _load_disjoint(cfg: PipelineConfig, train_emb, train_labels, unlabeled_idx):
     return _subset(train_emb, train_labels, unlabeled_idx[decisions == evt.DISJOINT])
 
 
+def _load_clustering(cfg: PipelineConfig, name: str, n: int) -> Clustering:
+    """The clustering ``name`` of the ``n`` disjoint samples."""
+    clustering = load_clustering(_path(cfg, name))
+    if clustering.n != n:
+        raise CorruptArtifact(f"{_path(cfg, name)}: {clustering.n} rows for {n} disjoint samples")
+    return clustering
+
+
 def _train_head(cfg: PipelineConfig, labeled, pseudo=None, use_weights=False):
     """The baseline (no ``pseudo``), hard or soft (``use_weights``) head."""
     t, gamma = cfg["train"], cfg["noise"]["gamma"]
@@ -335,11 +344,10 @@ def stage_gen(cfg: PipelineConfig) -> dict:
     emb, labels = synth.generate_identities(scfg)
 
     # last holdout_per_id samples of each identity form the held-out eval set
-    holdout = cfg["eval"]["holdout_per_id"]
+    order, bounds = groups(labels.labels, labels.num_ids)
+    from_end = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(emb.n)
     test_mask = np.zeros(emb.n, dtype=bool)
-    for ident in range(labels.num_ids):
-        members = np.flatnonzero(labels.labels == ident)
-        test_mask[members[-holdout:]] = True
+    test_mask[order[from_end <= cfg["eval"]["holdout_per_id"]]] = True
     train_emb, train_labels = _subset(emb, labels, ~test_mask)
     test_emb, test_labels = _subset(emb, labels, test_mask)
 
@@ -510,7 +518,7 @@ def _thresholds(cfg: PipelineConfig, g: knn.KnnGraph) -> list[float]:
 def stage_noise(cfg: PipelineConfig) -> dict:
     train_emb, train_labels, _, unlabeled_idx, _ = _load_split(cfg)
     dis_emb, gt = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
-    clustering = load_clustering(_path(cfg, "pseudo_clusters.csv"))
+    clustering = _load_clustering(cfg, "pseudo_clusters.csv", dis_emb.n)
 
     n = cfg["noise"]
     tags = noise.label_cluster_errors(clustering, gt)
@@ -566,7 +574,7 @@ def stage_noise(cfg: PipelineConfig) -> dict:
 def stage_retrain(cfg: PipelineConfig) -> dict:
     train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_split(cfg)
     dis_emb, _ = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
-    clustering = load_clustering(_path(cfg, "pseudo_clusters_pm.csv"))
+    clustering = _load_clustering(cfg, "pseudo_clusters_pm.csv", dis_emb.n)
     models = {"baseline": train.load_trained_model(_path(cfg, "baseline.npz"))}
 
     labeled = _subset(train_emb, train_labels, labeled_idx)
@@ -592,13 +600,9 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
         test_labels, pairs_per_class=e["pairs_per_class"], seed=e["seed"]
     )
     # gallery: first held-out sample per identity; probes: the rest
-    gallery_idx, probe_idx = [], []
-    for ident in range(test_labels.num_ids):
-        members = np.flatnonzero(test_labels.labels == ident)
-        gallery_idx.append(members[0])
-        probe_idx.extend(members[1:].tolist())
-    gallery_idx = np.array(gallery_idx)
-    probe_idx = np.array(probe_idx)
+    order, bounds = groups(test_labels.labels, test_labels.num_ids)
+    gallery_idx = order[bounds[:-1]]
+    probe_idx = np.delete(order, bounds[:-1])
 
     out = {}
     for variant in ("baseline", "hard", "soft"):

@@ -17,6 +17,7 @@ from .data import (
     Clustering,
     EmbeddingSet,
     LabelSet,
+    groups,
     load_archive,
     modal,
     relabel,
@@ -63,8 +64,9 @@ def kmeans(emb: EmbeddingSet, K: int, max_iters: int = 100, seed: int = 0) -> Cl
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
+        order, bounds = groups(assignment, K)
         for j in range(K):
-            members = rows[assignment == j]
+            members = rows[order[bounds[j] : bounds[j + 1]]]
             if members.shape[0] == 0:
                 # re-seed from the globally farthest point
                 own = sims[np.arange(n), assignment]

@@ -22,6 +22,7 @@ from .errors import (
     BadMagic,
     CorruptArtifact,
     DuplicateIndex,
+    InvalidData,
     IoFailure,
     MissingIndex,
     NegativeLabel,
@@ -44,14 +45,14 @@ class EmbeddingSet:
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D matrix")
+            raise InvalidData("rows must be a 2-D matrix")
         if rows.shape[0] < 1 or rows.shape[1] < 2:
-            raise ValueError("need n >= 1 and d >= 2")
+            raise InvalidData("need n >= 1 and d >= 2")
         object.__setattr__(self, "rows", rows)
         if self.normalized:
             norms = np.linalg.norm(rows, axis=1)
             if not np.all(np.abs(norms - 1.0) < 1e-5):
-                raise ValueError("normalized flag set but rows are not unit-norm")
+                raise InvalidData("normalized flag set but rows are not unit-norm")
 
     @property
     def n(self) -> int:
@@ -72,15 +73,15 @@ class LabelSet:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1:
-            raise ValueError("labels must be 1-D")
+            raise InvalidData("labels must be 1-D")
         if labels.size == 0:
-            raise ValueError("labels must be non-empty")
+            raise InvalidData("labels must be non-empty")
         if labels.min() < 0:
             raise NegativeLabel("negative identity id")
         k = int(labels.max()) + 1
         present = np.bincount(labels, minlength=k)
         if np.any(present == 0):
-            raise ValueError("identity ids must be contiguous with no gaps")
+            raise InvalidData("identity ids must be contiguous with no gaps")
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -106,21 +107,21 @@ class Clustering:
     def __post_init__(self):
         a = np.asarray(self.assignment, dtype=np.int64)
         if a.ndim != 1:
-            raise ValueError("assignment must be 1-D")
+            raise InvalidData("assignment must be 1-D")
         assigned = a[a != UNASSIGNED]
         if assigned.size:
             if assigned.min() < 0:
-                raise ValueError("cluster ids must be >= 0 or UNASSIGNED")
+                raise InvalidData("cluster ids must be >= 0 or UNASSIGNED")
             k = int(assigned.max()) + 1
             if np.any(np.bincount(assigned, minlength=k) == 0):
-                raise ValueError("cluster ids must be contiguous with no gaps")
+                raise InvalidData("cluster ids must be contiguous with no gaps")
         object.__setattr__(self, "assignment", a)
         if self.p_minus is not None:
             p = np.asarray(self.p_minus, dtype=np.float64)
             if p.shape != a.shape:
-                raise ValueError("p_minus length must match assignment")
-            if np.any(p < 0.0) or np.any(p > 1.0):
-                raise ValueError("p_minus values must lie in [0, 1]")
+                raise InvalidData("p_minus length must match assignment")
+            if np.any(~((p >= 0.0) & (p <= 1.0))):
+                raise InvalidData("p_minus values must lie in [0, 1]")
             object.__setattr__(self, "p_minus", p)
 
     @property
@@ -142,9 +143,9 @@ class LinearHead:
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 2:
-            raise ValueError("weights must be a (num_classes >= 2) x d matrix")
+            raise InvalidData("weights must be a (num_classes >= 2) x d matrix")
         if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+            raise InvalidData("weights must be finite")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -170,6 +171,14 @@ def relabel(ids: np.ndarray) -> np.ndarray:
     assigned = ids != UNASSIGNED
     out[assigned] = np.unique(ids[assigned], return_inverse=True)[1]
     return out
+
+
+def groups(ids: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Samples grouped by id with one stable sort: the members of id ``j``
+    are ``order[bounds[j]:bounds[j + 1]]``, in ascending index order. Ids
+    outside 0..count-1, such as UNASSIGNED, belong to no group."""
+    order = np.argsort(ids, kind="stable")
+    return order, np.searchsorted(ids[order], np.arange(count + 1))
 
 
 def modal(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -248,39 +257,50 @@ def load_embeddings(path) -> EmbeddingSet:
     return EmbeddingSet(rows, normalized=False)
 
 
+def _read_table(path, header: tuple[str, ...]) -> tuple[np.ndarray, list[list[str]]]:
+    """The stable order that sorts the rows of the CSV table at ``path`` by
+    index, and the fields of each later column in file order. The rows under
+    ``header`` have one field per name; the index holds each of 0..n-1 once."""
+    try:
+        with open(path, "r", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    if len(rows) < 2 or rows[0][: len(header)] != list(header):
+        raise MissingIndex(f"{path}: expected the header {','.join(header)!r} and data rows")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise MissingIndex(f"{path}: malformed row {row!r}")
+    # one list per column: zip(*rows) would allocate an iterator per row for the GC to track
+    index, *columns = ([row[j] for row in rows[1:]] for j in range(len(header)))
+    index = _int_column(path, "index", index)
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    repeated = index[1:][index[1:] == index[:-1]]
+    if repeated.size:
+        raise DuplicateIndex(f"{path}: duplicate index {repeated[0]}")
+    if index[0] != 0 or index[-1] != index.size - 1:
+        raise MissingIndex(f"{path}: indices not 0..{index.size - 1}")
+    return order, columns
+
+
+def _int_column(path, name: str, fields: list[str]) -> np.ndarray:
+    try:
+        return np.fromiter(map(int, fields), np.int64, len(fields))
+    except (ValueError, OverflowError) as exc:
+        raise NegativeLabel(f"{path}: non-integer {name} field ({exc})") from exc
+
+
 def load_labels(path) -> LabelSet:
     """Parse ``index,label`` CSV; labels relabeled to contiguous ids.
 
     The original file ids survive in ``LabelSet.original_ids``
     (contiguous id -> file id).
     """
-    try:
-        with open(path, "r", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    if not rows or rows[0][:2] != ["index", "label"]:
-        raise MissingIndex(f"{path}: expected 'index,label' header")
-    seen: dict[int, int] = {}
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise MissingIndex(f"{path}: malformed row {row!r}")
-        try:
-            idx, raw = int(row[0]), int(row[1])
-        except ValueError:
-            raise NegativeLabel(f"{path}: non-integer field in {row!r}")
-        if raw < 0:
-            raise NegativeLabel(f"{path}: negative label in {row!r}")
-        if idx in seen:
-            raise DuplicateIndex(f"{path}: duplicate index {idx}")
-        seen[idx] = raw
-    n = len(seen)
-    if n == 0:
-        raise MissingIndex(f"{path}: no data rows")
-    if set(seen) != set(range(n)):
-        missing = sorted(set(range(n)) - set(seen))[:3]
-        raise MissingIndex(f"{path}: indices not 0..{n - 1} (missing {missing})")
-    raw_labels = np.array([seen[i] for i in range(n)], dtype=np.int64)
+    order, (raw,) = _read_table(path, ("index", "label"))
+    raw_labels = _int_column(path, "label", raw)[order]
+    if raw_labels.min() < 0:
+        raise NegativeLabel(f"{path}: negative label {raw_labels.min()}")
     uniq, labels = np.unique(raw_labels, return_inverse=True)
     return LabelSet(labels, original_ids={i: int(v) for i, v in enumerate(uniq)})
 
@@ -298,40 +318,16 @@ def save_clustering(c: Clustering, path) -> None:
 
 
 def load_clustering(path) -> Clustering:
+    """Parse ``index,cluster_id,p_minus`` CSV; p⁻ is None when every field
+    is empty, and an empty field reads 0 otherwise."""
+    order, (ids, p) = _read_table(path, ("index", "cluster_id", "p_minus"))
+    assignment = _int_column(path, "cluster_id", ids)[order]
     try:
-        with open(path, "r", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    if not rows or rows[0][:3] != ["index", "cluster_id", "p_minus"]:
-        raise MissingIndex(f"{path}: expected 'index,cluster_id,p_minus' header")
-    seen: dict[int, tuple[int, float | None]] = {}
-    any_p = False
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise MissingIndex(f"{path}: malformed row {row!r}")
-        try:
-            idx, cid = int(row[0]), int(row[1])
-        except ValueError:
-            raise NegativeLabel(f"{path}: non-integer field in {row!r}")
-        if cid < UNASSIGNED:
-            raise NegativeLabel(f"{path}: invalid cluster id {cid}")
-        if idx in seen:
-            raise DuplicateIndex(f"{path}: duplicate index {idx}")
-        p = float(row[2]) if row[2] != "" else None
-        if p is not None:
-            any_p = True
-        seen[idx] = (cid, p)
-    n = len(seen)
-    if n == 0 or set(seen) != set(range(n)):
-        raise MissingIndex(f"{path}: indices not exactly 0..n-1")
-    assignment = np.array([seen[i][0] for i in range(n)], dtype=np.int64)
-    p_minus = None
-    if any_p:
-        p_minus = np.array(
-            [seen[i][1] if seen[i][1] is not None else 0.0 for i in range(n)]
-        )
-    return Clustering(assignment, p_minus=p_minus)
+        floats = map(float, (v or "0" for v in p))
+        p_minus = np.fromiter(floats, np.float64, len(p))[order] if any(p) else None
+        return Clustering(assignment, p_minus=p_minus)
+    except ValueError as exc:
+        raise InvalidData(f"{path}: {exc}") from exc
 
 
 def save_archive(arrays: dict[str, np.ndarray], path) -> None:

@@ -39,6 +39,10 @@ class CorruptArtifact(LabelForgeError):
     pass
 
 
+class InvalidData(LabelForgeError, ValueError):
+    """A container invariant does not hold for the values given."""
+
+
 class ZeroNormRow(LabelForgeError):
     def __init__(self, index: int):
         super().__init__(f"row {index} has zero L2 norm")

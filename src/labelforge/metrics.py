@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet
+from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, groups
 from .errors import ProbeIdMissing, TooFewSamples
 
 
@@ -26,26 +26,28 @@ class VerificationProtocol:
         object.__setattr__(self, "pairs", pairs)
 
 
-def _pair_counts(assignment: np.ndarray, labels: np.ndarray):
-    """Contingency-based counts of same-cluster / same-label sample pairs."""
-    num_c = int(assignment.max()) + 1
-    num_l = int(labels.max()) + 1
-    cont = np.zeros((num_c, num_l), dtype=np.int64)
-    np.add.at(cont, (assignment, labels), 1)
-    same_cluster = int(np.sum(cont.sum(axis=1) * (cont.sum(axis=1) - 1) // 2))
-    same_label = int(np.sum(cont.sum(axis=0) * (cont.sum(axis=0) - 1) // 2))
-    both = int(np.sum(cont * (cont - 1) // 2))
-    return both, same_cluster, same_label
-
-
-def pairwise_prf(c: Clustering, labels: LabelSet) -> tuple[float, float, float]:
-    """Pairwise precision / recall / F1 over assigned samples."""
+def _contingency(c: Clustering, labels: LabelSet):
+    """Cluster ids and labels of the assigned samples and their cluster x
+    label count table; None when no sample is assigned."""
     mask = c.assignment != UNASSIGNED
     a = c.assignment[mask]
     l = labels.labels[mask]
     if a.size == 0:
+        return None
+    cont = np.zeros((int(a.max()) + 1, int(l.max()) + 1), dtype=np.int64)
+    np.add.at(cont, (a, l), 1)
+    return a, l, cont
+
+
+def pairwise_prf(c: Clustering, labels: LabelSet) -> tuple[float, float, float]:
+    """Pairwise precision / recall / F1 over assigned samples."""
+    table = _contingency(c, labels)
+    if table is None:
         return 1.0, 0.0, 0.0
-    both, same_cluster, same_label = _pair_counts(a, l)
+    _, _, cont = table
+    same_cluster = int(np.sum(cont.sum(axis=1) * (cont.sum(axis=1) - 1) // 2))
+    same_label = int(np.sum(cont.sum(axis=0) * (cont.sum(axis=0) - 1) // 2))
+    both = int(np.sum(cont * (cont - 1) // 2))
     precision = both / same_cluster if same_cluster > 0 else 1.0
     recall = both / same_label if same_label > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -54,15 +56,10 @@ def pairwise_prf(c: Clustering, labels: LabelSet) -> tuple[float, float, float]:
 
 def bcubed_prf(c: Clustering, labels: LabelSet) -> tuple[float, float, float]:
     """BCubed per-sample precision / recall means and their harmonic mean."""
-    mask = c.assignment != UNASSIGNED
-    a = c.assignment[mask]
-    l = labels.labels[mask]
-    if a.size == 0:
+    table = _contingency(c, labels)
+    if table is None:
         return 1.0, 0.0, 0.0
-    num_c = int(a.max()) + 1
-    num_l = int(l.max()) + 1
-    cont = np.zeros((num_c, num_l), dtype=np.int64)
-    np.add.at(cont, (a, l), 1)
+    a, l, cont = table
     cluster_sizes = cont.sum(axis=1)
     class_sizes = cont.sum(axis=0)
     inter = cont[a, l].astype(np.float64)
@@ -185,8 +182,9 @@ def build_verification_protocol(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pairs: list[tuple[int, int, bool]] = []
     n = labels.n
+    order, bounds = groups(labels.labels, labels.num_ids)
     for ident in range(labels.num_ids):
-        members = np.flatnonzero(labels.labels == ident)
+        members = order[bounds[ident] : bounds[ident + 1]]
         if members.size < 2:
             continue
         for _ in range(pairs_per_class):

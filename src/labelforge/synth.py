@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, relabel
+from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, groups, relabel
 from .errors import InsufficientIds, RateOutOfRange
 
 
@@ -110,28 +110,20 @@ def make_overlap_split(
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     perm = rng.permutation(num_ids)
-    overlap_ids = set(perm[:n_overlap].tolist())
-    labeled_ids = set(perm[n_overlap : n_overlap + n_labeled_only].tolist())
+    overlap_ids = perm[:n_overlap]
+    labeled_ids = perm[n_overlap : n_overlap + n_labeled_only]
 
-    labeled_idx: list[int] = []
-    unlabeled_idx: list[int] = []
-    for ident in range(num_ids):
-        members = np.flatnonzero(labels.labels == ident)
-        if ident in labeled_ids:
-            labeled_idx.extend(members.tolist())
-        elif ident in overlap_ids:
-            half = len(members) // 2
-            labeled_idx.extend(members[:half].tolist())
-            unlabeled_idx.extend(members[half:].tolist())
-        else:
-            unlabeled_idx.extend(members.tolist())
-    labeled = np.array(sorted(labeled_idx), dtype=np.int64)
-    unlabeled = np.array(sorted(unlabeled_idx), dtype=np.int64)
-    labeled_id_set = set(labels.labels[labeled].tolist())
-    gt_overlap_mask = np.array(
-        [int(labels.labels[i]) in labeled_id_set for i in unlabeled], dtype=bool
-    )
-    return labeled, unlabeled, gt_overlap_mask
+    # each identity's first `keep` members, in index order, are labeled
+    order, bounds = groups(labels.labels, num_ids)
+    sizes = np.diff(bounds)
+    keep = np.zeros(num_ids, dtype=np.int64)
+    keep[labeled_ids] = sizes[labeled_ids]
+    keep[overlap_ids] = sizes[overlap_ids] // 2
+    rank = np.arange(labels.n) - np.repeat(bounds[:-1], sizes)
+    is_labeled = np.zeros(labels.n, dtype=bool)
+    is_labeled[order[rank < np.repeat(keep, sizes)]] = True
+    unlabeled = np.flatnonzero(~is_labeled)
+    return np.flatnonzero(is_labeled), unlabeled, keep[labels.labels[unlabeled]] > 0
 
 
 def inject_label_noise(
@@ -166,8 +158,10 @@ def inject_label_noise(
         if count:
             targets = rng.choice(num_clusters, size=count, replace=False)
             next_id = num_clusters
+            # moved members get fresh ids, so the groups of the targets hold
+            order, bounds = groups(assignment, num_clusters)
             for cid in targets:
-                members = np.flatnonzero(assignment == cid)
+                members = order[bounds[cid] : bounds[cid + 1]]
                 if members.size < 2:
                     continue
                 half = members.size // 2

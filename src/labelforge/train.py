@@ -18,6 +18,7 @@ from .data import (
     EmbeddingSet,
     LabelSet,
     LinearHead,
+    groups,
     load_archive,
     save_archive,
 )
@@ -191,9 +192,8 @@ def _class_mean_init(X: np.ndarray, y: np.ndarray, num_classes: int, rng) -> np.
     random row.
     """
     W = rng.standard_normal((num_classes, X.shape[1])) * 1e-3
-    by_class = np.argsort(y, kind="stable")
+    by_class, bounds = groups(y, num_classes)
     Xs = X[by_class]
-    bounds = np.searchsorted(y[by_class], np.arange(num_classes + 1)).tolist()
     for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi > lo:
             W[j] += Xs[lo:hi].mean(axis=0)

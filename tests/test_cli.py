@@ -473,3 +473,63 @@ def test_corrupt_stage_fragment_fails_report(run_copy, capsys):
     code, err = _stage_exit(capsys, "report", cfg, out)
     assert code == 2
     assert err.startswith("error: stage 'report' failed:") and "stage_gen.json" in err
+
+
+# --- malformed tables and embeddings exit 2, naming their cause ---
+
+def _edit_table(path, row, column, value):
+    lines = path.read_text().splitlines()
+    fields = lines[row].split(",")
+    fields[column] = value
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _edit_embeddings(path, scale):
+    blob = path.read_bytes()
+    rows = np.frombuffer(blob[12:], dtype="<f4").copy()
+    d = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
+    rows[:d] *= scale
+    path.write_bytes(blob[:12] + rows.tobytes())
+
+
+def _drop_last_rows(path, count):
+    path.write_text("".join(path.read_text().splitlines(True)[:-count]))
+
+
+def _gap_cluster_id(path):
+    return str(max(int(line.split(",")[1]) for line in path.read_text().splitlines()[1:]) + 2)
+
+
+@pytest.mark.parametrize(
+    "edit, stage, cause",
+    [
+        (lambda out: _edit_table(out / "pseudo_clusters_pm.csv", 3, 2, "abc"), "retrain",
+         "could not convert string to float: 'abc'"),
+        (lambda out: _edit_table(out / "pseudo_clusters_pm.csv", 3, 2, "1.5"), "retrain",
+         "p_minus values must lie in [0, 1]"),
+        (lambda out: _edit_table(out / "pseudo_clusters_pm.csv", 3, 2, "nan"), "retrain",
+         "p_minus values must lie in [0, 1]"),
+        (lambda out: _edit_table(out / "pseudo_clusters_pm.csv", 3, 1,
+                                 _gap_cluster_id(out / "pseudo_clusters_pm.csv")),
+         "retrain", "cluster ids must be contiguous with no gaps"),
+        (lambda out: _edit_embeddings(out / "train.emb", 2.0), "separate",
+         "normalized flag set but rows are not unit-norm"),
+        (lambda out: _edit_embeddings(out / "test.emb", np.nan), "evaluate",
+         "normalized flag set but rows are not unit-norm"),
+        (lambda out: _drop_last_rows(out / "pseudo_clusters.csv", 5), "noise",
+         " disjoint samples"),
+        (lambda out: _drop_last_rows(out / "pseudo_clusters_pm.csv", 5), "retrain",
+         " disjoint samples"),
+    ],
+    ids=["p-abc", "p-1.5", "p-nan", "cluster-id-gap", "train-row-x2", "test-row-nan",
+         "short-clustering", "short-clustering-pm"],
+)
+def test_malformed_input_exits_2(run_copy, capsys, edit, stage, cause):
+    cfg, out = run_copy
+    edit(out)
+    code, err = _stage_exit(capsys, stage, cfg, out)
+    assert code == 2
+    assert err.startswith(f"error: stage '{stage}' failed:") and cause in err
+    assert "diverged" not in err
+

@@ -1,6 +1,7 @@
 import errno
 import io
 
+import csv_reference as ref
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from labelforge.data import (
     Clustering,
     EmbeddingSet,
     LabelSet,
+    LinearHead,
     l2_normalize,
     load_archive,
     load_clustering,
@@ -182,6 +184,148 @@ def test_labelset_invariants():
         LabelSet(np.array([0, 2]))
     with pytest.raises(errors.NegativeLabel):
         LabelSet(np.array([-1, 0]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: EmbeddingSet(np.full((2, 2), 1.0), normalized=True),
+        lambda: EmbeddingSet(np.ones(3)),
+        lambda: LabelSet(np.array([0, 2])),
+        lambda: Clustering(np.array([0, -2])),
+        lambda: Clustering(np.array([0, 1]), p_minus=np.array([0.5, np.nan])),
+        lambda: LinearHead(np.array([[1.0, np.inf], [0.0, 1.0]])),
+    ],
+    ids=["not-unit-norm", "1-D rows", "label gap", "cluster id -2", "nan p_minus", "inf weight"],
+)
+def test_container_invariants_raise_invalid_data(make):
+    # a LabelForgeError fails its stage with exit 2; a ValueError, as before
+    with pytest.raises(errors.InvalidData) as exc:
+        make()
+    assert isinstance(exc.value, errors.LabelForgeError) and isinstance(exc.value, ValueError)
+
+
+# --- CSV tables: the column-wise reader against the per-row reference ---
+
+_NOT_INTS = ("A", "1.5", "", " ", "0x1", "--1", "1e3")
+_INT_FORMS = ("{}", " {}", "{} ", "+{}", "0{}", "1_{}")  # int() reads each of these
+_P_FIELDS = ("", "0", "0.250000", "1", "1.5", "-0.1", "nan", "inf", "1e-3", " 0.5 ")
+
+
+@st.composite
+def _tables(draw, clustering: bool):
+    """``index,label`` or ``index,cluster_id,p_minus`` text with at most one
+    kind of row fault. Faults that only the containers check (cluster id
+    gaps, p⁻ outside [0, 1]) may come on top: both readers check them last."""
+    n = draw(st.integers(1, 10))
+    header = ["index", "cluster_id", "p_minus"] if clustering else ["index", "label"]
+    values = st.integers(-1, 4) if clustering else st.integers(0, 6)
+    rows = []
+    for i in range(n):
+        v = draw(values)
+        rows.append([str(i), draw(st.sampled_from(_INT_FORMS)).format(v) if v >= 0 else str(v)])
+    if clustering:
+        # p⁻ empty in every row, filled in every row, or a mix
+        fields = draw(st.sampled_from(
+            [st.just(""), st.sampled_from(_P_FIELDS[1:]), st.sampled_from(_P_FIELDS)]
+        ))
+        for row in rows:
+            row.append(draw(fields))
+    r = draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from(
+        ["none", "duplicate", "missing", "short", "not-int", "negative", "width", "header", "empty"]
+        + ["not-float"] * clustering
+    ))
+    if fault == "duplicate" and n > 1:
+        rows[r][0] = str((r + draw(st.integers(1, n - 1))) % n)
+    elif fault == "missing":
+        rows[r][0] = str(n + draw(st.integers(0, 3)))
+    elif fault == "short":
+        del rows[r]
+    elif fault == "not-int":
+        rows[r][draw(st.integers(0, 1))] = draw(st.sampled_from(_NOT_INTS))
+    elif fault == "negative":
+        rows[r][1] = str(draw(st.integers(-5, -2 if clustering else -1)))
+    elif fault == "not-float":
+        rows[r][2] = "abc"
+    elif fault == "width":
+        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["7"]
+    elif fault == "header":
+        header = header[:-1] + ["id"]
+    elif fault == "empty":
+        rows = []
+    lines = [header] + draw(st.permutations(rows))
+    if fault == "empty" and draw(st.booleans()):
+        lines = []
+    return "".join(",".join(row) + "\n" for row in lines)
+
+
+def _outcome(load, path):
+    try:
+        return load(path), None
+    except Exception as exc:  # the reference may raise a bare ValueError
+        return None, exc
+
+
+@pytest.mark.parametrize("clustering", [False, True], ids=["labels", "clustering"])
+@given(draws=st.data())
+@settings(max_examples=400, deadline=None)
+def test_table_readers_match_per_row_reference(tmp_path_factory, clustering, draws):
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_text(draws.draw(_tables(clustering)))
+    name = "load_clustering" if clustering else "load_labels"
+    got, got_exc = _outcome(getattr(data, name), path)
+    want, want_exc = _outcome(getattr(ref, name), path)
+    if want_exc is not None:
+        # the cluster-id range is now the container's check
+        cluster_id_range = "invalid cluster id" in str(want_exc)
+        assert isinstance(got_exc, errors.InvalidData if cluster_id_range else type(want_exc))
+        assert isinstance(got_exc, errors.LabelForgeError)
+        return
+    assert got_exc is None, got_exc
+    if clustering:
+        for field in ("assignment", "p_minus"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+    else:
+        assert got.labels.dtype == want.labels.dtype
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.original_ids == want.original_ids
+
+
+@pytest.mark.parametrize(
+    "text, error, match",
+    [
+        ("index,cluster_id,p_minus\n0,0,0.5\n1,0,nan\n", errors.InvalidData, r"\[0, 1\]"),
+        ("index,cluster_id,p_minus\n0,0,0.5\n1,0,abc\n", errors.InvalidData, "'abc'"),
+        ("index,cluster_id,p_minus\n0,0,\n1,-2,\n", errors.InvalidData, "UNASSIGNED"),
+        ("index,cluster_id,p_minus\n0,0,\n1,2,\n", errors.InvalidData, "no gaps"),
+        ("index,cluster_id,p_minus\n0,0,\n1,99999999999999999999,\n",
+         errors.NegativeLabel, "non-integer cluster_id"),
+    ],
+    ids=["nan", "abc", "id -2", "gap", "int64 overflow"],
+)
+def test_clustering_reader_names_its_file(tmp_path, text, error, match):
+    path = tmp_path / "pseudo_clusters_pm.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=match) as exc:
+        load_clustering(path)
+    assert str(path) in str(exc.value)
+
+
+# --- samples grouped by id ---
+
+@given(st.lists(st.integers(-1, 7), max_size=60), st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_groups_equal_per_id_scans(ids, count):
+    ids = np.array(ids, dtype=np.int64)
+    order, bounds = data.groups(ids, count)
+    assert bounds.shape == (count + 1,)
+    for j in range(count):
+        np.testing.assert_array_equal(order[bounds[j] : bounds[j + 1]], np.flatnonzero(ids == j))
 
 
 # --- modal value per owner ---

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforge import errors
 from labelforge.cluster import clustering_from_labels
-from labelforge.data import UNASSIGNED
+from labelforge.data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, relabel
 from labelforge.synth import (
     SplitSpec,
     SynthConfig,
@@ -105,6 +107,71 @@ def test_split_partition_property():
     labeled_id_set = set(labels.labels[labeled].tolist())
     expected = np.array([int(labels.labels[i]) in labeled_id_set for i in unlabeled])
     np.testing.assert_array_equal(mask, expected)
+
+
+def _split_by_identity_scans(labels, spec):
+    """make_overlap_split as one membership scan per identity: the
+    reference for the grouped version."""
+    num_ids = labels.num_ids
+    n_overlap = int(round(spec.overlap_id_fraction * num_ids))
+    n_labeled_only = int(round(spec.labeled_id_fraction * (num_ids - n_overlap)))
+    perm = np.random.default_rng(np.random.SeedSequence(spec.seed)).permutation(num_ids)
+    overlap_ids = set(perm[:n_overlap].tolist())
+    labeled_ids = set(perm[n_overlap : n_overlap + n_labeled_only].tolist())
+    labeled_idx, unlabeled_idx = [], []
+    for ident in range(num_ids):
+        members = np.flatnonzero(labels.labels == ident)
+        if ident in labeled_ids:
+            labeled_idx.extend(members.tolist())
+        elif ident in overlap_ids:
+            half = len(members) // 2
+            labeled_idx.extend(members[:half].tolist())
+            unlabeled_idx.extend(members[half:].tolist())
+        else:
+            unlabeled_idx.extend(members.tolist())
+    labeled = np.array(sorted(labeled_idx), dtype=np.int64)
+    unlabeled = np.array(sorted(unlabeled_idx), dtype=np.int64)
+    labeled_id_set = set(labels.labels[labeled].tolist())
+    mask = np.array([int(labels.labels[i]) in labeled_id_set for i in unlabeled], dtype=bool)
+    return labeled, unlabeled, mask
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=2, max_size=15),
+    st.sampled_from([0.3, 0.5, 0.8, 1.0]),
+    st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_split_equals_per_identity_scans(sizes, labeled_fraction, overlap_fraction, seed):
+    rng = np.random.default_rng(seed)
+    labels = LabelSet(rng.permutation(np.repeat(np.arange(len(sizes)), sizes)))
+    emb = EmbeddingSet(np.ones((labels.n, 2)))
+    spec = SplitSpec(labeled_fraction, overlap_fraction, seed)
+    try:
+        got = make_overlap_split(emb, labels, spec)
+    except errors.InsufficientIds:
+        return
+    for a, b in zip(got, _split_by_identity_scans(labels, spec)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@given(st.lists(st.integers(-1, 6), min_size=1, max_size=40), st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_split_id_noise_equals_per_cluster_scans(ids, seed):
+    c = Clustering(relabel(np.array(ids)))
+    got = inject_label_noise(c, None, 0.5, "split_id", seed)
+    # the per-cluster scans the grouped version replaced
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    assignment = c.assignment.copy()
+    next_id = c.num_clusters
+    for cid in rng.choice(c.num_clusters, size=int(0.5 * c.num_clusters), replace=False):
+        members = np.flatnonzero(assignment == cid)
+        if members.size >= 2:
+            assignment[rng.choice(members, size=members.size // 2, replace=False)] = next_id
+            next_id += 1
+    np.testing.assert_array_equal(got.assignment, relabel(assignment))
 
 
 def test_split_insufficient_ids():
