@@ -274,11 +274,19 @@ def _path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
+def _load_labeled(cfg: PipelineConfig, split: str):
+    """The embeddings and labels of ``split`` (train or test), one label per row."""
+    emb_path, labels_path = _path(cfg, f"{split}.emb"), _path(cfg, f"{split}_labels.csv")
+    emb, labels = load_embeddings(emb_path), load_labels(labels_path)
+    if labels.n != emb.n:
+        raise CorruptArtifact(f"{labels_path}: {labels.n} labels for the {emb.n} rows of {emb_path}")
+    return emb, labels
+
+
 def _load_split(cfg: PipelineConfig):
     """Train embeddings and labels, the labeled and unlabeled row indices,
     and the ground-truth overlap mask of the unlabeled rows."""
-    train_emb = load_embeddings(_path(cfg, "train.emb"))
-    train_labels = load_labels(_path(cfg, "train_labels.csv"))
+    train_emb, train_labels = _load_labeled(cfg, "train")
     path = _path(cfg, "split.npz")
     spec = {"labeled_idx": ("i8", "l"), "unlabeled_idx": ("i8", "u"), "overlap_mask": ("?", "u")}
     labeled_idx, unlabeled_idx, gt_overlap = load_archive(path, spec).values()
@@ -592,8 +600,7 @@ def stage_retrain(cfg: PipelineConfig) -> dict:
 
 
 def stage_evaluate(cfg: PipelineConfig) -> dict:
-    test_emb = load_embeddings(_path(cfg, "test.emb"))
-    test_labels = load_labels(_path(cfg, "test_labels.csv"))
+    test_emb, test_labels = _load_labeled(cfg, "test")
 
     e = cfg["eval"]
     protocol = metrics.build_verification_protocol(

@@ -8,7 +8,7 @@ disjoint clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def kmeans(emb: EmbeddingSet, K: int, max_iters: int = 100, seed: int = 0) -> Cl
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     # k-means++ on cosine distance (1 - dot)
-    centroids = np.empty((K, emb.d))
+    centroids = np.empty((K, emb.d), dtype=rows.dtype)
     first = int(rng.integers(n))
     centroids[0] = rows[first]
     closest = 1.0 - rows @ centroids[0]
@@ -135,7 +135,7 @@ def dbscan(emb: EmbeddingSet, eps: float, min_size: int) -> Clustering:
     rows = emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None]
     step = knn.block_rows(n)
     starts = range(0, n, step)
-    buf = np.empty((min(step, n), n))  # reused, as in knn.build_knn_graph
+    buf = np.empty((min(step, n), n), dtype=rows.dtype)  # reused, as in knn.build_knn_graph
 
     def within(start: int) -> np.ndarray:
         """``dist <= eps`` between the rows of the block at ``start`` and every row."""
@@ -181,8 +181,9 @@ class GcnModel:
     maps the mean-pooled features to (iou_pred, iop_pred).
 
     Each layer computes relu(H @ W1 + (Dinv A H) @ W2). Forward and
-    backward passes run in the dtype of the weights: float32 for a trained
-    or loaded model, float64 for :meth:`init` and :meth:`zeros`.
+    backward passes run in the dtype of their inputs: float32 for a trained
+    or loaded model, float64 for :meth:`init` and :meth:`zeros`, whose
+    weights a finite-difference check can perturb by 1e-6.
     """
 
     layer_weights: list[tuple[np.ndarray, np.ndarray]]
@@ -209,12 +210,6 @@ class GcnModel:
             fan_in = width
         head = rng.standard_normal((h2, 2)) * np.sqrt(1.0 / h2)
         return cls(layer_weights=layers, head_weights=head)
-
-    def astype(self, dtype) -> "GcnModel":
-        return GcnModel(
-            layer_weights=[(w1.astype(dtype), w2.astype(dtype)) for w1, w2 in self.layer_weights],
-            head_weights=self.head_weights.astype(dtype),
-        )
 
     @classmethod
     def zeros(cls, d: int, widths: tuple[int, int] | None = None) -> "GcnModel":
@@ -258,10 +253,6 @@ class _ProposalSet:
     @property
     def sizes(self) -> np.ndarray:
         return np.diff(self.starts)
-
-    def astype(self, dtype) -> "_ProposalSet":
-        """The same proposals with the operator values cast to ``dtype``."""
-        return replace(self, edge_val=self.edge_val.astype(dtype, copy=False))
 
 
 @dataclass(frozen=True)
@@ -307,9 +298,10 @@ def _prepare(proposals: list[ClusterProposal], g: KnnGraph) -> _ProposalSet:
     (:func:`_operators`). A run holds about eight int64 arrays over the
     CSR edges of its members and one dense (m x m) row-sum block per
     proposal of m members. A run's edges plus squared sizes stay within
-    a quarter of :data:`knn.BLOCK_ELEMENTS`, the bytes of a k-NN block,
-    which holds two 8-byte arrays per element; a proposal larger than
-    that is a run of its own. The runs are concatenated in order.
+    a quarter of :data:`knn.BLOCK_ELEMENTS`, so a run holds about 16
+    bytes per block element, near the 12 of a k-NN block (a float32 sim
+    and an int64 index per element); a proposal larger than that is a
+    run of its own. The runs are concatenated in order.
     """
     members, starts = _concat_members(proposals)
     sizes = np.diff(starts)
@@ -336,8 +328,9 @@ def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np
     the graph's CSR adjacency stays in a proposal's operator when the key
     of its other end is one of that proposal's slots. The weights are the
     edge similarities, each row scaled by its inverse degree (rows
-    without edges stay zero). Returns each proposal's entry count and the
-    entries' rows, columns (positions within the proposal) and values.
+    without edges stay zero): degrees and products in float64, the values
+    rounded to the graph's dtype. Returns each proposal's entry count and
+    the entries' rows, columns (positions within the proposal) and values.
     """
     indptr, nbr, sim = symmetric_csr(g)
     sizes = np.diff(starts)
@@ -355,7 +348,8 @@ def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np
     base = starts[own]
     deg = _row_sums(src, dst - base, w, sizes[owner])
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    return np.bincount(own, minlength=len(sizes)), src - base, dst - base, inv[src] * w
+    val = (inv[src] * w).astype(w.dtype)
+    return np.bincount(own, minlength=len(sizes)), src - base, dst - base, val
 
 
 def _row_sums(slot: np.ndarray, col: np.ndarray, w: np.ndarray, slot_size: np.ndarray) -> np.ndarray:
@@ -397,7 +391,7 @@ def _block_operator(ps: _ProposalSet, idx: np.ndarray) -> np.ndarray:
 
 def _gather(ps: _ProposalSet, idx: np.ndarray, emb: EmbeddingSet | np.ndarray) -> _Batch:
     """The batch of proposals ``idx``, stacked in that order. ``emb`` is the
-    embedding set or its rows, already cast to the model's dtype."""
+    embedding set or its rows."""
     rows = emb.rows if isinstance(emb, EmbeddingSet) else emb
     sizes = ps.sizes[idx]
     H0 = rows[ps.members[_ranges(ps.starts[idx], sizes)]]
@@ -545,20 +539,24 @@ def gcn_train(
     over the batch's proposals of the squared (iou, iop) error / 2. The
     operators and IoU/IoP targets are built once, before the first epoch.
 
-    Training runs in float32, the precision :func:`save_gcn_model` stores:
-    the float64 initial weights, the embedding rows, the operators and the
-    targets are cast once, and the returned model holds float32 weights.
+    Training runs in float32, the dtype of the embedding rows and the
+    graph: the float64 initial weights and the IoU/IoP targets are rounded
+    to it once, and the returned model is what :func:`save_gcn_model` stores.
 
     Raises :class:`TrainingDiverged` when a batch loss or the final
     weights are not finite (``lr`` too large for the data).
     """
     if not proposals:
         raise NoProposals("need at least one proposal to train on")
-    model = GcnModel.init(emb.d, seed=seed, widths=widths).astype(np.float32)
+    dtype = emb.rows.dtype
+    init = GcnModel.init(emb.d, seed=seed, widths=widths)
+    model = GcnModel(
+        [(w1.astype(dtype), w2.astype(dtype)) for w1, w2 in init.layer_weights],
+        init.head_weights.astype(dtype),
+    )
     rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
     ps = _prepare(proposals, g)
-    targets = _targets(ps.members, ps.starts, labels).astype(np.float32)
-    ps, rows = ps.astype(np.float32), emb.rows.astype(np.float32)
+    targets = _targets(ps.members, ps.starts, labels).astype(dtype)
     order = np.arange(len(proposals))
     # overflow surfaces as a non-finite loss, raised below as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -569,7 +567,7 @@ def gcn_train(
                 # equal sizes side by side: one reshape per size in _segment_means
                 idx = idx[np.argsort(ps.sizes[idx], kind="stable")]
                 loss, d_head, d_layers = _gcn_loss_and_grads(
-                    model, _gather(ps, idx, rows), targets[idx]
+                    model, _gather(ps, idx, emb), targets[idx]
                 )
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
@@ -594,17 +592,14 @@ def score_proposals(
     Consecutive proposals are evaluated together, in blocks of at most
     ``_SCORE_BLOCK_ROWS`` member rows; a proposal larger than that forms
     a block of its own. Each proposal's score depends only on its own
-    members and operator, never on its block. The computation runs in the
-    dtype of the model's weights.
+    members and operator, never on its block.
     """
     if not proposals:
         return []
-    dtype = model.head_weights.dtype
-    ps = _prepare(proposals, g).astype(dtype)
-    rows = emb.rows.astype(dtype, copy=False)
+    ps = _prepare(proposals, g)
     preds = []
     for lo, hi in _score_blocks(ps.sizes):
-        pred, _ = _forward(model, _gather(ps, np.arange(lo, hi), rows))
+        pred, _ = _forward(model, _gather(ps, np.arange(lo, hi), emb))
         preds.append(pred)
     return [ProposalScore(iou, iop) for iou, iop in np.concatenate(preds).tolist()]
 

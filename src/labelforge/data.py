@@ -1,10 +1,12 @@
 """Core data containers and bit-exact file I/O.
 
 Embeddings are stored on disk as float32 (magic ``EMB1`` header) and held
-in memory as float64; labels and clusterings travel as plain CSV; every
-other artifact is a NumPy ``.npz`` archive or sorted-key JSON. Each
-writer replaces its file atomically; each reader rejects a malformed
-file with a :class:`LabelForgeError`.
+in memory as float32 too: ``EmbeddingSet`` and ``LinearHead`` cast once, at
+construction, and every layer computes in the dtype it is given. Labels
+and clusterings travel as plain CSV; every other artifact is a NumPy
+``.npz`` archive or sorted-key JSON. Each writer replaces its file
+atomically; each reader rejects a malformed file with a
+:class:`LabelForgeError`.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ UNASSIGNED = -1
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """n x d matrix of per-sample feature vectors."""
+    """n x d float32 matrix of per-sample feature vectors."""
 
     rows: np.ndarray
     normalized: bool = False
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
+        rows = np.asarray(self.rows, dtype=np.float32)
         if rows.ndim != 2:
             raise InvalidData("rows must be a 2-D matrix")
         if rows.shape[0] < 1 or rows.shape[1] < 2:
@@ -136,12 +138,13 @@ class Clustering:
 
 @dataclass(frozen=True)
 class LinearHead:
-    """Multi-class linear classifier: rows of ``weights`` are per-class vectors."""
+    """Multi-class linear classifier: rows of the float32 ``weights`` are
+    per-class vectors."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.asarray(self.weights, dtype=np.float32)
         if w.ndim != 2 or w.shape[0] < 2:
             raise InvalidData("weights must be a (num_classes >= 2) x d matrix")
         if not np.all(np.isfinite(w)):
@@ -233,11 +236,12 @@ def _write_atomic(path, *chunks) -> None:
 def save_embeddings(emb: EmbeddingSet, path) -> None:
     """Write the EMB1 binary format: magic, n, d (u32 LE), float32 rows."""
     header = MAGIC + np.array([emb.n, emb.d], dtype="<u4").tobytes()
-    _write_atomic(path, header, emb.rows.astype("<f4").tobytes())
+    _write_atomic(path, header, np.ascontiguousarray(emb.rows, dtype="<f4"))
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Read the EMB1 binary format written by :func:`save_embeddings`."""
+    """Read the EMB1 binary format written by :func:`save_embeddings`; the
+    rows are a read-only float32 view of the file's bytes."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -253,8 +257,7 @@ def load_embeddings(path) -> EmbeddingSet:
     expected = 12 + 4 * n * d
     if len(blob) != expected:
         raise TruncatedFile(f"{path}: {len(blob)} bytes, expected {expected}")
-    rows = np.frombuffer(blob[12:], dtype="<f4").astype(np.float64).reshape(n, d)
-    return EmbeddingSet(rows, normalized=False)
+    return EmbeddingSet(np.frombuffer(blob, "<f4", offset=12).reshape(n, d), normalized=False)
 
 
 def _read_table(path, header: tuple[str, ...]) -> tuple[np.ndarray, list[list[str]]]:

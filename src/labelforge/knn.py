@@ -23,9 +23,10 @@ class KnnGraph:
     The rule is applied to the sims as the matrix product of a row block
     computes them. The thread count never changes the result, but the
     block height (:func:`block_rows`) can, because BLAS rounds a product
-    according to how it tiles it. Every sim is within the rounding of a
-    d-term dot product of the exact ``rows[i] @ rows[j]``, so under two
-    block heights the sims at each rank differ by at most ``d * 2**-52``,
+    according to how it tiles it. The sims take the dtype of the rows
+    (float32). Every sim is within the rounding of a d-term dot product
+    of the exact ``rows[i] @ rows[j]``, so under two block heights the
+    sims at each rank differ by at most ``d * 2**-23``,
     and the neighbors at a rank can differ only between candidates whose
     exact sims are within twice that: two different rows exactly as
     similar to row ``i`` may be rounded into either order.
@@ -58,17 +59,17 @@ class ClusterProposal:
 
 
 # elements of the largest scratch array a graph-layer pass may hold: the
-# (rows x n) similarity block of a k-NN worker (a float64 block and its
-# int64 argpartition indices: 4 MiB), the (rows x n) distance block of a
-# DBSCAN pass, or, at a quarter of it, the edges of a run of a proposal
-# gather (cluster._prepare). Scratch memory then stays flat in n instead
-# of growing as a fixed row count times n. On a 2-core Xeon with one
-# BLAS thread, 2**18 built k=8 graphs in 59, 218 and 35 ms at n=2500 and
-# n=5000 (d=32) and n=1600 (d=128), against 73, 275 and 43 ms with
-# 1024-row blocks; 2**17 and 2**19 were within 11% of it either way,
-# except 2**19 at d=128 (45 ms). In a whole scale-n5k pipeline 2**18
-# gave the lowest peak RSS (58 MB, against 61 and 64 MB) and the fewest
-# page faults.
+# (rows x n) similarity block of a k-NN worker (a float32 block and its
+# int64 argpartition indices: 3 MiB), the (rows x n) float32 distance
+# block of a DBSCAN pass, or, at a quarter of it, the edges of a run of a
+# proposal gather (cluster._prepare). Scratch memory then stays flat in
+# n instead of growing as a fixed row count times n. On a 2-core Xeon
+# with one BLAS thread and float64 blocks, 2**18 built k=8 graphs in 59,
+# 218 and 35 ms at n=2500 and n=5000 (d=32) and n=1600 (d=128), against
+# 73, 275 and 43 ms with 1024-row blocks; 2**17 and 2**19 were within 11%
+# of it either way, except 2**19 at d=128 (45 ms). In a whole scale-n5k
+# pipeline 2**18 gave the lowest peak RSS (58 MB, against 61 and 64 MB)
+# and the fewest page faults.
 BLOCK_ELEMENTS = 2**18
 
 
@@ -95,7 +96,7 @@ def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
         raise KOutOfRange(f"k={k} out of range for n={n}")
     rows = emb.rows
     neighbors = np.empty((n, k), dtype=np.int64)
-    sims = np.empty((n, k), dtype=np.float64)
+    sims = np.empty((n, k), dtype=rows.dtype)
     block = block_rows(n)
     starts = range(0, n, block)
     workers = min(threads, len(starts))
@@ -104,7 +105,7 @@ def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
         # one block buffer per worker, reused: a block allocated afresh for
         # every step is handed back to the OS when freed and faulted in
         # again, which doubled the build time at n=2500
-        buf = np.empty((min(block, n), n))
+        buf = np.empty((min(block, n), n), dtype=rows.dtype)
         for start in starts[worker::workers]:
             stop = min(start + block, n)
             local = np.arange(stop - start)

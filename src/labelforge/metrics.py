@@ -151,7 +151,8 @@ class FrechetStats:
 def frechet_stats(emb: EmbeddingSet, regularizer: float = 1e-6) -> FrechetStats:
     if emb.n < 2:
         raise TooFewSamples("need >= 2 samples for covariance")
-    mean = emb.rows.mean(axis=0)
+    # accumulate in float64: the float32 rows would round the sums
+    mean = emb.rows.mean(axis=0, dtype=np.float64)
     centered = emb.rows - mean
     cov = centered.T @ centered / (emb.n - 1)
     cov = 0.5 * (cov + cov.T) + regularizer * np.eye(emb.d)

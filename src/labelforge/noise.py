@@ -75,10 +75,10 @@ def train_linear_classifier(
     return LinearHead(W)
 
 
-def cross_entropy(head: LinearHead, emb: EmbeddingSet, y: np.ndarray) -> np.ndarray:
-    """Per-sample negative log-likelihood of the given targets."""
-    z = head.logits(emb)
-    z = z - z.max(axis=1, keepdims=True)
+def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample negative log-likelihood of the given targets under the
+    softmax of ``logits``, in their dtype."""
+    z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     return -log_probs[np.arange(len(y)), y]
 

@@ -49,7 +49,8 @@ class LossConfig:
 @dataclass
 class EncoderParams:
     """Residual map x -> normalize(x W + relu(x U) V); identity at init
-    (W = I, V = 0) so the untrained encoder is a no-op."""
+    (W = I, V = 0) so the untrained encoder is a no-op. :meth:`identity`
+    returns float32 parameters, the precision of the embedding rows."""
 
     W: np.ndarray
     U: np.ndarray
@@ -58,14 +59,12 @@ class EncoderParams:
     @classmethod
     def identity(cls, d: int, seed: int = 0) -> "EncoderParams":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
+        U = rng.standard_normal((d, d)) * np.sqrt(1.0 / d)
         return cls(
-            W=np.eye(d),
-            U=rng.standard_normal((d, d)) * np.sqrt(1.0 / d),
-            V=np.zeros((d, d)),
+            W=np.eye(d, dtype=np.float32),
+            U=U.astype(np.float32),
+            V=np.zeros((d, d), dtype=np.float32),
         )
-
-    def astype(self, dtype) -> "EncoderParams":
-        return EncoderParams(*(a.astype(dtype) for a in (self.W, self.U, self.V)))
 
 
 @dataclass
@@ -173,7 +172,7 @@ def _assemble(
                 w.append(np.ones(int(mask.sum())))
     X = np.vstack(X)
     y = np.concatenate(y)
-    w = np.concatenate(w)
+    w = np.concatenate(w, dtype=X.dtype)
     if X.shape[0] == 0:
         raise EmptyTrainingSet("no training samples")
     num_classes = int(y.max()) + 1
@@ -183,22 +182,23 @@ def _assemble(
 
 
 def _class_mean_init(X: np.ndarray, y: np.ndarray, num_classes: int, rng) -> np.ndarray:
-    """Unit head rows: small random rows plus each class's mean sample.
+    """Unit head rows: small random rows plus each class's mean sample,
+    computed in float64 and returned in the dtype of ``X``.
 
     The class-mean init avoids the dead-class local optima of random rows.
     The samples are stably sorted by class once, so each class's rows form
     one contiguous slice in their original order and its mean is bit-equal
-    to ``X[y == j].mean(axis=0)``; a class without samples keeps its
-    random row.
+    to ``X[y == j].mean(axis=0, dtype=np.float64)``; a class without
+    samples keeps its random row.
     """
     W = rng.standard_normal((num_classes, X.shape[1])) * 1e-3
     by_class, bounds = groups(y, num_classes)
     Xs = X[by_class]
     for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         if hi > lo:
-            W[j] += Xs[lo:hi].mean(axis=0)
+            W[j] += Xs[lo:hi].mean(axis=0, dtype=np.float64)
     W /= np.linalg.norm(W, axis=1)[:, None]
-    return W
+    return W.astype(X.dtype)
 
 
 def train_head(
@@ -215,9 +215,9 @@ def train_head(
     """SGD from scratch on the union of labeled and pseudo-labeled samples.
 
     Pseudo cluster ids are offset past the labeled id range. Head rows are
-    renormalized to the unit sphere after every step. The class-mean init is
-    computed in float64; training then runs in float32 and the model holds
-    float64 copies of the float32 weights, so it equals its saved archive.
+    renormalized to the unit sphere after every step. Training runs in
+    float32, the dtype of the embedding rows and of the initial head and
+    encoder, so the model equals its saved archive.
 
     Raises :class:`TrainingDiverged` when a batch loss or the final weights
     are not finite (``lr`` too large for the data).
@@ -227,11 +227,6 @@ def train_head(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     W = _class_mean_init(X, y, num_classes, rng)
     enc = EncoderParams.identity(d, seed=seed + 1) if with_encoder else None
-
-    # train in float32, the precision save_trained_model stores
-    X, w, W = X.astype(np.float32), w.astype(np.float32), W.astype(np.float32)
-    if enc is not None:
-        enc = enc.astype(np.float32)
     n = X.shape[0]
     order = np.arange(n)
     enc_lr = lr * 0.1  # encoder moves slower than the head
@@ -259,7 +254,7 @@ def train_head(
         raise TrainingDiverged(f"head training diverged: weights not finite (lr={lr})")
     return TrainedModel(
         head=LinearHead(W),
-        encoder=enc.astype(np.float64) if enc is not None else None,
+        encoder=enc,
         initial_loss=initial_loss,
         final_loss=final_loss,
     )
@@ -276,13 +271,13 @@ def embed(model: TrainedModel, emb: EmbeddingSet) -> EmbeddingSet:
 def save_trained_model(model: TrainedModel, path) -> None:
     """Weights as float32 (the encoder as stacked W, U, V); losses as float64."""
     arrays = {
-        "head": model.head.weights.astype(np.float32),
+        "head": model.head.weights,
         "initial_loss": np.float64(model.initial_loss),
         "final_loss": np.float64(model.final_loss),
     }
     if model.encoder is not None:
         enc = model.encoder
-        arrays["encoder"] = np.stack([enc.W, enc.U, enc.V]).astype(np.float32)
+        arrays["encoder"] = np.stack([enc.W, enc.U, enc.V])
     save_archive(arrays, path)
 
 
@@ -295,12 +290,12 @@ def load_trained_model(path) -> TrainedModel:
     }
     a = load_archive(path, spec, optional=("encoder",))
     try:
-        head = LinearHead(a["head"].astype(np.float64))
+        head = LinearHead(a["head"])
     except ValueError as exc:
         raise CorruptArtifact(f"{path}: {exc}") from exc
     enc = None
     if "encoder" in a:
-        enc = EncoderParams(*a["encoder"].astype(np.float64))
+        enc = EncoderParams(*a["encoder"])
     return TrainedModel(
         head=head,
         encoder=enc,

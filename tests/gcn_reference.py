@@ -5,7 +5,7 @@ replaced: each proposal gets its own dense Dinv A, forward pass and
 backward pass, and a batch's gradients are summed proposal by proposal.
 ``train`` is the float64 SGD loop that float32 ``gcn_train`` replaced:
 the same initial weights, RNG stream, shuffle, batches and updates, with
-every batch in shuffled order.
+every batch in shuffled order, on float64 copies of the rows.
 """
 
 import numpy as np
@@ -16,7 +16,8 @@ from labelforge.knn import symmetric_csr
 
 def proposal_operator(p, g):
     """Degree-normalized weighted adjacency Dinv A restricted to members,
-    gathered from the members' rows of the graph's CSR adjacency."""
+    gathered from the members' rows of the graph's CSR adjacency; computed
+    in float64 and rounded to the graph's dtype."""
     members = np.asarray(p.members, dtype=np.int64)  # sorted
     m = len(members)
     indptr, nbr, sim = symmetric_csr(g)
@@ -30,7 +31,7 @@ def proposal_operator(p, g):
     A[row[inside], col[inside]] = sim[edge[inside]]
     deg = A.sum(axis=1)
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    return inv[:, None] * A
+    return (inv[:, None] * A).astype(sim.dtype)
 
 
 def proposal_targets(p, labels):
@@ -58,9 +59,10 @@ def forward_cached(model, H, N):
     return pred, (cache, H, pooled)
 
 
-def loss_and_grads(model, batch, emb):
+def loss_and_grads(model, batch, rows):
     """Mean squared error over (iou, iop) targets plus full gradients;
-    ``batch`` holds (proposal, target, operator) triples."""
+    ``batch`` holds (proposal, target, operator) triples; ``rows`` are the
+    embedding rows."""
     d_head = np.zeros_like(model.head_weights)
     d_layers = [
         (np.zeros_like(w1), np.zeros_like(w2)) for w1, w2 in model.layer_weights
@@ -68,7 +70,7 @@ def loss_and_grads(model, batch, emb):
     total = 0.0
     for p, target, N in batch:
         members = np.asarray(p.members, dtype=np.int64)
-        H0 = emb.rows[members]
+        H0 = rows[members]
         pred, pack = forward_cached(model, H0, N)
         err = pred - target
         total += float(err @ err) / 2.0
@@ -86,16 +88,17 @@ def loss_and_grads(model, batch, emb):
     return total / len(batch), d_head, d_layers
 
 
-def score(model, p, emb, g):
-    """Raw (iou, iop) prediction for one proposal."""
+def score(model, p, rows, g):
+    """Raw (iou, iop) prediction for one proposal of the embedding ``rows``."""
     members = np.asarray(p.members, dtype=np.int64)
-    pred, _ = forward_cached(model, emb.rows[members], proposal_operator(p, g))
+    pred, _ = forward_cached(model, rows[members], proposal_operator(p, g))
     return pred
 
 
 def train(proposals, emb, g, labels, epochs, lr, seed=0, batch_size=16, widths=None):
     """The float64 ``GcnModel`` after per-proposal mini-batch SGD."""
     model = GcnModel.init(emb.d, seed=seed, widths=widths)
+    rows = emb.rows.astype(np.float64)
     rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
     triples = [
         (p, np.array(proposal_targets(p, labels)), proposal_operator(p, g)) for p in proposals
@@ -105,7 +108,7 @@ def train(proposals, emb, g, labels, epochs, lr, seed=0, batch_size=16, widths=N
         rng.shuffle(order)
         for start in range(0, len(order), batch_size):
             batch = [triples[j] for j in order[start : start + batch_size]]
-            _, d_head, d_layers = loss_and_grads(model, batch, emb)
+            _, d_head, d_layers = loss_and_grads(model, batch, rows)
             model.head_weights = model.head_weights - lr * d_head
             model.layer_weights = [
                 (w1 - lr * g1, w2 - lr * g2)

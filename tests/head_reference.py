@@ -1,7 +1,8 @@
 """Float64 reference for the cosine-margin head training's tests.
 
 This is the plain formulation ``labelforge.train`` replaced: the same SGD
-loop (RNG stream, shuffle, batches, updates) run entirely in float64, with
+loop (RNG stream, shuffle, batches, updates) run entirely in float64 (on
+float64 copies of the float32 samples and initial encoder), with
 a two-pass softmax whose probabilities are copied into the logit gradient,
 and with the class-mean init taken one class mask at a time.
 """
@@ -69,10 +70,14 @@ def train_head(labeled, pseudo, cfg, epochs=40, lr=0.1, seed=0,
                use_weights=False, with_encoder=False, batch_size=256):
     """(W, encoder, initial_loss, final_loss) after float64 SGD."""
     X, y, w, num_classes = _assemble(labeled, pseudo, cfg.gamma, use_weights)
+    X, w = X.astype(np.float64), w.astype(np.float64)
     d = X.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     W = class_mean_init(X, y, num_classes, rng)
-    enc = EncoderParams.identity(d, seed=seed + 1) if with_encoder else None
+    enc = None
+    if with_encoder:
+        init = EncoderParams.identity(d, seed=seed + 1)
+        enc = EncoderParams(*(a.astype(np.float64) for a in (init.W, init.U, init.V)))
 
     initial_loss = loss_and_grads(W, enc, X, y, w, cfg)[0]
     n = X.shape[0]

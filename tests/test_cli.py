@@ -521,9 +521,15 @@ def _gap_cluster_id(path):
          " disjoint samples"),
         (lambda out: _drop_last_rows(out / "pseudo_clusters_pm.csv", 5), "retrain",
          " disjoint samples"),
+        # a short label table used to pass separate and end cluster in an
+        # IndexError, or to let evaluate score only the rows it covers
+        (lambda out: _drop_last_rows(out / "train_labels.csv", 5), "separate",
+         "train_labels.csv: 195 labels for the 200 rows of "),
+        (lambda out: _drop_last_rows(out / "test_labels.csv", 5), "evaluate",
+         "test_labels.csv: 35 labels for the 40 rows of "),
     ],
     ids=["p-abc", "p-1.5", "p-nan", "cluster-id-gap", "train-row-x2", "test-row-nan",
-         "short-clustering", "short-clustering-pm"],
+         "short-clustering", "short-clustering-pm", "short-train-labels", "short-test-labels"],
 )
 def test_malformed_input_exits_2(run_copy, capsys, edit, stage, cause):
     cfg, out = run_copy

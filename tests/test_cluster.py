@@ -458,6 +458,13 @@ def _weights(model):
     return [model.head_weights] + [w for pair in model.layer_weights for w in pair]
 
 
+def _float32_model(d, seed, widths):
+    """``GcnModel.init`` rounded to float32, as gcn_train starts from it."""
+    init = GcnModel.init(d, seed=seed, widths=widths)
+    pairs = [(w1.astype(np.float32), w2.astype(np.float32)) for w1, w2 in init.layer_weights]
+    return GcnModel(pairs, init.head_weights.astype(np.float32))
+
+
 def _float32_batch():
     cfg = SynthConfig(num_ids=2, samples_per_id=6, dim=4, within_id_sigma=0.2, seed=7)
     emb, labels = generate_identities(cfg)
@@ -468,7 +475,7 @@ def _float32_batch():
     ]
     ps = _prepare(props, g)
     targets = _targets(ps.members, ps.starts, labels).astype(np.float32)
-    batch = _gather(ps.astype(np.float32), np.arange(len(props)), emb.rows.astype(np.float32))
+    batch = _gather(ps, np.arange(len(props)), emb)
     return batch, targets
 
 
@@ -476,7 +483,7 @@ def test_float32_batch_gives_float32_loss_gradients():
     # any float64 operand (operator, sizes, targets) would promote silently
     batch, targets = _float32_batch()
     assert batch.N.dtype == batch.H0.dtype == np.float32
-    model = GcnModel.init(4, seed=4, widths=(3, 2)).astype(np.float32)
+    model = _float32_model(4, seed=4, widths=(3, 2))
     loss, d_head, d_layers = _gcn_loss_and_grads(model, batch, targets)
     assert np.isfinite(loss)
     grads = [d_head] + [gw for pair in d_layers for gw in pair]
@@ -485,10 +492,10 @@ def test_float32_batch_gives_float32_loss_gradients():
 
 
 def test_float32_model_scores_in_float32():
-    # a float64 model scores in float64: test_gcn_oracles pins its scores
-    # to the per-proposal reference within 1e-12
+    # a float64 model scores float64 rows in float64: test_gcn_oracles pins
+    # those scores to the per-proposal reference within 1e-12
     batch, _ = _float32_batch()
-    model = GcnModel.init(4, seed=4, widths=(3, 2)).astype(np.float32)
+    model = _float32_model(4, seed=4, widths=(3, 2))
     pred, (cache, pooled) = _forward(model, batch)
     assert pred.dtype == pooled.dtype == np.float32
     assert all(a.dtype == np.float32 for layer in cache for a in layer)

@@ -38,6 +38,20 @@ def test_embedding_roundtrip(tmp_path):
     np.testing.assert_allclose(back.rows, rows.astype(np.float32), rtol=0, atol=0)
 
 
+def test_embeddings_load_as_the_float32_rows_stored(tmp_path):
+    rows = np.random.default_rng(1).standard_normal((3, 4)).astype(np.float32)
+    save_embeddings(EmbeddingSet(rows), tmp_path / "e.bin")
+    back = load_embeddings(tmp_path / "e.bin")
+    assert back.rows.dtype == np.float32
+    np.testing.assert_array_equal(back.rows, rows)
+
+
+def test_float32_rows_are_held_without_a_copy():
+    rows = np.random.default_rng(2).standard_normal((3, 4)).astype(np.float32)
+    assert np.shares_memory(EmbeddingSet(rows).rows, rows)
+    assert EmbeddingSet(rows.astype(np.float64)).rows.dtype == np.float32
+
+
 def test_embedding_file_size(tmp_path):
     emb = EmbeddingSet(np.array([[0.6, 0.8]]))
     path = tmp_path / "e.bin"
@@ -107,10 +121,12 @@ def test_normalize_preserves_cosine(n, d, seed):
     rows = np.random.default_rng(seed).standard_normal((n, d)) * 3 + 0.1
     emb = EmbeddingSet(rows)
     out = l2_normalize(emb)
-    norms = np.linalg.norm(rows, axis=1)
-    cos_before = (rows @ rows.T) / np.outer(norms, norms)
-    cos_after = out.rows @ out.rows.T
-    np.testing.assert_allclose(cos_after, cos_before, atol=1e-12)
+    # the float32 quotient bit for bit, so the cosines move by float32 rounding only
+    np.testing.assert_array_equal(out.rows, emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None])
+    x, y = emb.rows.astype(np.float64), out.rows.astype(np.float64)
+    norms = np.linalg.norm(x, axis=1)
+    cos_before = (x @ x.T) / np.outer(norms, norms)
+    np.testing.assert_allclose(y @ y.T, cos_before, atol=d * 2.0**-22)
 
 
 def test_labels_relabeled_contiguous(tmp_path):

@@ -3,10 +3,12 @@
 The references in ``gcn_reference`` evaluate one proposal at a time with
 its own dense operator. The batched code must build the same operators
 bit for bit, the same IoU/IoP targets bit for bit (ties on the modal
-identity included), and, for a float64 model, the same loss, gradients
-and scores up to the reordering of floating-point sums: within 1e-12 of
-each array's largest magnitude. Float32 training must stay within float32
-rounding of the float64 reference loop.
+identity included), and, for a float64 model on float64 copies of the
+rows, the same loss, gradients and scores up to the reordering of
+floating-point sums: within 1e-12 of each array's largest magnitude.
+(In float32, BLAS rounds a block-diagonal product and the per-proposal
+products it stacks differently.) Float32 training must stay within
+float32 rounding of the float64 reference loop.
 """
 
 import numpy as np
@@ -103,16 +105,17 @@ def test_targets_tie_goes_to_the_smaller_identity():
 def test_batched_loss_and_grads_match_reference(scene, seed):
     emb, g, labels, proposals, rng = scene
     model = cl.GcnModel.init(emb.d, seed=seed)
+    rows = emb.rows.astype(np.float64)
     idx = rng.permutation(len(proposals))
     ps = cl._prepare(proposals, g)
     targets = cl._targets(ps.members, ps.starts, labels)
-    loss, d_head, d_layers = cl._gcn_loss_and_grads(model, cl._gather(ps, idx, emb), targets[idx])
+    loss, d_head, d_layers = cl._gcn_loss_and_grads(model, cl._gather(ps, idx, rows), targets[idx])
     batch = [
         (proposals[j], np.array(ref.proposal_targets(proposals[j], labels)),
          ref.proposal_operator(proposals[j], g))
         for j in idx
     ]
-    want_loss, want_head, want_layers = ref.loss_and_grads(model, batch, emb)
+    want_loss, want_head, want_layers = ref.loss_and_grads(model, batch, rows)
     assert_close(loss, want_loss)
     assert_close(d_head, want_head)
     for got_pair, want_pair in zip(d_layers, want_layers):
@@ -125,9 +128,17 @@ def test_batched_loss_and_grads_match_reference(scene, seed):
 def test_batched_scores_match_reference(scene, seed):
     emb, g, _, proposals, _ = scene
     model = cl.GcnModel.init(emb.d, seed=seed)
-    got = np.array([[s.iou_pred, s.iop_pred] for s in cl.score_proposals(model, proposals, emb, g)])
-    want = np.array([ref.score(model, p, emb, g) for p in proposals])
-    assert_close(got, want)
+    ps = cl._prepare(proposals, g)
+
+    def blocks(rows):
+        """score_proposals' blocks, evaluated on ``rows``."""
+        batches = [cl._gather(ps, np.arange(lo, hi), rows) for lo, hi in cl._score_blocks(ps.sizes)]
+        return np.concatenate([cl._forward(model, batch)[0] for batch in batches])
+
+    scores = cl.score_proposals(model, proposals, emb, g)
+    assert [[s.iou_pred, s.iop_pred] for s in scores] == blocks(emb.rows).tolist()
+    rows = emb.rows.astype(np.float64)
+    assert_close(blocks(rows), np.array([ref.score(model, p, rows, g) for p in proposals]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,7 +178,7 @@ def test_float32_training_stays_close_to_float64_reference():
         assert a.dtype == np.float32 and b.dtype == np.float64
         assert np.max(np.abs(a - b)) <= 1e-4 * np.max(np.abs(b))
     scores = np.array([[s.iou_pred, s.iop_pred] for s in cl.score_proposals(got, props, emb, g)])
-    want_scores = np.array([ref.score(want, p, emb, g) for p in props])
+    want_scores = np.array([ref.score(want, p, emb.rows.astype(np.float64), g) for p in props])
     assert np.max(np.abs(scores - want_scores)) <= 1e-4 * np.max(np.abs(want_scores))
 
 

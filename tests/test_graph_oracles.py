@@ -95,7 +95,8 @@ def reference_proposals(g, ts, max_size):
 
 
 def reference_operator(members, g):
-    """Dinv A from the dense n x n adjacency of every symmetric edge."""
+    """Dinv A from the dense n x n adjacency of every symmetric edge,
+    computed in float64 and rounded to the graph's dtype."""
     lo, hi, sim = symmetric_edges(g)
     full = np.zeros((g.n, g.n))
     full[lo, hi] = sim
@@ -103,7 +104,7 @@ def reference_operator(members, g):
     A = full[np.ix_(members, members)]
     deg = A.sum(axis=1)
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-    return inv[:, None] * A
+    return (inv[:, None] * A).astype(sim.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,8 @@ def test_knn_guarantee_holds_under_any_block_height(emb, data):
             graphs.append(build_knn_graph(emb, k=k))
     product = emb.rows @ emb.rows.T
     np.fill_diagonal(product, -np.inf)
-    # two roundings of one d-term dot product of unit vectors differ by at most this
-    tol = emb.d * 2.0**-52
+    # two roundings of one float32 d-term dot product of unit vectors differ by at most this
+    tol = emb.d * 2.0**-23
     i = np.arange(n)[:, None]
     for g in graphs:
         # the (-sim, index) order of its own sims, self excluded

@@ -22,8 +22,9 @@ from labelforge.train import (
 
 # --- per-sample references for the batched loss ---
 
-def cosine_loss(feature: np.ndarray, head: LinearHead, label_j: int, cfg: LossConfig) -> float:
-    """Additive cosine-margin loss for one sample.
+def cosine_loss(feature: np.ndarray, weights: np.ndarray, label_j: int, cfg: LossConfig) -> float:
+    """Additive cosine-margin loss for one sample under the head ``weights``
+    (one row per class), computed in float64.
 
     Requires unit-norm feature and head rows; the margin is subtracted
     from the target-class cosine before scaling.
@@ -31,10 +32,10 @@ def cosine_loss(feature: np.ndarray, head: LinearHead, label_j: int, cfg: LossCo
     f = np.asarray(feature, dtype=np.float64)
     if abs(np.linalg.norm(f) - 1.0) > 1e-5:
         raise errors.NotNormalized("feature must be unit-norm")
-    norms = np.linalg.norm(head.weights, axis=1)
+    norms = np.linalg.norm(weights, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-5):
         raise errors.NotNormalized("head rows must be unit-norm")
-    logits = cfg.alpha * (head.weights @ f)
+    logits = cfg.alpha * (weights @ f)
     logits[label_j] -= cfg.alpha * cfg.margin_m
     shifted = logits - logits.max()
     log_z = np.log(np.exp(shifted).sum())
@@ -47,7 +48,7 @@ def weighted_loss(loss: float, p_minus_value: float, gamma: float) -> float:
 
 
 def _unit_head():
-    return LinearHead(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    return np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
 # --- loss hand values ---
@@ -69,7 +70,7 @@ def test_cosine_loss_margin_penalizes_target():
 
 
 def test_cosine_loss_identical_rows():
-    head = LinearHead(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    head = np.array([[1.0, 0.0], [1.0, 0.0]])
     cfg = LossConfig(alpha=16.0, margin_m=0.0)
     loss = cosine_loss(np.array([0.6, 0.8]), head, 0, cfg)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
@@ -88,7 +89,7 @@ def test_cosine_loss_requires_unit_feature():
 
 
 def test_cosine_loss_requires_unit_head_rows():
-    head = LinearHead(np.array([[2.0, 0.0], [0.0, 1.0]]))
+    head = np.array([[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(errors.NotNormalized):
         cosine_loss(np.array([1.0, 0.0]), head, 0, LossConfig())
 
@@ -111,7 +112,7 @@ def test_batched_loss_is_the_weighted_mean_of_per_sample_losses():
     weights = (1.0 - p_minus) ** cfg.gamma
     loss, _, _ = _loss_and_grads(W, None, X, y, weights, cfg)
     per_sample = [
-        weighted_loss(cosine_loss(x, LinearHead(W), int(j), cfg), p, cfg.gamma)
+        weighted_loss(cosine_loss(x, W, int(j), cfg), p, cfg.gamma)
         for x, j, p in zip(X, y, p_minus)
     ]
     assert loss == pytest.approx(sum(per_sample) / weights.sum(), rel=1e-12)
@@ -166,7 +167,8 @@ def test_encoder_gradient_matches_finite_differences():
     y = rng.integers(0, 2, size=8)
     w = np.ones(8)
     W = rng.standard_normal((2, 3))
-    enc = EncoderParams.identity(3, seed=2)
+    # the kernel runs in float64 here: float32 cannot resolve the 1e-6 steps
+    enc = _astype(EncoderParams.identity(3, seed=2), np.float64)
     enc.W += rng.standard_normal((3, 3)) * 0.1
     enc.V += rng.standard_normal((3, 3)) * 0.1
     cfg = LossConfig(alpha=4.0, margin_m=0.1)
@@ -180,6 +182,10 @@ def test_encoder_gradient_matches_finite_differences():
     assert max_rel < 1e-4
 
 
+def _astype(enc, dtype):
+    return EncoderParams(*(a.astype(dtype) for a in (enc.W, enc.U, enc.V)))
+
+
 def _batch(with_encoder, dtype=np.float64, seed=15):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((40, 6))
@@ -189,9 +195,9 @@ def _batch(with_encoder, dtype=np.float64, seed=15):
     W = rng.standard_normal((4, 6))
     enc = None
     if with_encoder:
-        enc = EncoderParams.identity(6, seed=seed)
+        enc = _astype(EncoderParams.identity(6, seed=seed), np.float64)
         enc.V += rng.standard_normal((6, 6)) * 0.1
-        enc = enc.astype(dtype)
+        enc = _astype(enc, dtype)
     return X.astype(dtype), y, w.astype(dtype), W.astype(dtype), enc
 
 
@@ -360,7 +366,8 @@ def test_encoder_identity_at_init():
     model = TrainedModel(head=LinearHead(np.eye(emb.d)),
                          encoder=EncoderParams.identity(emb.d, seed=0))
     out = embed(model, emb)
-    np.testing.assert_allclose(out.rows, emb.rows, atol=1e-12)
+    # x I + relu(x U) 0 is x exactly in float32: what is left is the renormalization
+    np.testing.assert_array_equal(out.rows, emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None])
 
 
 def test_embed_requires_encoder():
@@ -410,6 +417,21 @@ def test_roundtrip_with_encoder(tmp_path):
     back = load_trained_model(tmp_path / "m.npz")
     for name in "WUV":
         assert np.array_equal(getattr(back.encoder, name), getattr(model.encoder, name))
+
+
+def test_trained_and_loaded_models_hold_float32_weights(tmp_path):
+    emb, labels = _harness(num_ids=2, per_id=10, seed=12)
+    model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0,
+                       with_encoder=True)
+    save_trained_model(model, tmp_path / "m.npz")
+    back = load_trained_model(tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as archive:
+        stored = [archive["head"], *archive["encoder"]]
+    for m in (model, back):
+        weights = [m.head.weights, m.encoder.W, m.encoder.U, m.encoder.V]
+        assert [w.dtype for w in weights] == [np.float32] * 4
+        for got, want in zip(weights, stored):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_roundtrip_keeps_losses_exact(tmp_path):
