@@ -25,7 +25,7 @@ from .data import (
 )
 from .errors import KOutOfRange, LengthMismatch, NoProposals, TrainingDiverged
 from . import knn
-from .knn import ClusterProposal, KnnGraph, component_labels, symmetric_csr
+from .knn import KnnGraph, Proposals, component_labels, offsets, ranges, symmetric_csr
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +169,6 @@ def clustering_from_labels(labels: LabelSet) -> Clustering:
 # GCN proposal scorer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProposalScore:
-    iou_pred: float
-    iop_pred: float
-
-
 @dataclass
 class GcnModel:
     """Two graph-conv layers (widths d -> h1 -> h2) and a linear head that
@@ -234,25 +228,15 @@ _SCORE_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
-class _ProposalSet:
-    """A proposal list laid end to end, with every proposal's operator.
+class _ProposalSet(Proposals):
+    """A :class:`Proposals` set with every proposal's operator: proposal ``j``
+    owns entries ``edge_starts[j]:edge_starts[j + 1]`` of ``edge_row``/``edge_col``/
+    ``edge_val``, the nonzeros of its Dinv A at int32 positions in the proposal."""
 
-    Proposal ``j`` owns the member slots ``starts[j]:starts[j + 1]`` of
-    ``members`` and the operator entries ``edge_starts[j]:edge_starts[j + 1]``
-    of ``edge_row``/``edge_col``/``edge_val``: the nonzeros of its Dinv A,
-    with row and column given as positions within the proposal.
-    """
-
-    members: np.ndarray
-    starts: np.ndarray
     edge_starts: np.ndarray
     edge_row: np.ndarray
     edge_col: np.ndarray
     edge_val: np.ndarray
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.starts)
 
 
 @dataclass(frozen=True)
@@ -270,29 +254,8 @@ class _Batch:
     seg: np.ndarray
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """``[0, c0, c0 + c1, ...]``: where each of consecutive runs starts."""
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
-def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``first[i], first[i] + 1, ..., first[i] + counts[i] - 1`` for every i, concatenated."""
-    return np.arange(counts.sum()) + np.repeat(first - _offsets(counts)[:-1], counts)
-
-
-def _concat_members(proposals: list[ClusterProposal]) -> tuple[np.ndarray, np.ndarray]:
-    sizes = np.fromiter((len(p.members) for p in proposals), dtype=np.int64, count=len(proposals))
-    starts = _offsets(sizes)
-    members = np.fromiter(
-        (m for p in proposals for m in p.members), dtype=np.int64, count=int(starts[-1])
-    )
-    return members, starts
-
-
-def _prepare(proposals: list[ClusterProposal], g: KnnGraph) -> _ProposalSet:
-    """Concatenate the proposals and build every Dinv A.
+def _prepare(proposals: Proposals, g: KnnGraph) -> _ProposalSet:
+    """Build every Dinv A of the proposals.
 
     The operators are gathered a run of consecutive proposals at a time
     (:func:`_operators`). A run holds about eight int64 arrays over the
@@ -303,10 +266,10 @@ def _prepare(proposals: list[ClusterProposal], g: KnnGraph) -> _ProposalSet:
     and an int64 index per element); a proposal larger than that is a
     run of its own. The runs are concatenated in order.
     """
-    members, starts = _concat_members(proposals)
+    members, starts = proposals.members, proposals.starts
     sizes = np.diff(starts)
     indptr = symmetric_csr(g)[0]
-    edges = _offsets(indptr[members + 1] - indptr[members])[starts]
+    edges = offsets(indptr[members + 1] - indptr[members])[starts]
     runs = [
         _operators(members[starts[lo] : starts[hi]], starts[lo : hi + 1] - starts[lo], g)
         for lo, hi in _runs(np.diff(edges) + sizes * sizes, knn.BLOCK_ELEMENTS // 4)
@@ -316,7 +279,7 @@ def _prepare(proposals: list[ClusterProposal], g: KnnGraph) -> _ProposalSet:
     columns = [list(parts) for parts in zip(*runs)]
     del runs
     counts, row, col, val = [np.concatenate(columns.pop(0)) for _ in range(4)]
-    return _ProposalSet(members, starts, _offsets(counts), row, col, val)
+    return _ProposalSet(members, starts, proposals.thresholds, offsets(counts), row, col, val)
 
 
 def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np.ndarray, ...]:
@@ -330,7 +293,7 @@ def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np
     edge similarities, each row scaled by its inverse degree (rows
     without edges stay zero): degrees and products in float64, the values
     rounded to the graph's dtype. Returns each proposal's entry count and
-    the entries' rows, columns (positions within the proposal) and values.
+    the entries' rows, columns (int32 positions in the proposal) and values.
     """
     indptr, nbr, sim = symmetric_csr(g)
     sizes = np.diff(starts)
@@ -339,17 +302,18 @@ def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np
     first = indptr[members]
     counts = indptr[members + 1] - first
     src = np.repeat(np.arange(len(members)), counts)
-    edge = _ranges(first, counts)
+    edge = ranges(first, counts)
     other = owner[src] * g.n + nbr[edge]
     dst = np.minimum(np.searchsorted(keys, other), len(keys) - 1)
     inside = keys[dst] == other
     src, dst, w = src[inside], dst[inside], sim[edge[inside]]
     own = owner[src]
     base = starts[own]
-    deg = _row_sums(src, dst - base, w, sizes[owner])
+    row, col = src - base, dst - base
+    deg = _row_sums(src, col, w, sizes[owner])
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     val = (inv[src] * w).astype(w.dtype)
-    return np.bincount(own, minlength=len(sizes)), src - base, dst - base, val
+    return np.bincount(own, minlength=len(sizes)), row.astype(np.int32), col.astype(np.int32), val
 
 
 def _row_sums(slot: np.ndarray, col: np.ndarray, w: np.ndarray, slot_size: np.ndarray) -> np.ndarray:
@@ -357,9 +321,10 @@ def _row_sums(slot: np.ndarray, col: np.ndarray, w: np.ndarray, slot_size: np.nd
     slot's proposal matrix, ``A.sum(axis=1)`` on an (m x m) ``A``, adds it.
 
     NumPy's pairwise summation groups a row's terms by column position, so
-    a ``bincount`` in edge order can differ in the last bit. Rows of
-    equal-size proposals are stacked into one dense (rows x m) array per
-    size instead, and each row is reduced the same way.
+    a ``bincount`` in edge order can differ: sims 1e-20, 0.6 and -0.6 sum to
+    0 in column order, 1e-20 in edge order. Rows of equal-size proposals are
+    stacked into one dense (rows x m) array per size instead, and each row
+    is reduced the same way.
     """
     out = np.zeros(len(slot_size))
     by_size = np.argsort(slot_size, kind="stable")
@@ -380,9 +345,9 @@ def _row_sums(slot: np.ndarray, col: np.ndarray, w: np.ndarray, slot_size: np.nd
 def _block_operator(ps: _ProposalSet, idx: np.ndarray) -> np.ndarray:
     """Dense block-diagonal matrix of the operators of proposals ``idx``,
     in that order, scattered from their stored entries."""
-    seg = _offsets(ps.sizes[idx])
+    seg = offsets(ps.sizes[idx])
     counts = ps.edge_starts[idx + 1] - ps.edge_starts[idx]
-    edge = _ranges(ps.edge_starts[idx], counts)
+    edge = ranges(ps.edge_starts[idx], counts)
     shift = np.repeat(seg[:-1], counts)
     N = np.zeros((seg[-1], seg[-1]), dtype=ps.edge_val.dtype)
     N[ps.edge_row[edge] + shift, ps.edge_col[edge] + shift] = ps.edge_val[edge]
@@ -394,8 +359,8 @@ def _gather(ps: _ProposalSet, idx: np.ndarray, emb: EmbeddingSet | np.ndarray) -
     embedding set or its rows."""
     rows = emb.rows if isinstance(emb, EmbeddingSet) else emb
     sizes = ps.sizes[idx]
-    H0 = rows[ps.members[_ranges(ps.starts[idx], sizes)]]
-    return _Batch(H0=H0, N=_block_operator(ps, idx), sizes=sizes, seg=_offsets(sizes)[:-1])
+    H0 = rows[ps.members[ranges(ps.starts[idx], sizes)]]
+    return _Batch(H0=H0, N=_block_operator(ps, idx), sizes=sizes, seg=offsets(sizes)[:-1])
 
 
 def _segment_means(X: np.ndarray, seg: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -462,34 +427,19 @@ def _gcn_loss_and_grads(model: GcnModel, batch: _Batch, targets: np.ndarray):
     return loss, d_head, d_layers[::-1]
 
 
-def _targets(members: np.ndarray, starts: np.ndarray, labels: LabelSet) -> np.ndarray:
+def _targets(proposals: Proposals, labels: LabelSet) -> np.ndarray:
     """(proposals, 2) IoU / IoP of each proposal against its modal identity.
 
     The modal identity is the most frequent label among the members; ties
     go to the smaller label.
     """
-    sizes = np.diff(starts)
-    ident, inter = modal(np.repeat(np.arange(len(sizes)), sizes), labels.labels[members])
+    sizes = proposals.sizes
+    ident, inter = modal(np.repeat(np.arange(len(sizes)), sizes), labels.labels[proposals.members])
     union = sizes + np.bincount(labels.labels)[ident] - inter
     return np.stack([inter / union, inter / sizes], axis=1)
 
 
-def proposal_targets(p: ClusterProposal, labels: LabelSet) -> tuple[float, float]:
-    """IoU / IoP of a proposal against its modal ground-truth identity
-    (the most frequent member label; ties go to the smaller label)."""
-    members = np.asarray(p.members, dtype=np.int64)
-    iou, iop = _targets(members, np.array([0, len(members)]), labels)[0].tolist()
-    return iou, iop
-
-
-def gcn_forward(model: GcnModel, p: ClusterProposal, emb: EmbeddingSet, g: KnnGraph) -> ProposalScore:
-    """Score one proposal; raw (unclamped) regression outputs."""
-    return score_proposals(model, [p], emb, g)[0]
-
-
-def union_augment(
-    proposals: list[ClusterProposal], count: int, seed: int = 0
-) -> list[ClusterProposal]:
+def union_augment(proposals: Proposals, count: int, seed: int = 0) -> Proposals:
     """Synthesize extra training proposals as unions of random pairs.
 
     Threshold-sweep proposals on labeled data are mostly pure, which
@@ -497,30 +447,42 @@ def union_augment(
     proposals supply impure ones. Unions that duplicate an existing
     proposal (or an earlier union) are skipped. The union inherits the
     smaller threshold of the pair.
+
+    Each attempt draws its own pair, ``rng.integers(0, P, size=2)``, for
+    at most ``20 * count`` attempts. Attempts run in rounds as long as
+    the number of unions still missing; a round's unions are formed at once.
     """
-    if count <= 0 or len(proposals) < 2:
-        return []
+    if len(proposals) < 2:
+        return Proposals.of([])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    seen = {tuple(sorted(p.members)) for p in proposals}
-    out: list[ClusterProposal] = []
+    seen = {p.members.tobytes() for p in proposals}
+    pairs = []
     attempts = 0
-    while len(out) < count and attempts < 20 * count:
-        attempts += 1
-        i, j = rng.integers(0, len(proposals), size=2)
-        members = tuple(sorted(set(proposals[i].members) | set(proposals[j].members)))
-        if members in seen:
-            continue
-        seen.add(members)
-        out.append(
-            ClusterProposal(
-                members, min(proposals[i].threshold, proposals[j].threshold)
-            )
-        )
-    return out
+    while len(pairs) < count and attempts < 20 * count:
+        tries = min(count - len(pairs), 20 * count - attempts)
+        draws = [rng.integers(0, len(proposals), size=2) for _ in range(tries)]
+        attempts += tries
+        for pair, union in zip(draws, _unions(proposals, np.array(draws))):
+            key = union.members.tobytes()
+            if key not in seen:
+                seen.add(key)
+                pairs.append(pair)
+    return _unions(proposals, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def _unions(proposals: Proposals, pairs: np.ndarray) -> Proposals:
+    """The union of each (i, j) row of ``pairs``, at the smaller threshold."""
+    sizes = proposals.sizes[pairs]
+    owner = np.repeat(np.arange(len(pairs)), sizes.sum(axis=1))
+    picked = proposals.members[ranges(proposals.starts[pairs.ravel()], sizes.ravel())]
+    width = int(proposals.members.max()) + 1
+    owner, members = np.divmod(np.unique(owner * width + picked), width)
+    ts = proposals.thresholds[pairs].min(axis=1)
+    return Proposals(members, offsets(np.bincount(owner, minlength=len(pairs))), ts)
 
 
 def gcn_train(
-    proposals: list[ClusterProposal],
+    proposals: Proposals,
     emb: EmbeddingSet,
     g: KnnGraph,
     labels: LabelSet,
@@ -546,7 +508,7 @@ def gcn_train(
     Raises :class:`TrainingDiverged` when a batch loss or the final
     weights are not finite (``lr`` too large for the data).
     """
-    if not proposals:
+    if not len(proposals):
         raise NoProposals("need at least one proposal to train on")
     dtype = emb.rows.dtype
     init = GcnModel.init(emb.d, seed=seed, widths=widths)
@@ -556,7 +518,7 @@ def gcn_train(
     )
     rng = np.random.default_rng(np.random.SeedSequence(seed + 1))
     ps = _prepare(proposals, g)
-    targets = _targets(ps.members, ps.starts, labels).astype(dtype)
+    targets = _targets(proposals, labels).astype(dtype)
     order = np.arange(len(proposals))
     # overflow surfaces as a non-finite loss, raised below as a typed error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -585,28 +547,23 @@ def gcn_train(
 
 
 def score_proposals(
-    model: GcnModel, proposals: list[ClusterProposal], emb: EmbeddingSet, g: KnnGraph
-) -> list[ProposalScore]:
-    """Raw (unclamped) predictions for every proposal, in input order.
+    model: GcnModel, proposals: Proposals, emb: EmbeddingSet, g: KnnGraph
+) -> np.ndarray:
+    """(proposals, 2) raw (unclamped) iou and iop predictions, in input order.
 
     Consecutive proposals are evaluated together, in blocks of at most
     ``_SCORE_BLOCK_ROWS`` member rows; a proposal larger than that forms
     a block of its own. Each proposal's score depends only on its own
     members and operator, never on its block.
     """
-    if not proposals:
-        return []
+    if not len(proposals):
+        return np.zeros((0, 2), dtype=emb.rows.dtype)
     ps = _prepare(proposals, g)
-    preds = []
-    for lo, hi in _score_blocks(ps.sizes):
-        pred, _ = _forward(model, _gather(ps, np.arange(lo, hi), emb))
-        preds.append(pred)
-    return [ProposalScore(iou, iop) for iou, iop in np.concatenate(preds).tolist()]
-
-
-def _score_blocks(sizes: np.ndarray) -> list[tuple[int, int]]:
-    """Greedy ``[lo, hi)`` runs of proposals of at most _SCORE_BLOCK_ROWS rows."""
-    return _runs(sizes, _SCORE_BLOCK_ROWS)
+    preds = [
+        _forward(model, _gather(ps, np.arange(lo, hi), emb))[0]
+        for lo, hi in _runs(ps.sizes, _SCORE_BLOCK_ROWS)
+    ]
+    return np.concatenate(preds)
 
 
 def _runs(weights: np.ndarray, limit: int) -> list[tuple[int, int]]:
@@ -623,35 +580,29 @@ def _runs(weights: np.ndarray, limit: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def deoverlap(
-    proposals: list[ClusterProposal],
-    scores: list[ProposalScore],
-    min_cluster_size: int = 2,
-) -> Clustering:
+def deoverlap(proposals: Proposals, scores: np.ndarray, min_cluster_size: int = 2) -> Clustering:
     """Greedy partition of scored proposals into disjoint clusters.
 
-    Proposals are consumed by clamped iou_pred descending (ties: larger
-    proposal first, then lower index); each emits its not-yet-assigned
-    members, and emissions below ``min_cluster_size`` are skipped, leaving
-    those members claimable by later proposals.
+    ``scores`` holds each proposal's (iou, iop) prediction, as
+    :func:`score_proposals` returns them. Proposals are consumed by
+    clamped iou prediction descending (ties: larger proposal first, then
+    lower index); each emits its not-yet-assigned members, and emissions
+    below ``min_cluster_size`` are skipped, leaving those members
+    claimable by later proposals.
     """
     if len(proposals) != len(scores):
         raise LengthMismatch(f"{len(proposals)} proposals vs {len(scores)} scores")
-    n = 1 + max(max(p.members) for p in proposals)
-    order = sorted(
-        range(len(proposals)),
-        key=lambda i: (
-            -min(max(scores[i].iou_pred, 0.0), 1.0),
-            -len(proposals[i].members),
-            i,
-        ),
-    )
-    assignment = np.full(n, UNASSIGNED, dtype=np.int64)
+    members, sizes, starts = proposals.members, proposals.sizes, proposals.starts.tolist()
+    # lexsort is stable, so equal keys keep index order
+    order = np.lexsort((-sizes, -np.clip(np.asarray(scores)[:, 0], 0.0, 1.0)))
+    assignment = np.full(int(members.max()) + 1, UNASSIGNED, dtype=np.int64)
     cid = 0
-    for i in order:
-        fresh = [m for m in proposals[i].members if assignment[m] == UNASSIGNED]
+    # a proposal smaller than min_cluster_size can never emit
+    for i in order[sizes[order] >= min_cluster_size].tolist():
+        own = members[starts[i] : starts[i + 1]]
+        fresh = own[assignment[own] == UNASSIGNED]
         if len(fresh) >= min_cluster_size:
-            assignment[np.array(fresh, dtype=np.int64)] = cid
+            assignment[fresh] = cid
             cid += 1
     return Clustering(relabel(assignment))
 

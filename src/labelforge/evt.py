@@ -57,7 +57,8 @@ def otsu_threshold(scores, n_bins: int = 256) -> float:
     """Histogram threshold maximizing between-class variance.
 
     Candidate thresholds are the interior bin edges of an equal-width
-    histogram over [min, max]; ties resolve to the lowest edge.
+    histogram over [min, max]; ties resolve to the lowest edge, so the bin
+    just below the returned edge is never empty.
     """
     x = np.asarray(scores, dtype=np.float64).ravel()
     if n_bins < 2:
@@ -66,21 +67,15 @@ def otsu_threshold(scores, n_bins: int = 256) -> float:
         raise DegenerateScores("need >= 2 distinct score values")
     counts, edges = np.histogram(x, bins=n_bins, range=(x.min(), x.max()))
     centers = 0.5 * (edges[:-1] + edges[1:])
-    best_t = float(edges[1])
-    best_v = -1.0
-    for cut in range(1, n_bins):
-        w0 = counts[:cut].sum()
-        w1 = counts[cut:].sum()
-        if w0 == 0 or w1 == 0:
-            v = 0.0
-        else:
-            m0 = (counts[:cut] * centers[:cut]).sum() / w0
-            m1 = (counts[cut:] * centers[cut:]).sum() / w1
-            v = w0 * w1 * (m0 - m1) ** 2
-        if v > best_v:  # strict: ties resolve to the lowest threshold
-            best_v = v
-            best_t = float(edges[cut])
-    return best_t
+    mass = counts * centers
+    # running sums from either end: the cuts around an empty bin split alike
+    # and tie exactly. The end bins hold the min and max: no class is empty.
+    w0 = np.cumsum(counts)[:-1]
+    w1 = np.cumsum(counts[::-1])[::-1][1:]
+    m0 = np.cumsum(mass)[:-1] / w0
+    m1 = np.cumsum(mass[::-1])[::-1][1:] / w1
+    v = w0 * w1 * (m0 - m1) ** 2
+    return float(edges[1 + int(np.argmax(v))])  # argmax: the first of equal maxima
 
 
 def weibull_fit_mle(samples, max_iter: int = 100, tol: float = 1e-9) -> WeibullParams:

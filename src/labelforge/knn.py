@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,18 +45,65 @@ class KnnGraph:
         return self.neighbors.shape[1]
 
 
-@dataclass(frozen=True)
-class ClusterProposal:
-    """Candidate cluster: a connected component of the thresholded graph."""
+class ClusterProposal(NamedTuple):
+    """One proposal of a :class:`Proposals` set, as iterating over the set yields it."""
 
-    members: tuple[int, ...]
+    members: np.ndarray
     threshold: float
 
-    def __post_init__(self):
-        members = tuple(sorted(set(int(m) for m in self.members)))
-        if len(members) < 1:
-            raise ValueError("proposal must have at least one member")
-        object.__setattr__(self, "members", members)
+
+@dataclass(frozen=True)
+class Proposals:
+    """Candidate clusters laid end to end: proposal ``j`` owns
+    ``members[starts[j]:starts[j + 1]]``, in ascending order, and was cut
+    at ``thresholds[j]``."""
+
+    members: np.ndarray
+    starts: np.ndarray
+    thresholds: np.ndarray
+
+    @classmethod
+    def of(cls, member_lists, thresholds=0.0) -> "Proposals":
+        """One proposal per list of sample indices, sorted and deduplicated;
+        ``thresholds`` holds one value per list or one for all."""
+        arrays = [np.unique(np.asarray(m, dtype=np.int64)) for m in member_lists]
+        members = np.concatenate([np.zeros(0, dtype=np.int64), *arrays])
+        if any(a.size == 0 for a in arrays) or (members < 0).any():
+            raise ValueError("a proposal needs one or more members, each an index >= 0")
+        sizes = np.array([a.size for a in arrays], dtype=np.int64)
+        ts = np.broadcast_to(np.asarray(thresholds, dtype=np.float64), sizes.shape).copy()
+        return cls(members, offsets(sizes), ts)
+
+    def __len__(self) -> int:
+        return len(self.thresholds)
+
+    def __iter__(self):
+        # an empty set still splits into one (empty) part; zip-like map drops it
+        parts = np.split(self.members, self.starts[1:-1])
+        return map(ClusterProposal, parts, self.thresholds.tolist())
+
+    def __add__(self, other: "Proposals") -> "Proposals":
+        return Proposals(
+            np.concatenate([self.members, other.members]),
+            np.concatenate([self.starts[:-1], other.starts + self.starts[-1]]),
+            np.concatenate([self.thresholds, other.thresholds]),
+        )
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+
+def offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each of consecutive runs starts."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``first[i], first[i] + 1, ..., first[i] + counts[i] - 1`` for every i, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(first - offsets(counts)[:-1], counts)
 
 
 # elements of the largest scratch array a graph-layer pass may hold: the
@@ -205,7 +253,7 @@ def component_labels(label: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
 def proposals_from_thresholds(
     g: KnnGraph, thresholds: list[float], max_size: int = 300
-) -> list[ClusterProposal]:
+) -> Proposals:
     """Connected-component proposals at each threshold, oversized ones re-cut.
 
     Components larger than ``max_size`` are recursively re-cut at the next
@@ -229,7 +277,7 @@ def proposals_from_thresholds(
     lo, hi, sim = symmetric_edges(g)
     nodes = np.arange(g.n)
 
-    out: list[ClusterProposal] = []
+    chunks, sizes, cuts = [], [], []
     label = nodes
     prev_size = np.ones(g.n, dtype=np.int64)
     for ti, t in enumerate(ts):
@@ -242,11 +290,11 @@ def proposals_from_thresholds(
             # a component that did not grow was proposed at a higher threshold
             reps = reps[(size[reps] <= max_size) & (size[reps] > prev_size[reps])]
         members = np.argsort(label, kind="stable")  # grouped by label, sorted
-        offsets = np.concatenate([[0], np.cumsum(size)])
-        for r in reps:
-            out.append(ClusterProposal(tuple(members[offsets[r] : offsets[r + 1]].tolist()), t))
+        chunks.append(members[ranges(offsets(size)[reps], size[reps])])
+        sizes.append(size[reps])
+        cuts.append(np.full(len(reps), t, dtype=np.float64))
         prev_size = size
-    return out
+    return Proposals(np.concatenate(chunks), offsets(np.concatenate(sizes)), np.concatenate(cuts))
 
 
 def default_thresholds(g: KnnGraph, count: int = 8) -> list[float]:

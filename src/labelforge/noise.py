@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, LinearHead, modal
-from .errors import NoPositives, TooFewClusters
+from .errors import NoPositives, TooFewClusters, TrainingDiverged
 from .evt import WeibullParams, otsu_split, weibull_fit_mle, weibull_survival
 
 CORRECT = 0
@@ -51,7 +51,8 @@ def train_linear_classifier(
     """Multinomial logistic regression on cluster assignments.
 
     UNASSIGNED samples are excluded; mini-batch gradient descent with an
-    L2 penalty; bias-free so logits stay comparable across classes.
+    L2 penalty; bias-free so logits stay comparable across classes. Raises
+    :class:`TrainingDiverged` when the weights end up not finite (``lr`` too large).
     """
     mask = c.assignment != UNASSIGNED
     X = emb.rows[mask]
@@ -63,15 +64,19 @@ def train_linear_classifier(
     W = rng.standard_normal((K, emb.d)) * 0.01
     n = X.shape[0]
     order = np.arange(n)
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb = X[idx], y[idx]
-            probs = _softmax(xb @ W.T)
-            probs[np.arange(len(idx)), yb] -= 1.0
-            grad = probs.T @ xb / len(idx) + l2 * W
-            W -= lr * grad
+    # overflow surfaces as non-finite weights, raised below as a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            rng.shuffle(order)
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                xb, yb = X[idx], y[idx]
+                probs = _softmax(xb @ W.T)
+                probs[np.arange(len(idx)), yb] -= 1.0
+                grad = probs.T @ xb / len(idx) + l2 * W
+                W -= lr * grad
+    if not np.isfinite(W).all():
+        raise TrainingDiverged(f"noise classifier training diverged: weights not finite (lr={lr})")
     return LinearHead(W)
 
 

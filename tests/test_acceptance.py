@@ -50,11 +50,15 @@ def _pipeline_config(**overrides) -> PipelineConfig:
 
 def _otsu_exhaustive(x: np.ndarray, n_bins: int) -> float:
     """Independent exhaustive maximization of between-class variance over
-    the interior bin edges of the equal-width histogram."""
+    the interior bin edges of the equal-width histogram. An edge above an
+    empty bin splits the scores as the edge below it does, so only the
+    lowest edge of such a run is scored."""
     counts, edges = np.histogram(x, bins=n_bins, range=(x.min(), x.max()))
     centers = 0.5 * (edges[:-1] + edges[1:])
     best_t, best_v = float(edges[1]), -1.0
     for cut in range(1, n_bins):
+        if counts[cut - 1] == 0:
+            continue
         w0, w1 = counts[:cut].sum(), counts[cut:].sum()
         if w0 == 0 or w1 == 0:
             v = 0.0
@@ -228,15 +232,11 @@ def test_criterion_05_gradient_checks(announce):
     cfg = SynthConfig(num_ids=2, samples_per_id=6, dim=4, within_id_sigma=0.2, seed=7)
     emb, labels = generate_identities(cfg)
     g = knn.build_knn_graph(emb, k=3)
-    props = [
-        knn.ClusterProposal(tuple(np.flatnonzero(labels.labels == 0).tolist()), 0.5),
-        knn.ClusterProposal((0, 1, 6, 7), 0.3),
-    ]
+    props = knn.Proposals.of([np.flatnonzero(labels.labels == 0), (0, 1, 6, 7)], [0.5, 0.3])
     # seed 9 left every ReLU dead (all gradients exactly 0); seed 4 does not
     model = cl.GcnModel.init(4, seed=4, widths=(3, 2))
-    ps = cl._prepare(props, g)
-    batch = cl._gather(ps, np.arange(len(props)), emb)
-    targets = cl._targets(ps.members, ps.starts, labels)
+    batch = cl._gather(cl._prepare(props, g), np.arange(len(props)), emb)
+    targets = cl._targets(props, labels)
     gcn_loss = lambda: cl._gcn_loss_and_grads(model, batch, targets)[0]
     _, d_head, d_layers = cl._gcn_loss_and_grads(model, batch, targets)
     arrays = [model.head_weights] + [w for pair in model.layer_weights for w in pair]
@@ -278,15 +278,16 @@ def test_criterion_06_deoverlap_partition_property(announce):
     violations = 0
     for _ in range(200):
         n = int(rng.integers(10, 80))
-        props, scores = [], []
+        lists, ious = [], []
         for _ in range(int(rng.integers(1, 20))):
             size = int(rng.integers(1, 15))
-            members = tuple(rng.choice(n, size=min(size, n), replace=False).tolist())
-            props.append(knn.ClusterProposal(members, 0.0))
-            scores.append(cl.ProposalScore(float(rng.uniform(-0.2, 1.2)), 0.0))
+            lists.append(rng.choice(n, size=min(size, n), replace=False))
+            ious.append(float(rng.uniform(-0.2, 1.2)))
+        props = knn.Proposals.of(lists)
+        scores = np.stack([ious, np.zeros(len(ious))], axis=1)
         min_size = int(rng.integers(1, 5))
         c = cl.deoverlap(props, scores, min_cluster_size=min_size)
-        member_sets = {p.members for p in props}
+        member_sets = {tuple(p.members.tolist()) for p in props}
         for cid in range(c.num_clusters):
             cluster = np.flatnonzero(c.assignment == cid)
             if cluster.size < min_size:

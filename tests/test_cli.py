@@ -340,6 +340,17 @@ def test_head_divergence_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_noise_classifier_divergence_exits_2(tmp_path, capsys, recwarn):
+    # k-means leaves the noise stage several clusters to train on
+    ini = TINY_INI.replace("[cluster]\n", "[cluster]\nalgorithm = kmeans\n")
+    cfg = _write_ini(tmp_path, ini + "\n[noise]\nclassifier_lr = 1e30\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'noise' failed:") and "diverged" in err
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_k_at_or_above_sample_count_exits_2(tmp_path, capsys):
     cfg = _write_ini(tmp_path, BASE_INI + "\n[knn]\nk = 10000\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2

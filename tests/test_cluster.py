@@ -6,31 +6,30 @@ from hypothesis import strategies as st
 from labelforge import errors
 from labelforge.cluster import (
     GcnModel,
-    ProposalScore,
     _forward,
     _gather,
     _gcn_loss_and_grads,
+    _SCORE_BLOCK_ROWS,
     _prepare,
-    _score_blocks,
+    _runs,
     _targets,
     clustering_from_labels,
     dbscan,
     deoverlap,
-    gcn_forward,
     gcn_train,
     hac,
     kmeans,
     load_gcn_model,
-    proposal_targets,
     save_gcn_model,
     score_proposals,
     union_augment,
 )
 from labelforge.data import UNASSIGNED, EmbeddingSet, LabelSet, l2_normalize
-from labelforge.knn import ClusterProposal, build_knn_graph, proposals_from_thresholds
+from labelforge.knn import Proposals, build_knn_graph, proposals_from_thresholds
 from labelforge.metrics import pairwise_prf
 from labelforge.synth import SynthConfig, generate_identities
 import gcn_reference
+import proposal_reference
 from gcn_reference import proposal_operator
 from test_graph_oracles import block_budget, tied_embeddings
 
@@ -286,25 +285,33 @@ def test_dbscan_in_row_blocks_matches_reference():
 
 # --- proposal targets ---
 
+def single(members):
+    """A set of one proposal."""
+    return Proposals.of([members], 0.5)
+
+
+def targets(members, labels):
+    """(iou, iop) of one proposal."""
+    iou, iop = _targets(single(members), labels)[0].tolist()
+    return iou, iop
+
+
 def test_targets_pure_complete_proposal():
     labels = LabelSet(np.array([0, 0, 0, 1, 1]))
-    p = ClusterProposal((0, 1, 2), threshold=0.5)
-    assert proposal_targets(p, labels) == (1.0, 1.0)
+    assert targets((0, 1, 2), labels) == (1.0, 1.0)
 
 
 def test_targets_mixed_proposal():
     # members {0,1,2} labeled {A,A,B}; A has 4 samples total
     labels = LabelSet(np.array([0, 0, 1, 0, 0, 1, 1]))
-    p = ClusterProposal((0, 1, 2), threshold=0.5)
-    iou, iop = proposal_targets(p, labels)
+    iou, iop = targets((0, 1, 2), labels)
     assert iou == pytest.approx(2 / 5)
     assert iop == pytest.approx(2 / 3)
 
 
 def test_targets_singleton():
     labels = LabelSet(np.array([0, 0, 0, 0, 1]))
-    p = ClusterProposal((2,), threshold=0.5)
-    iou, iop = proposal_targets(p, labels)
+    iou, iop = targets((2,), labels)
     assert iou == pytest.approx(1 / 4)
     assert iop == pytest.approx(1.0)
 
@@ -315,7 +322,7 @@ def test_targets_iop_ge_iou_property():
     for _ in range(50):
         size = int(rng.integers(1, 20))
         members = tuple(rng.choice(50, size=size, replace=False).tolist())
-        iou, iop = proposal_targets(ClusterProposal(members, 0.0), labels)
+        iou, iop = targets(members, labels)
         assert 0.0 <= iou <= iop <= 1.0
 
 
@@ -330,7 +337,7 @@ def _tiny_graph():
 
 def reference_forward(model, members, emb, g):
     """Independent re-evaluation of the layer composition with plain loops."""
-    N = proposal_operator(ClusterProposal(tuple(members), 0.0), g)
+    N = proposal_operator(next(iter(single(members))), g)
     H = emb.rows[np.array(members)]
     H = H - H.mean(axis=0)  # proposal-centered input
     for w1, w2 in model.layer_weights:
@@ -343,55 +350,50 @@ def reference_forward(model, members, emb, g):
 def test_gcn_singleton_finite():
     emb, g = _tiny_graph()
     model = GcnModel.init(2, seed=0)
-    score = gcn_forward(model, ClusterProposal((2,), 0.5), emb, g)
-    assert np.isfinite(score.iou_pred) and np.isfinite(score.iop_pred)
+    score = score_proposals(model, single((2,)), emb, g)
+    assert score.shape == (1, 2) and np.isfinite(score).all()
 
 
 def test_gcn_zero_model_outputs_zero():
     emb, g = _tiny_graph()
     model = GcnModel.zeros(2)
-    score = gcn_forward(model, ClusterProposal((0, 1, 2), 0.5), emb, g)
-    assert score.iou_pred == 0.0 and score.iop_pred == 0.0
+    assert score_proposals(model, single((0, 1, 2)), emb, g).tolist() == [[0.0, 0.0]]
 
 
 def test_gcn_forward_matches_hand_computation():
     emb, g = _tiny_graph()
     model = GcnModel.init(2, seed=3, widths=(2, 2))
     members = (0, 1)
-    got = gcn_forward(model, ClusterProposal(members, 0.5), emb, g)
+    got = score_proposals(model, single(members), emb, g)[0]
     # explicit two-layer evaluation: center, relu(H W1 + (Dinv A H) W2)
     # twice, mean-pool, linear head
     ref = reference_forward(model, members, emb, g)
-    assert got.iou_pred == pytest.approx(ref[0], abs=1e-12)
-    assert got.iop_pred == pytest.approx(ref[1], abs=1e-12)
+    assert got[0] == pytest.approx(ref[0], abs=1e-12)
+    assert got[1] == pytest.approx(ref[1], abs=1e-12)
 
 
 def test_gcn_permutation_invariance():
     emb, g = _tiny_graph()
     model = GcnModel.init(2, seed=5)
-    a = gcn_forward(model, ClusterProposal((0, 1, 2), 0.5), emb, g)
-    b = gcn_forward(model, ClusterProposal((2, 0, 1), 0.5), emb, g)
-    assert a == b
+    a = score_proposals(model, single((0, 1, 2)), emb, g)
+    b = score_proposals(model, single((2, 0, 1)), emb, g)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_gcn_gradients_match_finite_differences():
     cfg = SynthConfig(num_ids=2, samples_per_id=6, dim=4, within_id_sigma=0.2, seed=7)
     emb, labels = generate_identities(cfg)
     g = build_knn_graph(emb, k=3)
-    props = [
-        ClusterProposal(tuple(np.flatnonzero(labels.labels == 0).tolist()), 0.5),
-        ClusterProposal((0, 1, 6, 7), 0.3),
-    ]
+    props = Proposals.of([np.flatnonzero(labels.labels == 0), (0, 1, 6, 7)], [0.5, 0.3])
     # seed 9 left every ReLU dead (all gradients exactly 0); seed 4 does not
     model = GcnModel.init(4, seed=4, widths=(3, 2))
-    ps = _prepare(props, g)
-    batch = _gather(ps, np.arange(len(props)), emb)
-    targets = _targets(ps.members, ps.starts, labels)
+    batch = _gather(_prepare(props, g), np.arange(len(props)), emb)
+    want = _targets(props, labels)
 
     def loss_of(model):
-        return _gcn_loss_and_grads(model, batch, targets)[0]
+        return _gcn_loss_and_grads(model, batch, want)[0]
 
-    loss, d_head, d_layers = _gcn_loss_and_grads(model, batch, targets)
+    loss, d_head, d_layers = _gcn_loss_and_grads(model, batch, want)
     # a check on zero gradients cannot fail: the layers must carry signal
     assert all(np.linalg.norm(g) > 0 for pair in d_layers for g in pair)
     eps = 1e-6
@@ -421,12 +423,10 @@ def test_gcn_gradients_match_finite_differences():
 
 def test_gcn_train_memorizes_single_proposal():
     emb, g = _tiny_graph()
-    p = ClusterProposal((0, 1), 0.5)
+    p = single((0, 1))
     labels = LabelSet(np.array([0, 0, 1, 1]))
-    model = gcn_train([p], emb, g, labels, epochs=500, lr=0.1, seed=0, widths=(4, 4))
-    target = np.array(proposal_targets(p, labels))
-    score = gcn_forward(model, p, emb, g)
-    mse = np.mean((np.array([score.iou_pred, score.iop_pred]) - target) ** 2)
+    model = gcn_train(p, emb, g, labels, epochs=500, lr=0.1, seed=0, widths=(4, 4))
+    mse = np.mean((score_proposals(model, p, emb, g) - _targets(p, labels)) ** 2)
     assert mse < 1e-3
 
 
@@ -436,7 +436,7 @@ def test_gcn_train_divergence_raises(epochs, lr, found):
     # see the loss of the blown-up weights first
     emb, g = _tiny_graph()
     labels = LabelSet(np.array([0, 0, 1, 1]))
-    props = [ClusterProposal((0, 1), 0.5), ClusterProposal((0, 1, 2), 0.5)]
+    props = Proposals.of([(0, 1), (0, 1, 2)], 0.5)
     with pytest.raises(errors.TrainingDiverged, match=found):
         gcn_train(props, emb, g, labels, epochs=epochs, lr=lr, seed=0)
 
@@ -446,7 +446,7 @@ def test_gcn_train_float32_overflow_raises_where_float64_does_not():
     # overflows it, while the float64 reference loop stays finite
     emb, g = _tiny_graph()
     labels = LabelSet(np.array([0, 0, 1, 1]))
-    props = [ClusterProposal((0, 1), 0.5), ClusterProposal((0, 1, 2), 0.5)]
+    props = Proposals.of([(0, 1), (0, 1, 2)], 0.5)
     with pytest.raises(errors.TrainingDiverged, match="loss inf in epoch 2"):
         gcn_train(props, emb, g, labels, epochs=2, lr=1e20, seed=0)
     with np.errstate(over="raise", invalid="raise"):
@@ -469,14 +469,9 @@ def _float32_batch():
     cfg = SynthConfig(num_ids=2, samples_per_id=6, dim=4, within_id_sigma=0.2, seed=7)
     emb, labels = generate_identities(cfg)
     g = build_knn_graph(emb, k=3)
-    props = [
-        ClusterProposal(tuple(np.flatnonzero(labels.labels == 0).tolist()), 0.5),
-        ClusterProposal((0, 1, 6, 7), 0.3),
-    ]
-    ps = _prepare(props, g)
-    targets = _targets(ps.members, ps.starts, labels).astype(np.float32)
-    batch = _gather(ps, np.arange(len(props)), emb)
-    return batch, targets
+    props = Proposals.of([np.flatnonzero(labels.labels == 0), (0, 1, 6, 7)], [0.5, 0.3])
+    batch = _gather(_prepare(props, g), np.arange(len(props)), emb)
+    return batch, _targets(props, labels).astype(np.float32)
 
 
 def test_float32_batch_gives_float32_loss_gradients():
@@ -513,19 +508,21 @@ def test_gcn_train_returns_float32_model_equal_to_its_archive(tmp_path):
         assert got.dtype == want.dtype == np.float32
         np.testing.assert_array_equal(got, want)
     # the loaded model scores exactly as the trained one
-    assert score_proposals(back, props, emb, g) == score_proposals(model, props, emb, g)
+    np.testing.assert_array_equal(
+        score_proposals(back, props, emb, g), score_proposals(model, props, emb, g)
+    )
 
 
 def test_score_blocks_group_consecutive_proposals_up_to_128_rows():
     # 100 + 20 fit, + 10 would not; 200 exceeds the budget alone
     sizes = np.array([100, 20, 10, 200, 5, 5])
-    assert _score_blocks(sizes) == [(0, 2), (2, 3), (3, 4), (4, 6)]
+    assert _runs(sizes, _SCORE_BLOCK_ROWS) == [(0, 2), (2, 3), (3, 4), (4, 6)]
 
 
 def test_gcn_train_no_proposals():
     emb, g = _tiny_graph()
     with pytest.raises(errors.NoProposals):
-        gcn_train([], emb, g, LabelSet(np.array([0, 0, 1, 1])))
+        gcn_train(Proposals.of([]), emb, g, LabelSet(np.array([0, 0, 1, 1])))
 
 
 def test_gcn_predictions_track_true_iou():
@@ -534,9 +531,8 @@ def test_gcn_predictions_track_true_iou():
     g = build_knn_graph(emb, k=8)
     props = proposals_from_thresholds(g, [0.95, 0.9, 0.8, 0.6, 0.3], max_size=100)
     model = gcn_train(props, emb, g, labels, epochs=500, seed=1)
-    scores = score_proposals(model, props, emb, g)
-    true_iou = np.array([proposal_targets(p, labels)[0] for p in props])
-    pred_iou = np.array([s.iou_pred for s in scores])
+    true_iou = _targets(props, labels)[:, 0]
+    pred_iou = score_proposals(model, props, emb, g)[:, 0]
     rho = np.corrcoef(true_iou, pred_iou)[0, 1]
     assert rho > 0.8
     # full-identity proposals must score clearly above impure/partial ones
@@ -544,65 +540,87 @@ def test_gcn_predictions_track_true_iou():
 
 
 def test_union_augment_properties():
-    props = [
-        ClusterProposal((0, 1), 0.9),
-        ClusterProposal((2, 3), 0.7),
-        ClusterProposal((4, 5, 6), 0.5),
-    ]
+    props = Proposals.of([(0, 1), (2, 3), (4, 5, 6)], [0.9, 0.7, 0.5])
     aug = union_augment(props, count=10, seed=0)
-    existing = {p.members for p in props}
+    existing = set(proposal_reference.pairs(props))
     seen = set()
-    for p in aug:
+    for members, threshold in proposal_reference.pairs(aug):
         # each union is a sorted, deduplicated superset of two originals
-        assert p.members == tuple(sorted(set(p.members)))
-        assert p.members not in existing
-        assert p.members not in seen
-        seen.add(p.members)
-        parents = [q for q in props if set(q.members) <= set(p.members)]
+        assert members == tuple(sorted(set(members)))
+        assert members not in {m for m, _ in existing}
+        assert members not in seen
+        seen.add(members)
+        parents = [(m, t) for m, t in existing if set(m) <= set(members)]
         assert len(parents) >= 2
-        assert p.threshold == min(q.threshold for q in parents)
+        assert threshold == min(t for _, t in parents)
 
 
 def test_union_augment_degenerate_inputs():
-    assert union_augment([], count=5) == []
-    assert union_augment([ClusterProposal((0, 1), 0.5)], count=5) == []
-    props = [ClusterProposal((0,), 0.5), ClusterProposal((1,), 0.5)]
-    assert union_augment(props, count=0) == []
+    assert len(union_augment(Proposals.of([]), count=5)) == 0
+    assert len(union_augment(single((0, 1)), count=5)) == 0
+    props = Proposals.of([(0,), (1,)], 0.5)
+    assert len(union_augment(props, count=0)) == 0
     # only one distinct union exists; the helper must terminate anyway
     aug = union_augment(props, count=50, seed=1)
-    assert [p.members for p in aug] == [(0, 1)]
+    assert proposal_reference.pairs(aug) == [((0, 1), 0.5)]
+
+
+@st.composite
+def proposal_lists(draw, max_n=12):
+    """Member lists over a few samples, some of them repeated, and thresholds."""
+    n = draw(st.integers(1, max_n))
+    member_list = st.lists(st.integers(0, n - 1), min_size=1, max_size=n)
+    distinct = draw(st.lists(member_list, min_size=1, max_size=6))
+    lists = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=10))
+    ts = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=len(lists), max_size=len(lists)))
+    return Proposals.of(lists, ts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(props=proposal_lists(), count=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_union_augment_equals_set_reference(props, count, seed):
+    # few samples and repeated proposals: draws with i == j, unions equal to
+    # a proposal or an earlier union, and runs that end at 20 * count draws
+    got = proposal_reference.pairs(union_augment(props, count, seed=seed))
+    assert got == proposal_reference.union_augment(proposal_reference.pairs(props), count, seed=seed)
+
+
+def test_union_augment_equals_set_reference_on_a_sweep():
+    emb, _ = two_blobs(per_id=30, sigma=0.2, seed=4)
+    g = build_knn_graph(emb, k=6)
+    props = proposals_from_thresholds(g, [0.95, 0.9, 0.8, 0.6], max_size=20)
+    count = 2 * len(props) // 3
+    got = proposal_reference.pairs(union_augment(props, count, seed=3))
+    assert len(got) == count
+    assert got == proposal_reference.union_augment(proposal_reference.pairs(props), count, seed=3)
 
 
 # --- de-overlap ---
 
 def test_deoverlap_disjoint_kept():
-    props = [ClusterProposal((0, 1, 2), 0.5), ClusterProposal((3, 4), 0.5)]
-    scores = [ProposalScore(0.9, 0.9), ProposalScore(0.8, 0.8)]
-    c = deoverlap(props, scores, min_cluster_size=2)
+    props = Proposals.of([(0, 1, 2), (3, 4)], 0.5)
+    c = deoverlap(props, np.array([[0.9, 0.9], [0.8, 0.8]]), min_cluster_size=2)
     assert c.assignment[0] == c.assignment[1] == c.assignment[2]
     assert c.assignment[3] == c.assignment[4]
     assert c.num_clusters == 2
 
 
 def test_deoverlap_greedy_rule():
-    props = [ClusterProposal((1, 2, 3), 0.5), ClusterProposal((3, 4, 5), 0.5)]
-    scores = [ProposalScore(0.9, 0.9), ProposalScore(0.5, 0.5)]
-    c = deoverlap(props, scores, min_cluster_size=2)
+    props = Proposals.of([(1, 2, 3), (3, 4, 5)], 0.5)
+    c = deoverlap(props, np.array([[0.9, 0.9], [0.5, 0.5]]), min_cluster_size=2)
     assert c.assignment[1] == c.assignment[2] == c.assignment[3]
     assert c.assignment[4] == c.assignment[5]
     assert c.assignment[4] != c.assignment[3]
 
 
 def test_deoverlap_small_cluster_dropped():
-    props = [ClusterProposal(tuple(range(9)), 0.5)]
-    scores = [ProposalScore(0.9, 0.9)]
-    c = deoverlap(props, scores, min_cluster_size=10)
+    c = deoverlap(single(range(9)), np.array([[0.9, 0.9]]), min_cluster_size=10)
     assert np.all(c.assignment == UNASSIGNED)
 
 
 def test_deoverlap_length_mismatch():
     with pytest.raises(errors.LengthMismatch):
-        deoverlap([ClusterProposal((0,), 0.5)], [])
+        deoverlap(single((0,)), np.zeros((0, 2)))
 
 
 def test_deoverlap_partition_property_randomized():
@@ -610,17 +628,29 @@ def test_deoverlap_partition_property_randomized():
     for _ in range(50):
         n = int(rng.integers(10, 60))
         num_props = int(rng.integers(1, 15))
-        props = []
-        scores = []
-        for _ in range(num_props):
+        lists, scores = [], np.zeros((num_props, 2))
+        for j in range(num_props):
             size = int(rng.integers(1, 12))
-            members = tuple(rng.choice(n, size=min(size, n), replace=False).tolist())
-            props.append(ClusterProposal(members, 0.0))
-            scores.append(ProposalScore(float(rng.uniform(-0.2, 1.2)), 0.0))
+            lists.append(rng.choice(n, size=min(size, n), replace=False))
+            scores[j, 0] = rng.uniform(-0.2, 1.2)
         min_size = int(rng.integers(1, 5))
-        c = deoverlap(props, scores, min_cluster_size=min_size)
+        c = deoverlap(Proposals.of(lists), scores, min_cluster_size=min_size)
         for cid in range(c.num_clusters):
             assert int(np.sum(c.assignment == cid)) >= min_size
+
+
+@settings(max_examples=300, deadline=None)
+@given(props=proposal_lists(), data=st.data())
+def test_deoverlap_equals_list_reference(props, data):
+    # scores from a few values, some outside [0, 1]: clamped ties, broken
+    # by size, then by index
+    ious = data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.3, 1.0, 1.5]),
+                              min_size=len(props), max_size=len(props)))
+    min_size = data.draw(st.integers(1, 4))
+    scores = np.stack([ious, np.zeros(len(props))], axis=1).astype(np.float32)
+    got = deoverlap(props, scores, min_cluster_size=min_size)
+    want = proposal_reference.deoverlap(proposal_reference.pairs(props), ious, min_size)
+    np.testing.assert_array_equal(got.assignment, want.assignment)
 
 
 def test_model_roundtrip(tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforge import errors
 from labelforge.data import EmbeddingSet, LinearHead, read_json, write_json
@@ -26,12 +28,16 @@ from labelforge.evt import (
 
 
 def otsu_oracle(scores, n_bins):
-    """Exhaustive between-class-variance maximization over all bin edges."""
+    """Exhaustive between-class-variance maximization over all bin edges.
+    An edge above an empty bin splits the scores as the edge below it does,
+    so only the lowest edge of such a run is scored."""
     x = np.asarray(scores, dtype=np.float64)
     counts, edges = np.histogram(x, bins=n_bins, range=(x.min(), x.max()))
     centers = 0.5 * (edges[:-1] + edges[1:])
     best_t, best_v = None, -1.0
     for cut in range(1, n_bins):
+        if counts[cut - 1] == 0:
+            continue
         w0 = counts[:cut].sum()
         w1 = counts[cut:].sum()
         if w0 == 0 or w1 == 0:
@@ -65,6 +71,24 @@ def test_otsu_matches_oracle_randomized():
             rng.normal(rng.uniform(2, 6), 1, 100),
         ])
         assert otsu_threshold(x, n_bins=n_bins) == otsu_oracle(x, n_bins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bins=st.integers(2, 64),
+    sizes=st.tuples(st.integers(1, 150), st.integers(1, 150)),
+    gap=st.floats(0.0, 8.0),
+)
+def test_otsu_edge_sits_above_a_nonempty_bin(seed, n_bins, sizes, gap):
+    # an edge above an empty bin splits the scores as the edge below it
+    # does: the two tie, and the tie goes to the lower edge
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.normal(0, 1, sizes[0]), rng.normal(gap, 1, sizes[1])])
+    t = otsu_threshold(x, n_bins=n_bins)
+    counts, edges = np.histogram(x, bins=n_bins, range=(x.min(), x.max()))
+    cut = int(np.flatnonzero(edges == t)[0])
+    assert counts[cut - 1] > 0
 
 
 def test_otsu_degenerate():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import gcn_reference as ref
 from labelforge import cluster as cl
 from labelforge.data import EmbeddingSet, LabelSet, relabel
-from labelforge.knn import ClusterProposal, build_knn_graph, proposals_from_thresholds
+from labelforge.knn import Proposals, build_knn_graph, offsets, proposals_from_thresholds
 from labelforge.synth import SynthConfig, generate_identities
 from test_graph_oracles import block_budget
 
@@ -41,7 +41,7 @@ def scenes(draw):
     emb = EmbeddingSet(rows / np.linalg.norm(rows, axis=1)[:, None], normalized=True)
     g = build_knn_graph(emb, k=k)
     labels = LabelSet(relabel(rng.integers(0, draw(st.integers(1, 4)), size=n)))
-    proposals = []
+    member_lists = []
     for _ in range(draw(st.integers(1, 8))):
         size = int(rng.integers(1, n + 1)) if rng.random() < 0.3 else int(rng.integers(1, 10))
         if rng.random() < 0.5:
@@ -53,8 +53,8 @@ def scenes(draw):
                     break
                 members.extend(int(u) for u in g.neighbors[v] if u not in members)
             members = members[:size]
-        proposals.append(ClusterProposal(tuple(int(m) for m in members), 0.0))
-    return emb, g, labels, proposals, rng
+        member_lists.append(members)
+    return emb, g, labels, Proposals.of(member_lists), rng
 
 
 def assert_close(got, want):
@@ -68,13 +68,14 @@ def test_block_operator_equals_per_proposal_reference(scene):
     emb, g, _, proposals, rng = scene
     idx = rng.permutation(len(proposals))[: int(rng.integers(1, len(proposals) + 1))]
     batch = cl._gather(cl._prepare(proposals, g), idx, emb)
-    sizes = [len(proposals[j].members) for j in idx]
+    views = list(proposals)
+    sizes = [len(views[j].members) for j in idx]
     want = np.zeros((sum(sizes), sum(sizes)))
     rows = []
     at = 0
     for j, m in zip(idx, sizes):
-        want[at : at + m, at : at + m] = ref.proposal_operator(proposals[j], g)
-        rows.extend(proposals[j].members)
+        want[at : at + m, at : at + m] = ref.proposal_operator(views[j], g)
+        rows.extend(views[j].members)
         at += m
     np.testing.assert_array_equal(batch.N, want)
     np.testing.assert_array_equal(batch.H0, emb.rows[rows])
@@ -85,19 +86,18 @@ def test_block_operator_equals_per_proposal_reference(scene):
 @given(scene=scenes())
 def test_vectorized_targets_are_bit_equal(scene):
     _, _, labels, proposals, _ = scene
-    members, starts = cl._concat_members(proposals)
-    got = cl._targets(members, starts, labels)
+    got = cl._targets(proposals, labels)
     want = np.array([ref.proposal_targets(p, labels) for p in proposals])
     np.testing.assert_array_equal(got, want)
-    assert [cl.proposal_targets(p, labels) for p in proposals] == [tuple(t) for t in want]
 
 
 def test_targets_tie_goes_to_the_smaller_identity():
     # members 0..3 are two of identity 0 (4 samples) and two of identity 1
     # (3 samples): the tie picks identity 0, so IoU is 2 / 6, not 2 / 5
     labels = LabelSet(np.array([1, 1, 0, 0, 0, 0, 1]))
-    p = ClusterProposal((0, 1, 2, 3), 0.5)
-    assert cl.proposal_targets(p, labels) == ref.proposal_targets(p, labels) == (1 / 3, 1 / 2)
+    p = Proposals.of([(0, 1, 2, 3)])
+    got = tuple(cl._targets(p, labels)[0].tolist())
+    assert got == ref.proposal_targets(next(iter(p)), labels) == (1 / 3, 1 / 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -108,11 +108,12 @@ def test_batched_loss_and_grads_match_reference(scene, seed):
     rows = emb.rows.astype(np.float64)
     idx = rng.permutation(len(proposals))
     ps = cl._prepare(proposals, g)
-    targets = cl._targets(ps.members, ps.starts, labels)
+    targets = cl._targets(proposals, labels)
     loss, d_head, d_layers = cl._gcn_loss_and_grads(model, cl._gather(ps, idx, rows), targets[idx])
+    views = list(proposals)
     batch = [
-        (proposals[j], np.array(ref.proposal_targets(proposals[j], labels)),
-         ref.proposal_operator(proposals[j], g))
+        (views[j], np.array(ref.proposal_targets(views[j], labels)),
+         ref.proposal_operator(views[j], g))
         for j in idx
     ]
     want_loss, want_head, want_layers = ref.loss_and_grads(model, batch, rows)
@@ -132,11 +133,12 @@ def test_batched_scores_match_reference(scene, seed):
 
     def blocks(rows):
         """score_proposals' blocks, evaluated on ``rows``."""
-        batches = [cl._gather(ps, np.arange(lo, hi), rows) for lo, hi in cl._score_blocks(ps.sizes)]
+        runs = cl._runs(ps.sizes, cl._SCORE_BLOCK_ROWS)
+        batches = [cl._gather(ps, np.arange(lo, hi), rows) for lo, hi in runs]
         return np.concatenate([cl._forward(model, batch)[0] for batch in batches])
 
     scores = cl.score_proposals(model, proposals, emb, g)
-    assert [[s.iou_pred, s.iop_pred] for s in scores] == blocks(emb.rows).tolist()
+    assert scores.tolist() == blocks(emb.rows).tolist()
     rows = emb.rows.astype(np.float64)
     assert_close(blocks(rows), np.array([ref.score(model, p, rows, g) for p in proposals]))
 
@@ -153,7 +155,7 @@ def test_segment_means_are_bit_equal_to_per_proposal_means(sizes, d, dtype, by_s
     # sorted sizes make one run per size (as gcn_train batches them);
     # unsorted ones, as score_proposals blocks them, make more runs
     sizes = np.array(sorted(sizes) if by_size else sizes)
-    seg = cl._offsets(sizes)[:-1]
+    seg = offsets(sizes)[:-1]
     X = np.random.default_rng(seed).standard_normal((int(sizes.sum()), d)).astype(dtype)
     got = cl._segment_means(X, seg, sizes)
     want = np.stack([X[np.arange(s, s + m)].mean(axis=0) for s, m in zip(seg, sizes)])
@@ -177,7 +179,7 @@ def test_float32_training_stays_close_to_float64_reference():
     for a, b in pairs:
         assert a.dtype == np.float32 and b.dtype == np.float64
         assert np.max(np.abs(a - b)) <= 1e-4 * np.max(np.abs(b))
-    scores = np.array([[s.iou_pred, s.iop_pred] for s in cl.score_proposals(got, props, emb, g)])
+    scores = cl.score_proposals(got, props, emb, g)
     want_scores = np.array([ref.score(want, p, emb.rows.astype(np.float64), g) for p in props])
     assert np.max(np.abs(scores - want_scores)) <= 1e-4 * np.max(np.abs(want_scores))
 

@@ -18,12 +18,13 @@ from labelforge import cluster as cl
 from labelforge import knn
 from labelforge.data import EmbeddingSet
 from labelforge.knn import (
-    ClusterProposal,
     KnnGraph,
+    Proposals,
     build_knn_graph,
     proposals_from_thresholds,
     symmetric_edges,
 )
+import proposal_reference
 
 # ---------------------------------------------------------------------------
 # reference implementations
@@ -211,8 +212,9 @@ def test_proposals_match_recursive_union_find(g, data):
     ts = sorted(set(picks + extra), reverse=True)
     # small caps re-cut several levels deep
     max_size = data.draw(st.one_of(st.integers(1, 3), st.integers(1, g.n)))
-    got = proposals_from_thresholds(g, ts, max_size=max_size)
-    assert [(p.members, p.threshold) for p in got] == reference_proposals(g, ts, max_size)
+    got = proposal_reference.pairs(proposals_from_thresholds(g, ts, max_size=max_size))
+    assert got == reference_proposals(g, ts, max_size)
+    assert got == proposal_reference.proposals_from_thresholds(g, ts, max_size)
 
 
 def test_proposal_order_on_a_hand_built_graph():
@@ -225,7 +227,7 @@ def test_proposal_order_on_a_hand_built_graph():
     pairs = [((0, 3), 0.7), ((1, 2), 0.7)]
     cases = {1: singletons, 2: singletons + pairs, 4: singletons + pairs + [((0, 1, 2, 3), 0.4)]}
     for max_size, want in cases.items():
-        got = [(p.members, p.threshold) for p in proposals_from_thresholds(g, ts, max_size)]
+        got = proposal_reference.pairs(proposals_from_thresholds(g, ts, max_size))
         assert got == want == reference_proposals(g, ts, max_size)
 
 
@@ -233,8 +235,19 @@ def test_proposal_order_on_a_hand_built_graph():
 @given(g=graphs(), data=st.data())
 def test_proposal_operator_matches_dense_reference(g, data):
     members = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
-    p = ClusterProposal(tuple(members), 0.0)
-    got = cl._block_operator(cl._prepare([p], g), np.array([0]))
-    want = reference_operator(np.asarray(p.members), g)
+    p = Proposals.of([members])
+    got = cl._block_operator(cl._prepare(p, g), np.array([0]))
+    want = reference_operator(p.members, g)
     assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
+
+
+def test_proposal_operator_sums_degrees_in_column_order():
+    # node 1's sims 1e-20 (node 0), 0.6 and -0.6 sum to 0 in column order; in
+    # the CSR's edge order (larger neighbors first) they would sum to 1e-20
+    rows = np.array([[1e-20, 1.0], [1.0, 0.0], [0.6, 0.8], [-0.6, 0.8]], dtype=np.float32)
+    g = build_knn_graph(EmbeddingSet(rows, normalized=True), k=3)
+    p = Proposals.of([range(4)])
+    got = cl._block_operator(cl._prepare(p, g), np.array([0]))
+    np.testing.assert_array_equal(got, reference_operator(p.members, g))
+    assert not got[1].any()

@@ -132,7 +132,7 @@ def test_threshold_below_min_single_component():
     g = build_knn_graph(emb, k=19)  # fully connected
     props = proposals_from_thresholds(g, [-2.0], max_size=300)
     assert len(props) == 1
-    assert len(props[0].members) == 20
+    assert props.sizes.tolist() == [20]
 
 
 def test_two_blobs_recovered():
@@ -140,7 +140,7 @@ def test_two_blobs_recovered():
     emb, labels = generate_identities(cfg)
     g = build_knn_graph(emb, k=5)
     props = proposals_from_thresholds(g, [0.9, 0.5], max_size=300)
-    member_sets = {p.members for p in props}
+    member_sets = {tuple(p.members.tolist()) for p in props}
     blob_a = tuple(np.flatnonzero(labels.labels == 0).tolist())
     blob_b = tuple(np.flatnonzero(labels.labels == 1).tolist())
     assert blob_a in member_sets and blob_b in member_sets
@@ -157,7 +157,7 @@ def test_proposals_partition_at_each_threshold():
     g = build_knn_graph(emb, k=4)
     for t in default_thresholds(g, count=5):
         props = proposals_from_thresholds(g, [t], max_size=10**9)
-        seen = sorted(m for p in props for m in p.members)
+        seen = sorted(props.members.tolist())
         assert seen == list(range(emb.n))
 
 

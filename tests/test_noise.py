@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,14 @@ def test_classifier_too_few_clusters():
     emb, _ = _harness()
     with pytest.raises(errors.TooFewClusters):
         train_linear_classifier(emb, Clustering(np.zeros(emb.n, dtype=np.int64)))
+
+
+def test_classifier_divergence_raises_without_warnings():
+    emb, labels = _harness()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would raise instead
+        with pytest.raises(errors.TrainingDiverged, match="diverged"):
+            train_linear_classifier(emb, clustering_from_labels(labels), lr=1e30)
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
