@@ -259,12 +259,13 @@ def _prepare(proposals: Proposals, g: KnnGraph) -> _ProposalSet:
 
     The operators are gathered a run of consecutive proposals at a time
     (:func:`_operators`). A run holds about eight int64 arrays over the
-    CSR edges of its members and one dense (m x m) row-sum block per
-    proposal of m members. A run's edges plus squared sizes stay within
-    a quarter of :data:`knn.BLOCK_ELEMENTS`, so a run holds about 16
-    bytes per block element, near the 12 of a k-NN block (a float32 sim
-    and an int64 index per element); a proposal larger than that is a
-    run of its own. The runs are concatenated in order.
+    CSR edges of its members. A run's edges plus squared sizes stay within
+    a quarter of :data:`knn.BLOCK_ELEMENTS`, so a run holds at most about
+    16 bytes per block element, near the 12 of a k-NN block (a float32 sim
+    and an int64 index per element); a proposal larger than that is a run
+    of its own. The squared sizes shorten the runs of large proposals:
+    without them, the traced peak on the scale-n5k GCN training set is
+    6.6 MB instead of 4.1 MB. The runs are concatenated in order.
     """
     members, starts = proposals.members, proposals.starts
     sizes = np.diff(starts)
@@ -291,9 +292,11 @@ def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np
     the graph's CSR adjacency stays in a proposal's operator when the key
     of its other end is one of that proposal's slots. The weights are the
     edge similarities, each row scaled by its inverse degree (rows
-    without edges stay zero): degrees and products in float64, the values
-    rounded to the graph's dtype. Returns each proposal's entry count and
-    the entries' rows, columns (int32 positions in the proposal) and values.
+    without edges stay zero). A row's degree is one float64 ``bincount``
+    of its kept sims, added in the order :func:`knn.symmetric_csr` lists
+    them; the products are float64 too, the values rounded to the graph's
+    dtype. Returns each proposal's entry count and the entries' rows,
+    columns (int32 positions in the proposal) and values.
     """
     indptr, nbr, sim = symmetric_csr(g)
     sizes = np.diff(starts)
@@ -310,36 +313,10 @@ def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np
     own = owner[src]
     base = starts[own]
     row, col = src - base, dst - base
-    deg = _row_sums(src, col, w, sizes[owner])
+    deg = np.bincount(src, weights=w, minlength=len(members))
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     val = (inv[src] * w).astype(w.dtype)
     return np.bincount(own, minlength=len(sizes)), row.astype(np.int32), col.astype(np.int32), val
-
-
-def _row_sums(slot: np.ndarray, col: np.ndarray, w: np.ndarray, slot_size: np.ndarray) -> np.ndarray:
-    """Sum of ``w`` per slot, added up exactly as the dense row sum of the
-    slot's proposal matrix, ``A.sum(axis=1)`` on an (m x m) ``A``, adds it.
-
-    NumPy's pairwise summation groups a row's terms by column position, so
-    a ``bincount`` in edge order can differ: sims 1e-20, 0.6 and -0.6 sum to
-    0 in column order, 1e-20 in edge order. Rows of equal-size proposals are
-    stacked into one dense (rows x m) array per size instead, and each row
-    is reduced the same way.
-    """
-    out = np.zeros(len(slot_size))
-    by_size = np.argsort(slot_size, kind="stable")
-    rank = np.empty_like(by_size)
-    rank[by_size] = np.arange(len(by_size))
-    edges_by_size = np.argsort(slot_size[slot], kind="stable")
-    slot_sizes = slot_size[by_size]
-    edge_sizes = slot_size[slot[edges_by_size]]
-    for m in np.unique(slot_sizes).tolist():
-        lo, hi = np.searchsorted(slot_sizes, [m, m + 1])
-        e = edges_by_size[slice(*np.searchsorted(edge_sizes, [m, m + 1]))]
-        dense = np.zeros((hi - lo, m))
-        dense[rank[slot[e]] - lo, col[e]] = w[e]
-        out[by_size[lo:hi]] = dense.sum(axis=1)
-    return out
 
 
 def _block_operator(ps: _ProposalSet, idx: np.ndarray) -> np.ndarray:
@@ -354,10 +331,9 @@ def _block_operator(ps: _ProposalSet, idx: np.ndarray) -> np.ndarray:
     return N
 
 
-def _gather(ps: _ProposalSet, idx: np.ndarray, emb: EmbeddingSet | np.ndarray) -> _Batch:
-    """The batch of proposals ``idx``, stacked in that order. ``emb`` is the
-    embedding set or its rows."""
-    rows = emb.rows if isinstance(emb, EmbeddingSet) else emb
+def _gather(ps: _ProposalSet, idx: np.ndarray, rows: np.ndarray) -> _Batch:
+    """The batch of proposals ``idx`` over the embedding ``rows``, stacked
+    in that order."""
     sizes = ps.sizes[idx]
     H0 = rows[ps.members[ranges(ps.starts[idx], sizes)]]
     return _Batch(H0=H0, N=_block_operator(ps, idx), sizes=sizes, seg=offsets(sizes)[:-1])
@@ -365,25 +341,9 @@ def _gather(ps: _ProposalSet, idx: np.ndarray, emb: EmbeddingSet | np.ndarray) -
 
 def _segment_means(X: np.ndarray, seg: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Mean of each run ``X[seg[j]:seg[j] + sizes[j]]`` of the consecutive
-    runs that tile ``X``, added up exactly as ``X[rows].mean(axis=0)`` adds
-    up one proposal's rows.
-
-    ``np.add.reduceat`` adds a run in another order, which can differ in
-    the last bit; after the centering and ReLUs nearly cancel, that bit is
-    a large share of a small activation. Each stretch of consecutive
-    proposals of equal size is reshaped instead into one (count x m x d)
-    view and reduced along the member axis, which adds every proposal's
-    rows in sequence. Proposals sorted by size make one stretch per size.
-    """
-    out = np.empty((len(sizes), X.shape[1]), dtype=X.dtype)
-    bounds = np.flatnonzero(np.diff(sizes)) + 1
-    for lo, hi in zip([0, *bounds.tolist()], [*bounds.tolist(), len(sizes)]):
-        m, start = int(sizes[lo]), int(seg[lo])
-        view = X[start : start + (hi - lo) * m].reshape(hi - lo, m, -1)
-        np.add.reduce(view, axis=1, out=out[lo:hi])
-    # the division mean() does, for every proposal at once
-    out /= sizes[:, None].astype(X.dtype)
-    return out
+    runs that tile ``X``: one ``np.add.reduceat`` over the runs, divided by
+    their sizes. A run's mean does not depend on the runs beside it."""
+    return np.add.reduceat(X, seg, axis=0) / sizes[:, None].astype(X.dtype)
 
 
 def _forward(model: GcnModel, batch: _Batch):
@@ -497,9 +457,12 @@ def gcn_train(
     Every epoch shuffles the proposals and steps once per ``batch_size``
     consecutive proposals of that order (the last batch may be smaller).
     A step evaluates its whole batch at once, as one block-diagonal
-    graph with its proposals ordered by size, and descends on the mean
+    graph with its proposals in that order, and descends on the mean
     over the batch's proposals of the squared (iou, iop) error / 2. The
     operators and IoU/IoP targets are built once, before the first epoch.
+    Each operator row is scaled by its degree, summed in the CSR's edge
+    order; centering and pooling take each proposal's mean with one
+    ``np.add.reduceat`` over the batch.
 
     Training runs in float32, the dtype of the embedding rows and the
     graph: the float64 initial weights and the IoU/IoP targets are rounded
@@ -526,10 +489,8 @@ def gcn_train(
             rng.shuffle(order)
             for start in range(0, len(order), batch_size):
                 idx = order[start : start + batch_size]
-                # equal sizes side by side: one reshape per size in _segment_means
-                idx = idx[np.argsort(ps.sizes[idx], kind="stable")]
                 loss, d_head, d_layers = _gcn_loss_and_grads(
-                    model, _gather(ps, idx, emb), targets[idx]
+                    model, _gather(ps, idx, emb.rows), targets[idx]
                 )
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
@@ -553,14 +514,18 @@ def score_proposals(
 
     Consecutive proposals are evaluated together, in blocks of at most
     ``_SCORE_BLOCK_ROWS`` member rows; a proposal larger than that forms
-    a block of its own. Each proposal's score depends only on its own
-    members and operator, never on its block.
+    a block of its own. The blocks are fixed by the proposal order and
+    ``_SCORE_BLOCK_ROWS``, so the scores are deterministic. A proposal's
+    operator and the means it is centered and pooled by do not depend on
+    its block, but its matrix products can: BLAS rounds a block-diagonal
+    product according to the block's size, so the same proposal scored
+    alone or in another block can differ in the last bits.
     """
     if not len(proposals):
         return np.zeros((0, 2), dtype=emb.rows.dtype)
     ps = _prepare(proposals, g)
     preds = [
-        _forward(model, _gather(ps, np.arange(lo, hi), emb))[0]
+        _forward(model, _gather(ps, np.arange(lo, hi), emb.rows))[0]
         for lo, hi in _runs(ps.sizes, _SCORE_BLOCK_ROWS)
     ]
     return np.concatenate(preds)

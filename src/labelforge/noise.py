@@ -51,8 +51,10 @@ def train_linear_classifier(
     """Multinomial logistic regression on cluster assignments.
 
     UNASSIGNED samples are excluded; mini-batch gradient descent with an
-    L2 penalty; bias-free so logits stay comparable across classes. Raises
-    :class:`TrainingDiverged` when the weights end up not finite (``lr`` too large).
+    L2 penalty; bias-free so logits stay comparable across classes.
+    Training runs in the rows' dtype: the initial weights are drawn in
+    float64 and rounded to it once. Raises :class:`TrainingDiverged` when
+    the weights end up not finite (``lr`` too large).
     """
     mask = c.assignment != UNASSIGNED
     X = emb.rows[mask]
@@ -61,7 +63,7 @@ def train_linear_classifier(
     if K < 2:
         raise TooFewClusters(f"need >= 2 clusters, got {K}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    W = rng.standard_normal((K, emb.d)) * 0.01
+    W = (rng.standard_normal((K, emb.d)) * 0.01).astype(X.dtype)
     n = X.shape[0]
     order = np.arange(n)
     # overflow surfaces as non-finite weights, raised below as a typed error

@@ -4,8 +4,8 @@ This is the plain formulation the batched ``labelforge.cluster`` code
 replaced: each proposal gets its own dense Dinv A, forward pass and
 backward pass, and a batch's gradients are summed proposal by proposal.
 ``train`` is the float64 SGD loop that float32 ``gcn_train`` replaced:
-the same initial weights, RNG stream, shuffle, batches and updates, with
-every batch in shuffled order, on float64 copies of the rows.
+the same initial weights, RNG stream, shuffle, batches and updates, on
+float64 copies of the rows.
 """
 
 import numpy as np
@@ -17,7 +17,8 @@ from labelforge.knn import symmetric_csr
 def proposal_operator(p, g):
     """Degree-normalized weighted adjacency Dinv A restricted to members,
     gathered from the members' rows of the graph's CSR adjacency; computed
-    in float64 and rounded to the graph's dtype."""
+    in float64 and rounded to the graph's dtype. A row's degree adds its
+    sims in the CSR's edge order."""
     members = np.asarray(p.members, dtype=np.int64)  # sorted
     m = len(members)
     indptr, nbr, sim = symmetric_csr(g)
@@ -29,7 +30,7 @@ def proposal_operator(p, g):
     inside = members[col] == nbr[edge]
     A = np.zeros((m, m))
     A[row[inside], col[inside]] = sim[edge[inside]]
-    deg = A.sum(axis=1)
+    deg = np.bincount(row[inside], weights=sim[edge[inside]], minlength=m)
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     return (inv[:, None] * A).astype(sim.dtype)
 

@@ -235,7 +235,7 @@ def test_criterion_05_gradient_checks(announce):
     props = knn.Proposals.of([np.flatnonzero(labels.labels == 0), (0, 1, 6, 7)], [0.5, 0.3])
     # seed 9 left every ReLU dead (all gradients exactly 0); seed 4 does not
     model = cl.GcnModel.init(4, seed=4, widths=(3, 2))
-    batch = cl._gather(cl._prepare(props, g), np.arange(len(props)), emb)
+    batch = cl._gather(cl._prepare(props, g), np.arange(len(props)), emb.rows)
     targets = cl._targets(props, labels)
     gcn_loss = lambda: cl._gcn_loss_and_grads(model, batch, targets)[0]
     _, d_head, d_layers = cl._gcn_loss_and_grads(model, batch, targets)

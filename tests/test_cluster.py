@@ -387,7 +387,7 @@ def test_gcn_gradients_match_finite_differences():
     props = Proposals.of([np.flatnonzero(labels.labels == 0), (0, 1, 6, 7)], [0.5, 0.3])
     # seed 9 left every ReLU dead (all gradients exactly 0); seed 4 does not
     model = GcnModel.init(4, seed=4, widths=(3, 2))
-    batch = _gather(_prepare(props, g), np.arange(len(props)), emb)
+    batch = _gather(_prepare(props, g), np.arange(len(props)), emb.rows)
     want = _targets(props, labels)
 
     def loss_of(model):
@@ -470,7 +470,7 @@ def _float32_batch():
     emb, labels = generate_identities(cfg)
     g = build_knn_graph(emb, k=3)
     props = Proposals.of([np.flatnonzero(labels.labels == 0), (0, 1, 6, 7)], [0.5, 0.3])
-    batch = _gather(_prepare(props, g), np.arange(len(props)), emb)
+    batch = _gather(_prepare(props, g), np.arange(len(props)), emb.rows)
     return batch, _targets(props, labels).astype(np.float32)
 
 

@@ -67,7 +67,7 @@ def assert_close(got, want):
 def test_block_operator_equals_per_proposal_reference(scene):
     emb, g, _, proposals, rng = scene
     idx = rng.permutation(len(proposals))[: int(rng.integers(1, len(proposals) + 1))]
-    batch = cl._gather(cl._prepare(proposals, g), idx, emb)
+    batch = cl._gather(cl._prepare(proposals, g), idx, emb.rows)
     views = list(proposals)
     sizes = [len(views[j].members) for j in idx]
     want = np.zeros((sum(sizes), sum(sizes)))
@@ -151,16 +151,22 @@ def test_batched_scores_match_reference(scene, seed):
     by_size=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_segment_means_are_bit_equal_to_per_proposal_means(sizes, d, dtype, by_size, seed):
-    # sorted sizes make one run per size (as gcn_train batches them);
-    # unsorted ones, as score_proposals blocks them, make more runs
+def test_segment_means_do_not_depend_on_batch_neighbors(sizes, d, dtype, by_size, seed):
+    # every run's mean is bit-equal to the same reduction of that run
+    # alone, whether the runs come sorted by size or not
     sizes = np.array(sorted(sizes) if by_size else sizes)
     seg = offsets(sizes)[:-1]
     X = np.random.default_rng(seed).standard_normal((int(sizes.sum()), d)).astype(dtype)
     got = cl._segment_means(X, seg, sizes)
-    want = np.stack([X[np.arange(s, s + m)].mean(axis=0) for s, m in zip(seg, sizes)])
+    alone = np.concatenate(
+        [cl._segment_means(X[s : s + m], np.array([0]), np.array([m])) for s, m in zip(seg, sizes)]
+    )
     assert got.dtype == dtype
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, alone)
+    # and it is the mean, up to the rounding of a float sum of m rows
+    want = np.stack([X[s : s + m].astype(np.float64).mean(axis=0) for s, m in zip(seg, sizes)])
+    tol = np.finfo(dtype).eps * sizes[:, None] * np.abs(X).max()
+    assert np.all(np.abs(got - want) <= tol)
 
 
 def test_float32_training_stays_close_to_float64_reference():

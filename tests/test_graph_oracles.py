@@ -97,13 +97,19 @@ def reference_proposals(g, ts, max_size):
 
 def reference_operator(members, g):
     """Dinv A from the dense n x n adjacency of every symmetric edge,
-    computed in float64 and rounded to the graph's dtype."""
+    computed in float64 and rounded to the graph's dtype. A row's degree
+    adds its sims one at a time in the CSR's edge order: the larger
+    neighbors ascending, then the smaller ones ascending."""
     lo, hi, sim = symmetric_edges(g)
     full = np.zeros((g.n, g.n))
     full[lo, hi] = sim
     full[hi, lo] = sim
     A = full[np.ix_(members, members)]
-    deg = A.sum(axis=1)
+    # row i read from column i + 1 on, wrapping round: its zero diagonal
+    # comes last, and the zeros of non-edges leave a running sum unchanged
+    m = len(members)
+    turned = (np.arange(m)[:, None] + 1 + np.arange(m)) % m
+    deg = np.cumsum(np.take_along_axis(A, turned, axis=1), axis=1)[:, -1]
     inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
     return (inv[:, None] * A).astype(sim.dtype)
 
@@ -127,6 +133,25 @@ def tied_embeddings(draw, max_n=40):
     rows[np.all(rows == 0, axis=1), 0] = 1.0
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     return EmbeddingSet(rows, normalized=True)
+
+
+@st.composite
+def tiny_component_graphs(draw, max_n=10):
+    """k-NN graphs of unit rows (+-1, t) and (t, +-1) whose off-axis entry t
+    is tiny: +-1e-20, +-1e-10 or 0. A row's sims are +-1 to the rows on its
+    axis, which cancel exactly, and tiny to the rows across it, which a
+    running sum of +-1 absorbs; so its degree depends on the order its sims
+    are added in. k is at least half of n, so that the -1 sims, the
+    smallest, make edges too."""
+    n = draw(st.integers(3, max_n))
+    sign = st.sampled_from([1.0, -1.0])
+    tiny = st.sampled_from([1e-20, -1e-20, 1e-10, -1e-10, 0.0])
+    rows = np.zeros((n, 2))
+    for r in rows:
+        axis = draw(st.integers(0, 1))
+        r[axis], r[1 - axis] = draw(sign), draw(tiny)
+    k = draw(st.integers(n // 2, n - 1))
+    return build_knn_graph(EmbeddingSet(rows, normalized=True), k=k)
 
 
 @st.composite
@@ -231,8 +256,8 @@ def test_proposal_order_on_a_hand_built_graph():
         assert got == want == reference_proposals(g, ts, max_size)
 
 
-@settings(max_examples=100, deadline=None)
-@given(g=graphs(), data=st.data())
+@settings(max_examples=300, deadline=None)
+@given(g=st.one_of(graphs(), tiny_component_graphs()), data=st.data())
 def test_proposal_operator_matches_dense_reference(g, data):
     members = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
     p = Proposals.of([members])
@@ -242,12 +267,23 @@ def test_proposal_operator_matches_dense_reference(g, data):
     np.testing.assert_array_equal(got, want)
 
 
-def test_proposal_operator_sums_degrees_in_column_order():
-    # node 1's sims 1e-20 (node 0), 0.6 and -0.6 sum to 0 in column order; in
-    # the CSR's edge order (larger neighbors first) they would sum to 1e-20
+def test_proposal_operator_sums_degrees_in_csr_order():
+    # node 1's sims are 1e-20 (node 0), 0.6 (node 2) and -0.6 (node 3). The
+    # CSR lists its larger neighbors first, so its degree is
+    # 0.6 - 0.6 + 1e-20 = 1e-20 exactly; in column order 0.6 would absorb
+    # 1e-20 and the degree would be 0
     rows = np.array([[1e-20, 1.0], [1.0, 0.0], [0.6, 0.8], [-0.6, 0.8]], dtype=np.float32)
     g = build_knn_graph(EmbeddingSet(rows, normalized=True), k=3)
+    # every row's neighbors in CSR order, added left to right below
+    csr_order = [(1, 2, 3), (2, 3, 0), (3, 0, 1), (0, 1, 2)]
+    indptr, nbr, _ = knn.symmetric_csr(g)
+    assert [tuple(nbr[indptr[v] : indptr[v + 1]].tolist()) for v in range(4)] == csr_order
     p = Proposals.of([range(4)])
     got = cl._block_operator(cl._prepare(p, g), np.array([0]))
     np.testing.assert_array_equal(got, reference_operator(p.members, g))
-    assert not got[1].any()
+    sims = (rows @ rows.T).astype(np.float64)
+    np.fill_diagonal(sims, 0.0)
+    deg = np.array([sims[v, a] + sims[v, b] + sims[v, c] for v, (a, b, c) in enumerate(csr_order)])
+    assert deg[1] == np.float32(1e-20)
+    np.testing.assert_array_equal(got, ((1.0 / deg)[:, None] * sims).astype(np.float32))
+    assert got[1, 0] == 1.0 and got[1, 1] == 0.0 and got[1, 2] == -got[1, 3] > 1e19

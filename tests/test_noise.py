@@ -51,6 +51,26 @@ def test_classifier_fits_separable_data():
     assert np.mean(pred == labels.labels) == 1.0
 
 
+def test_classifier_trains_in_the_rows_dtype():
+    # one epoch of one batch: the float64 draw rounded to float32 once, then
+    # a float32 step; a float64 step rounded at the end differs in the last bits
+    emb, labels = _harness()
+    c = clustering_from_labels(labels)
+    head = train_linear_classifier(emb, c, epochs=1, lr=0.5, seed=3, batch_size=emb.n)
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    W = (rng.standard_normal((labels.num_ids, emb.d)) * 0.01).astype(np.float32)
+    order = np.arange(emb.n)
+    rng.shuffle(order)
+    X, y = emb.rows[order], labels.labels[order]
+    z = X @ W.T
+    probs = np.exp(z - z.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(emb.n), y] -= 1.0
+    W -= 0.5 * (probs.T @ X / emb.n + 1e-4 * W)
+    assert W.dtype == np.float32
+    np.testing.assert_array_equal(head.weights, W)
+
+
 def test_classifier_too_few_clusters():
     emb, _ = _harness()
     with pytest.raises(errors.TooFewClusters):
