@@ -426,9 +426,7 @@ def stage_separate(cfg: PipelineConfig) -> dict:
         # Weibull vs a Gaussian with matched mean/std
         low_sample = scores[scores < mix.otsu_t]
         low_fit = evt.weibull_fit_shifted(low_sample)
-        sse_weibull = evt.fit_sse(
-            lambda v: evt.weibull_eval(low_fit, v, "pdf"), low_sample
-        )
+        sse_weibull = evt.fit_sse(low_fit.pdf, low_sample)
         sse_gaussian = evt.fit_sse(
             evt.gaussian_pdf(float(low_sample.mean()), float(low_sample.std())),
             low_sample,

@@ -258,14 +258,19 @@ def _prepare(proposals: Proposals, g: KnnGraph) -> _ProposalSet:
     """Build every Dinv A of the proposals.
 
     The operators are gathered a run of consecutive proposals at a time
-    (:func:`_operators`). A run holds about eight int64 arrays over the
-    CSR edges of its members. A run's edges plus squared sizes stay within
-    a quarter of :data:`knn.BLOCK_ELEMENTS`, so a run holds at most about
-    16 bytes per block element, near the 12 of a k-NN block (a float32 sim
-    and an int64 index per element); a proposal larger than that is a run
-    of its own. The squared sizes shorten the runs of large proposals:
-    without them, the traced peak on the scale-n5k GCN training set is
-    6.6 MB instead of 4.1 MB. The runs are concatenated in order.
+    (:func:`_operators`) and the runs are concatenated in order. A run's
+    CSR edges plus squared sizes stay within a quarter of
+    :data:`knn.BLOCK_ELEMENTS`; a proposal larger than that is a run of
+    its own. The peak is one run's scratch on top of the outputs of the
+    runs before it, 12 bytes per operator entry (int32 row and column,
+    float32 value). The scratch is about 17 bytes per gathered CSR edge
+    and 56 per kept entry (six int64 and two float32 arrays); the squared
+    sizes bound the kept entries, as a proposal of s members keeps fewer
+    than s**2. A tracemalloc snapshot at the peak on the scale-n5k GCN
+    training set (231 274 entries) shows 4.2 MB: 2.5 MB of earlier
+    outputs, 1.3 MB of one run's scratch and the 0.3 MB CSR adjacency
+    built on first use. Weighted by edges alone, a run of large proposals
+    keeps 45 796 entries, its scratch reaches 3.6 MB and the peak 6.7 MB.
     """
     members, starts = proposals.members, proposals.starts
     sizes = np.diff(starts)
@@ -291,12 +296,13 @@ def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np
     because proposals come in order and members are sorted. An edge of
     the graph's CSR adjacency stays in a proposal's operator when the key
     of its other end is one of that proposal's slots. The weights are the
-    edge similarities, each row scaled by its inverse degree (rows
-    without edges stay zero). A row's degree is one float64 ``bincount``
-    of its kept sims, added in the order :func:`knn.symmetric_csr` lists
-    them; the products are float64 too, the values rounded to the graph's
-    dtype. Returns each proposal's entry count and the entries' rows,
-    columns (int32 positions in the proposal) and values.
+    edge similarities, each row scaled by its inverse degree (rows whose
+    degree is below the dtype's ``tiny`` stay zero). A row's degree is one
+    float64 ``bincount`` of its kept sims, added in the order
+    :func:`knn.symmetric_csr` lists them; the products are float64 too,
+    the values rounded to the graph's dtype. Returns each proposal's entry
+    count and the entries' rows, columns (int32 positions in the
+    proposal) and values.
     """
     indptr, nbr, sim = symmetric_csr(g)
     sizes = np.diff(starts)
@@ -314,7 +320,10 @@ def _operators(members: np.ndarray, starts: np.ndarray, g: KnnGraph) -> tuple[np
     base = starts[own]
     row, col = src - base, dst - base
     deg = np.bincount(src, weights=w, minlength=len(members))
-    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    # a degree below the dtype's smallest normal counts as zero: no sim
+    # exceeds 1, so no value exceeds 1 / tiny and the cast cannot overflow
+    ok = deg >= np.finfo(w.dtype).tiny
+    inv = np.where(ok, 1.0 / np.where(ok, deg, 1.0), 0.0)
     val = (inv[src] * w).astype(w.dtype)
     return np.bincount(own, minlength=len(sizes)), row.astype(np.int32), col.astype(np.int32), val
 

@@ -38,6 +38,34 @@ class WeibullParams:
         if not (self.shape_k > 0 and self.scale_lambda > 0):
             raise ValueError("shape and scale must be positive")
 
+    # The evaluators take a scalar or an array and compute in float64.
+    # Below the shift the pdf and cdf are 0 and sf is 1.
+
+    def _z(self, x) -> np.ndarray:
+        """Scaled distance above the shift, 0 below it."""
+        return np.maximum((np.asarray(x, dtype=np.float64) - self.shift) / self.scale_lambda, 0.0)
+
+    def pdf(self, x) -> np.ndarray:
+        k, z = self.shape_k, self._z(x)
+        with np.errstate(divide="ignore"):  # at the shift, k < 1 gives the pole, inf
+            dens = (k / self.scale_lambda) * z ** (k - 1.0) * np.exp(-(z**k))
+        return np.where(np.asarray(x) < self.shift, 0.0, dens)
+
+    def cdf(self, x) -> np.ndarray:
+        return -np.expm1(-(self._z(x) ** self.shape_k))
+
+    def sf(self, x) -> np.ndarray:
+        """Survival function, 1 - cdf."""
+        return np.exp(-(self._z(x) ** self.shape_k))
+
+    def quantile(self, q) -> np.ndarray:
+        """Inverse of the cdf; every q must lie in (0, 1)."""
+        q = np.asarray(q, dtype=np.float64)
+        bad = q[~((q > 0.0) & (q < 1.0))]
+        if bad.size:
+            raise QuantileOutOfRange(f"quantile arg {bad[0]} not in (0, 1)")
+        return self.shift + self.scale_lambda * (-np.log1p(-q)) ** (1.0 / self.shape_k)
+
 
 @dataclass(frozen=True)
 class MixtureSeparation:
@@ -132,49 +160,14 @@ def weibull_fit_shifted(samples) -> WeibullParams:
     two-parameter fit wastes its shape on bridging the gap to the origin.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
-    if x.size < MIN_SIDE_SAMPLES:
-        raise TooFewSamples(f"need >= {MIN_SIDE_SAMPLES} samples, got {x.size}")
-    rng_ = float(np.ptp(x))
-    if rng_ == 0.0:
-        raise TooFewSamples("samples are all equal")
-    shift = float(x.min()) - 1e-6 * rng_
+    # the inner fit raises TooFewSamples on too few or all-equal samples
+    shift = float(x.min()) - 1e-6 * float(np.ptp(x)) if x.size else 0.0
     inner = weibull_fit_mle(x - shift)
     return WeibullParams(
         shape_k=inner.shape_k,
         scale_lambda=inner.scale_lambda,
         shift=shift + inner.shift,
     )
-
-
-def weibull_eval(p: WeibullParams, x: float, which: str) -> float:
-    """Evaluate pdf, cdf or quantile of a (shifted) Weibull."""
-    k, lam, shift = p.shape_k, p.scale_lambda, p.shift
-    if which == "quantile":
-        if not 0.0 < x < 1.0:
-            raise QuantileOutOfRange(f"quantile arg {x} not in (0, 1)")
-        return shift + lam * (-math.log1p(-x)) ** (1.0 / k)
-    z = (x - shift) / lam
-    if which == "pdf":
-        if z < 0.0:
-            return 0.0
-        return (k / lam) * z ** (k - 1.0) * math.exp(-(z**k))
-    if which == "cdf":
-        if z < 0.0:
-            return 0.0
-        return -math.expm1(-(z**k))
-    raise ValueError(f"unknown evaluation kind {which!r}")
-
-
-def weibull_survival(p: WeibullParams, x) -> np.ndarray:
-    """Vectorized survival function exp(-((x - shift)/lambda)^k), 1 below shift."""
-    z = (np.asarray(x, dtype=np.float64) - p.shift) / p.scale_lambda
-    z = np.maximum(z, 0.0)
-    return np.exp(-(z**p.shape_k))
-
-
-def weibull_sample(p: WeibullParams, size: int, rng: np.random.Generator) -> np.ndarray:
-    u = rng.uniform(size=size)
-    return p.shift + p.scale_lambda * (-np.log1p(-u)) ** (1.0 / p.shape_k)
 
 
 def otsu_split(scores, n_bins: int = 256) -> tuple[float, np.ndarray, np.ndarray]:
@@ -202,14 +195,12 @@ def fit_two_weibull_mixture(
     t, low_side, high_side = otsu_split(scores, n_bins=n_bins)
     low = weibull_fit_mle(low_side)
     high = weibull_fit_mle(high_side)
-    lower_cut = weibull_eval(low, confidence, "quantile")
-    upper_cut = weibull_eval(high, 1.0 - confidence, "quantile")
     return MixtureSeparation(
         otsu_t=t,
         low=low,
         high=high,
-        lower_cut=float(lower_cut),
-        upper_cut=float(upper_cut),
+        lower_cut=float(low.quantile(confidence)),
+        upper_cut=float(high.quantile(1.0 - confidence)),
     )
 
 
@@ -227,19 +218,19 @@ def separate_overlap(scores, mix: MixtureSeparation) -> np.ndarray:
 
 def fit_sse(pdf, samples, n_bins: int = 50) -> float:
     """Sum of squared errors between an empirical density histogram and a
-    model pdf evaluated at the bin centers. ``pdf`` is a callable."""
+    model pdf evaluated at the bin centers. ``pdf`` maps an array of
+    points to their densities."""
     x = np.asarray(samples, dtype=np.float64).ravel()
     density, edges = np.histogram(x, bins=n_bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    model = np.array([pdf(c) for c in centers], dtype=np.float64)
-    return float(np.sum((density - model) ** 2))
+    return float(np.sum((density - pdf(centers)) ** 2))
 
 
 def gaussian_pdf(mean: float, std: float):
-    """Gaussian density as a callable, for SSE fit comparisons."""
+    """Gaussian density as a function of arrays, for SSE fit comparisons."""
 
-    def pdf(x: float) -> float:
-        z = (x - mean) / std
-        return math.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
+    def pdf(x) -> np.ndarray:
+        z = (np.asarray(x, dtype=np.float64) - mean) / std
+        return np.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
 
     return pdf

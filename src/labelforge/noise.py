@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, LinearHead, modal
 from .errors import NoPositives, TooFewClusters, TrainingDiverged
-from .evt import WeibullParams, otsu_split, weibull_fit_mle, weibull_survival
+from .evt import WeibullParams, otsu_split, weibull_fit_mle
 
 CORRECT = 0
 OUTLIER = 1
@@ -117,8 +117,8 @@ def fit_noise_model(
 
 def p_minus(m: NoiseModel, score) -> np.ndarray:
     """Probability of incorrect clustering: survival function of the
-    lower-mode Weibull, clamped to [0, 1]; non-increasing in the score."""
-    return np.clip(weibull_survival(m.wb_low, score), 0.0, 1.0)
+    lower-mode Weibull, in [0, 1] and non-increasing in the score."""
+    return m.wb_low.sf(score)
 
 
 def label_cluster_errors(c: Clustering, labels: LabelSet) -> np.ndarray:

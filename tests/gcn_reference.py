@@ -31,7 +31,8 @@ def proposal_operator(p, g):
     A = np.zeros((m, m))
     A[row[inside], col[inside]] = sim[edge[inside]]
     deg = np.bincount(row[inside], weights=sim[edge[inside]], minlength=m)
-    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    ok = deg >= np.finfo(sim.dtype).tiny  # smaller degrees count as zero
+    inv = np.where(ok, 1.0 / np.where(ok, deg, 1.0), 0.0)
     return (inv[:, None] * A).astype(sim.dtype)
 
 

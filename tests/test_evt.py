@@ -21,9 +21,7 @@ from labelforge.evt import (
     otsu_split,
     otsu_threshold,
     separate_overlap,
-    weibull_eval,
     weibull_fit_mle,
-    weibull_sample,
 )
 
 
@@ -107,7 +105,7 @@ def test_weibull_fit_exponential():
 def test_weibull_fit_recovery():
     rng = np.random.default_rng(2)
     gen = WeibullParams(shape_k=2.0, scale_lambda=1.5)
-    x = weibull_sample(gen, 10_000, rng)
+    x = gen.quantile(rng.uniform(size=10_000))
     p = weibull_fit_mle(x)
     assert abs(p.shape_k - 2.0) / 2.0 < 0.05
     assert abs(p.scale_lambda - 1.5) / 1.5 < 0.05
@@ -125,7 +123,7 @@ def test_weibull_fit_too_few():
 
 def test_weibull_fit_negative_data_shifted():
     rng = np.random.default_rng(3)
-    x = weibull_sample(WeibullParams(2.0, 1.0), 5000, rng) - 5.0
+    x = WeibullParams(2.0, 1.0).quantile(rng.uniform(size=5000)) - 5.0
     p = weibull_fit_mle(x)
     assert p.shift < x.min()
     assert p.shape_k > 0
@@ -133,47 +131,70 @@ def test_weibull_fit_negative_data_shifted():
 
 def test_weibull_cdf_at_scale():
     p = WeibullParams(shape_k=2.5, scale_lambda=1.3, shift=0.2)
-    assert weibull_eval(p, 0.2 + 1.3, "cdf") == pytest.approx(1 - math.exp(-1), abs=1e-12)
+    assert p.cdf(0.2 + 1.3) == pytest.approx(1 - math.exp(-1), abs=1e-12)
 
 
 def test_weibull_pdf_below_shift():
     p = WeibullParams(shape_k=2.0, scale_lambda=1.0, shift=1.0)
-    assert weibull_eval(p, 0.5, "pdf") == 0.0
+    assert p.pdf(0.5) == 0.0
 
 
 def test_weibull_quantile_closed_form():
     p = WeibullParams(shape_k=2.0, scale_lambda=1.0)
-    assert weibull_eval(p, 0.95, "quantile") == pytest.approx(
-        math.sqrt(-math.log(0.05)), abs=1e-9
-    )
-    assert weibull_eval(p, 0.95, "quantile") == pytest.approx(1.7308, abs=1e-4)
+    assert p.quantile(0.95) == pytest.approx(math.sqrt(-math.log(0.05)), abs=1e-9)
+    assert p.quantile(0.95) == pytest.approx(1.7308, abs=1e-4)
 
 
 def test_weibull_quantile_out_of_range():
     p = WeibullParams(1.0, 1.0)
     with pytest.raises(errors.QuantileOutOfRange):
-        weibull_eval(p, 1.5, "quantile")
+        p.quantile(1.5)
 
 
 def test_quantile_cdf_identity():
     p = WeibullParams(shape_k=1.7, scale_lambda=2.2, shift=-0.3)
     for x in np.linspace(p.shift + 1e-3, p.shift + 5 * p.scale_lambda, 50):
-        q = weibull_eval(p, weibull_eval(p, float(x), "cdf"), "quantile")
+        q = p.quantile(p.cdf(float(x)))
         assert q == pytest.approx(float(x), abs=1e-9)
+
+
+def test_evaluators_on_arrays_match_closed_form():
+    k, lam, shift = 1.5, 0.8, 0.4
+    p = WeibullParams(k, lam, shift)
+    # below the shift, at it, near it, around the scale and in the tail
+    x = np.array([shift - 1.0, shift - 1e-9, shift, shift + 1e-3, shift + 0.5 * lam,
+                  shift + lam, shift + 2.5 * lam])
+    zs = [(v - shift) / lam for v in x]
+    above = x >= shift
+    pdf = [(k / lam) * z ** (k - 1) * math.exp(-(z**k)) if a else 0.0 for z, a in zip(zs, above)]
+    cdf = [-math.expm1(-(z**k)) if a else 0.0 for z, a in zip(zs, above)]
+    sf = [math.exp(-(z**k)) if a else 1.0 for z, a in zip(zs, above)]
+    q = np.array([1e-6, 0.01, 0.3, 0.5, 0.9, 0.999])
+    quantile = [shift + lam * (-math.log1p(-u)) ** (1 / k) for u in q]
+    for got, want in [(p.pdf(x), pdf), (p.cdf(x), cdf), (p.sf(x), sf),
+                      (p.quantile(q), quantile)]:
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=4)
+    np.testing.assert_allclose(p.cdf(x) + p.sf(x), 1.0, rtol=0, atol=1e-15)
+    inside = x > shift
+    np.testing.assert_allclose(p.quantile(p.cdf(x[inside])), x[inside], rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(p.pdf(x[~above]), 0.0)
+    # also for k < 1, whose pdf has a pole at the shift
+    np.testing.assert_array_equal(WeibullParams(0.8, lam, shift).pdf(x[~above]), 0.0)
+    with pytest.raises(errors.QuantileOutOfRange):
+        p.quantile(np.array([0.2, 0.5, 1.0, 0.7]))
 
 
 def test_cdf_is_integral_of_pdf():
     p = WeibullParams(shape_k=2.3, scale_lambda=0.9, shift=0.5)
     for x in [0.7, 1.0, 1.8, 3.0]:
         grid = np.linspace(p.shift, x, 20_001)
-        pdf_vals = np.array([weibull_eval(p, float(g), "pdf") for g in grid])
-        integral = np.trapezoid(pdf_vals, grid)
-        assert integral == pytest.approx(weibull_eval(p, x, "cdf"), abs=1e-6)
+        integral = np.trapezoid(p.pdf(grid), grid)
+        assert integral == pytest.approx(p.cdf(x), abs=1e-6)
 
 
 def test_mle_local_optimality():
     rng = np.random.default_rng(4)
-    x = weibull_sample(WeibullParams(1.8, 1.2), 2000, rng)
+    x = WeibullParams(1.8, 1.2).quantile(rng.uniform(size=2000))
     p = weibull_fit_mle(x)
 
     def loglik(k, lam):
@@ -202,8 +223,8 @@ def test_max_logits_dimension_mismatch():
 
 def _bimodal_scores(seed=0, n=500):
     rng = np.random.default_rng(seed)
-    low = weibull_sample(WeibullParams(2.0, 0.5), n, rng)
-    high = weibull_sample(WeibullParams(3.0, 0.5), n, rng) + 3.0
+    low = WeibullParams(2.0, 0.5).quantile(rng.uniform(size=n))
+    high = WeibullParams(3.0, 0.5).quantile(rng.uniform(size=n)) + 3.0
     return np.concatenate([low, high])
 
 
@@ -243,19 +264,19 @@ def test_separation_monotone():
 def test_sse_prefers_true_model():
     rng = np.random.default_rng(6)
     gen = WeibullParams(1.5, 1.0)
-    x = weibull_sample(gen, 20_000, rng)
+    x = gen.quantile(rng.uniform(size=20_000))
     fitted = weibull_fit_mle(x)
     wrong = WeibullParams(fitted.shape_k, fitted.scale_lambda * 2, fitted.shift)
-    sse_good = fit_sse(lambda v: weibull_eval(fitted, v, "pdf"), x)
-    sse_bad = fit_sse(lambda v: weibull_eval(wrong, v, "pdf"), x)
+    sse_good = fit_sse(fitted.pdf, x)
+    sse_bad = fit_sse(wrong.pdf, x)
     assert sse_good < sse_bad
 
 
 def test_sse_weibull_beats_gaussian_on_skewed_data():
     rng = np.random.default_rng(7)
-    x = weibull_sample(WeibullParams(1.2, 1.0), 20_000, rng)
+    x = WeibullParams(1.2, 1.0).quantile(rng.uniform(size=20_000))
     wb = weibull_fit_mle(x)
-    sse_wb = fit_sse(lambda v: weibull_eval(wb, v, "pdf"), x)
+    sse_wb = fit_sse(wb.pdf, x)
     sse_gauss = fit_sse(gaussian_pdf(float(x.mean()), float(x.std())), x)
     assert sse_wb < sse_gauss
 

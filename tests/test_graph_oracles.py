@@ -8,6 +8,7 @@ batch). Inputs are quantized and duplicated rows, so that
 similarity ties land on the k-th boundary and on the thresholds.
 """
 
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from labelforge import cluster as cl
 from labelforge import knn
-from labelforge.data import EmbeddingSet
+from labelforge.data import EmbeddingSet, l2_normalize
 from labelforge.knn import (
     KnnGraph,
     Proposals,
@@ -110,7 +111,8 @@ def reference_operator(members, g):
     m = len(members)
     turned = (np.arange(m)[:, None] + 1 + np.arange(m)) % m
     deg = np.cumsum(np.take_along_axis(A, turned, axis=1), axis=1)[:, -1]
-    inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
+    ok = deg >= np.finfo(sim.dtype).tiny  # smaller degrees count as zero
+    inv = np.where(ok, 1.0 / np.where(ok, deg, 1.0), 0.0)
     return (inv[:, None] * A).astype(sim.dtype)
 
 
@@ -287,3 +289,20 @@ def test_proposal_operator_sums_degrees_in_csr_order():
     assert deg[1] == np.float32(1e-20)
     np.testing.assert_array_equal(got, ((1.0 / deg)[:, None] * sims).astype(np.float32))
     assert got[1, 0] == 1.0 and got[1, 1] == 0.0 and got[1, 2] == -got[1, 3] > 1e19
+
+
+def test_proposal_operator_keeps_a_row_zero_when_float32_cannot_invert_its_degree():
+    # node 0's sims are +0.196 (node 1) and -0.196 (node 2), which cancel,
+    # and about 1e-40 (node 3), a float32 subnormal: scaled by 1 / deg,
+    # the first two would overflow float32, so the row stays zero
+    rows = np.array(
+        [[1, 0, 0, 0], [0.2, 1, 0, 0], [-0.2, 1, 0, 0], [1e-40, 0, 0, 1]], dtype=np.float32
+    )
+    p = Proposals.of([range(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_knn_graph(l2_normalize(EmbeddingSet(rows)), k=3)
+        got = cl._block_operator(cl._prepare(p, g), np.array([0]))
+        want = reference_operator(p.members, g)
+    np.testing.assert_array_equal(got, want)
+    assert np.isfinite(got).all() and not got[0].any() and got[1:].any()

@@ -19,7 +19,7 @@ from labelforge.data import (
     relabel,
     write_json,
 )
-from labelforge.evt import WeibullParams, weibull_sample
+from labelforge.evt import WeibullParams
 from labelforge.noise import (
     CORRECT,
     OUTLIER,
@@ -179,8 +179,8 @@ def test_unknown_metric():
 
 def _bimodal_margins(seed=0, n=400):
     rng = np.random.default_rng(seed)
-    low = weibull_sample(WeibullParams(2.0, 0.4), n, rng)
-    high = weibull_sample(WeibullParams(3.0, 0.4), n, rng) + 2.5
+    low = WeibullParams(2.0, 0.4).quantile(rng.uniform(size=n))
+    high = WeibullParams(3.0, 0.4).quantile(rng.uniform(size=n)) + 2.5
     return np.concatenate([low, high])
 
 
