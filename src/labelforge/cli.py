@@ -111,8 +111,6 @@ def _list_of(parse):
     return parse_list
 
 
-_SEED = _int_from(0)
-_FINITE = _float_in("(-inf, inf)")
 _POSITIVE = _float_in("(0, inf)")
 
 SCHEMA: dict[str, dict[str, tuple]] = {
@@ -122,17 +120,15 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "samples_per_id_max": (_int_from(0), 0),  # 0 disables the long tail
         "dim": (_int_from(2), 32),
         "within_id_sigma": (_float_in("[0, inf)"), 0.25),
-        "seed": (_SEED, 0),
+        "seed": (_int_from(0), 0),  # the one seed; see _SEED_OFFSETS
     },
     "split": {
         # both sides need an identity of their own
         "labeled_id_fraction": (_float_in("(0, 1)"), 0.5),
         "overlap_id_fraction": (_float_in("[0, 1]"), 0.0),
-        "seed": (_SEED, 1),
     },
     "knn": {
         "k": (_int_from(1), 8),
-        "thresholds": (_list_of(_FINITE), ()),  # empty -> quantile defaults
         "threshold_count": (_int_from(1), 12),
         "max_size": (_int_from(2), 100),
     },
@@ -143,9 +139,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "gcn_epochs": (_int_from(1), 300),
         "gcn_lr": (_POSITIVE, 0.5),
         "gcn_batch_size": (_int_from(1), 16),
-        "gcn_seed": (_SEED, 2),
         "kmeans_k": (_int_from(0), 0),  # 0 -> n_samples // samples_per_id
-        "kmeans_seed": (_SEED, 3),
         "hac_threshold": (_float_in("[0, 2]"), 0.5),  # a cosine distance
         "dbscan_eps": (_POSITIVE, 0.5),
         "dbscan_min_size": (_int_from(1), 2),
@@ -160,7 +154,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "gamma": (_float_in("[0, inf)"), 1.0),
         "classifier_epochs": (_int_from(1), 30),
         "classifier_lr": (_POSITIVE, 1.0),
-        "classifier_seed": (_SEED, 4),
         "n_bins": (_int_from(2), 64),
     },
     "train": {
@@ -169,7 +162,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "epochs": (_int_from(1), 40),
         "lr": (_POSITIVE, 0.1),
         "batch_size": (_int_from(1), 256),
-        "seed": (_SEED, 6),
         "with_encoder": (_parse_bool, True),
     },
     "eval": {
@@ -177,23 +169,16 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "fars": (_list_of(_float_in("[0, 1]")), (1e-2, 1e-3)),
         "ks": (_list_of(_int_from(1)), (1, 5)),
         "pairs_per_class": (_int_from(1), 3),
-        "seed": (_SEED, 5),
     },
     "paths": {
         "out_dir": (str, "out"),
     },
 }
 
-# --seed N re-derives every stage seed from one base value
-_SEED_KEYS = (
-    ("synth", "seed", 0),
-    ("split", "seed", 1),
-    ("eval", "seed", 2),
-    ("cluster", "gcn_seed", 3),
-    ("cluster", "kmeans_seed", 4),
-    ("noise", "classifier_seed", 5),
-    ("train", "seed", 6),
-)
+# every random stream's seed: [synth] seed plus its offset
+_SEED_OFFSETS = {
+    "synth": 0, "split": 1, "eval": 2, "gcn": 3, "kmeans": 4, "classifier": 5, "train": 6,
+}
 
 
 class PipelineConfig:
@@ -207,6 +192,10 @@ class PipelineConfig:
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
+
+    def seed(self, stream: str) -> int:
+        """The seed of one random stream, derived from ``[synth] seed``."""
+        return self.values["synth"]["seed"] + _SEED_OFFSETS[stream]
 
     def echo(self) -> dict:
         """JSON-serializable copy of the resolved configuration."""
@@ -259,8 +248,7 @@ def load_config(path) -> PipelineConfig:
 
 def apply_overrides(cfg: PipelineConfig, seed=None, out=None) -> PipelineConfig:
     if seed is not None:
-        for section, key, offset in _SEED_KEYS:
-            cfg.values[section][key] = seed + offset
+        cfg.values["synth"]["seed"] = seed
     if out is not None:
         cfg.values["paths"]["out_dir"] = out
     return cfg
@@ -326,7 +314,7 @@ def _train_head(cfg: PipelineConfig, labeled, pseudo=None, use_weights=False):
     t, gamma = cfg["train"], cfg["noise"]["gamma"]
     loss_cfg = train.LossConfig(alpha=t["alpha"], margin_m=t["margin_m"], gamma=gamma)
     return train.train_head(
-        labeled, pseudo, loss_cfg, epochs=t["epochs"], lr=t["lr"], seed=t["seed"],
+        labeled, pseudo, loss_cfg, epochs=t["epochs"], lr=t["lr"], seed=cfg.seed("train"),
         use_weights=use_weights, with_encoder=t["with_encoder"], batch_size=t["batch_size"],
     )
 
@@ -342,7 +330,7 @@ def stage_gen(cfg: PipelineConfig) -> dict:
         samples_per_id=s["samples_per_id"] + cfg["eval"]["holdout_per_id"],
         dim=s["dim"],
         within_id_sigma=s["within_id_sigma"],
-        seed=s["seed"],
+        seed=cfg.seed("synth"),
         samples_per_id_max=(
             s["samples_per_id_max"] + cfg["eval"]["holdout_per_id"]
             if s["samples_per_id_max"] > 0
@@ -362,7 +350,7 @@ def stage_gen(cfg: PipelineConfig) -> dict:
     spec = synth.SplitSpec(
         labeled_id_fraction=cfg["split"]["labeled_id_fraction"],
         overlap_id_fraction=cfg["split"]["overlap_id_fraction"],
-        seed=cfg["split"]["seed"],
+        seed=cfg.seed("split"),
     )
     labeled_idx, unlabeled_idx, gt_overlap = synth.make_overlap_split(
         train_emb, train_labels, spec
@@ -456,11 +444,14 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
 
     c = cfg["cluster"]
     algorithm = c["algorithm"]
+    out = {"algorithm": algorithm}
     if algorithm == "gcn":
         clustering = _gcn_cluster(cfg, _subset(train_emb, train_labels, labeled_idx), dis_emb)
     elif algorithm == "kmeans":
+        # kmeans_k = 0 reads the harness's true identity size: an oracle-K reference
         K = c["kmeans_k"] or max(2, dis_emb.n // cfg["synth"]["samples_per_id"])
-        clustering = cl.kmeans(dis_emb, K=K, seed=c["kmeans_seed"])
+        clustering = cl.kmeans(dis_emb, K=K, seed=cfg.seed("kmeans"))
+        out["kmeans"] = {"k": K, "oracle_k": c["kmeans_k"] == 0}
     elif algorithm == "hac":
         clustering = cl.hac(dis_emb, dist_threshold=c["hac_threshold"])
     else:
@@ -472,7 +463,7 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
     pw = metrics.pairwise_prf(clustering, gt)
     bc = metrics.bcubed_prf(clustering, gt)
     return {
-        "algorithm": algorithm,
+        **out,
         "n_clustered_input": dis_emb.n,
         "num_clusters": clustering.num_clusters,
         "coverage": metrics.coverage(clustering),
@@ -484,18 +475,20 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
 def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
     c = cfg["cluster"]
     k = cfg["knn"]["k"]
+    count = cfg["knn"]["threshold_count"]
     max_size = cfg["knn"]["max_size"]
     lab_emb, lab_labels = labeled
 
     # purity regressor is trained on the labeled split, where IoU/IoP
     # targets are known
     lab_graph = knn.build_knn_graph(lab_emb, k=k)
-    lab_thresholds = _thresholds(cfg, lab_graph)
+    # each graph's sweep comes from its own similarity distribution
+    lab_thresholds = knn.default_thresholds(lab_graph, count=count)
     lab_props = knn.proposals_from_thresholds(lab_graph, lab_thresholds, max_size=max_size)
     n_aug = c["augment_unions"]
     if n_aug < 0:
         n_aug = 2 * len(lab_props) // 3
-    aug = cl.union_augment(lab_props, n_aug, seed=c["gcn_seed"] + 1)
+    aug = cl.union_augment(lab_props, n_aug, seed=cfg.seed("gcn") + 1)
     model = cl.gcn_train(
         lab_props + aug,
         lab_emb,
@@ -503,22 +496,16 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
         lab_labels,
         epochs=c["gcn_epochs"],
         lr=c["gcn_lr"],
-        seed=c["gcn_seed"],
+        seed=cfg.seed("gcn"),
         batch_size=c["gcn_batch_size"],
     )
     cl.save_gcn_model(model, _path(cfg, "gcn.npz"))
 
     graph = knn.build_knn_graph(dis_emb, k=k, threads=cfg.threads)
-    props = knn.proposals_from_thresholds(graph, _thresholds(cfg, graph), max_size=max_size)
+    thresholds = knn.default_thresholds(graph, count=count)
+    props = knn.proposals_from_thresholds(graph, thresholds, max_size=max_size)
     scores = cl.score_proposals(model, props, dis_emb, graph)
     return cl.deoverlap(props, scores, min_cluster_size=c["min_cluster_size"])
-
-
-def _thresholds(cfg: PipelineConfig, g: knn.KnnGraph) -> list[float]:
-    configured = cfg["knn"]["thresholds"]
-    if configured:
-        return sorted(configured, reverse=True)
-    return knn.default_thresholds(g, count=cfg["knn"]["threshold_count"])
 
 
 def stage_noise(cfg: PipelineConfig) -> dict:
@@ -538,7 +525,7 @@ def stage_noise(cfg: PipelineConfig) -> dict:
             clustering,
             epochs=n["classifier_epochs"],
             lr=n["classifier_lr"],
-            seed=n["classifier_seed"],
+            seed=cfg.seed("classifier"),
         )
     except TooFewClusters:
         # degenerate clustering: no basis for uncertainty, treat as clean
@@ -546,9 +533,7 @@ def stage_noise(cfg: PipelineConfig) -> dict:
     else:
         # AP of each metric at flagging mis-clustered samples, vs ground truth
         for metric in noise.METRICS:
-            s = noise.uncertainty_scores(head, dis_emb, metric)
-            # higher entropy means less confident; flip the others
-            ranking = s if metric == "entropy" else -s
+            ranking = -noise.confidence(metric, noise.uncertainty_scores(head, dis_emb, metric))
             positives = tags[assigned] != noise.CORRECT
             if positives.any():
                 ap[metric] = noise.average_precision(ranking[assigned], positives)
@@ -602,7 +587,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
 
     e = cfg["eval"]
     protocol = metrics.build_verification_protocol(
-        test_labels, pairs_per_class=e["pairs_per_class"], seed=e["seed"]
+        test_labels, pairs_per_class=e["pairs_per_class"], seed=cfg.seed("eval")
     )
     # gallery: first held-out sample per identity; probes: the rest
     order, bounds = groups(test_labels.labels, test_labels.num_ids)
@@ -711,7 +696,7 @@ def main(argv=None) -> int:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="path to INI config file")
-        p.add_argument("--seed", type=int, default=None, help="override all stage seeds")
+        p.add_argument("--seed", type=int, default=None, help="set [synth] seed, the base seed")
         p.add_argument("--threads", type=int, default=1, help="worker cap for k-NN search")
         p.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)

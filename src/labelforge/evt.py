@@ -111,6 +111,8 @@ def weibull_fit_mle(samples, max_iter: int = 100, tol: float = 1e-9) -> WeibullP
 
     Data with nonpositive minimum is shifted to positive support first
     (shift = min - 1e-6 * range), recorded in the returned parameters.
+    The iteration runs on ``x / max(x)``, to whose scale the shape equation
+    is blind, so its powers stay in (0, 1] and cannot overflow.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < MIN_SIDE_SAMPLES:
@@ -122,6 +124,8 @@ def weibull_fit_mle(samples, max_iter: int = 100, tol: float = 1e-9) -> WeibullP
     if x.min() <= 0.0:
         shift = float(x.min()) - 1e-6 * rng_
     x = x - shift
+    top = float(x.max())
+    x = x / top
 
     ln_x = np.log(x)
     # method-of-moments start: Var[ln X] = pi^2 / (6 k^2)
@@ -148,7 +152,7 @@ def weibull_fit_mle(samples, max_iter: int = 100, tol: float = 1e-9) -> WeibullP
         k = k_new
     if not converged:
         raise NonConvergence(f"shape iteration did not converge (last k={k})")
-    lam = float(np.mean(x**k) ** (1.0 / k))
+    lam = top * float(np.mean(x**k) ** (1.0 / k))
     return WeibullParams(shape_k=k, scale_lambda=lam, shift=shift)
 
 

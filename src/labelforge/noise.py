@@ -2,7 +2,7 @@
 
 Trains a softmax linear classifier on cluster assignments, scores each
 sample's uncertainty (entropy, max-logit or class-margin), fits a Weibull
-to the lower mode of the margin distribution and turns it into a
+to the less confident mode of the scores and turns it into a
 per-sample probability of incorrect clustering. Ground-truth diagnostics
 (outlier / split-id tagging, average precision) live here too.
 """
@@ -26,7 +26,8 @@ METRICS = ("entropy", "max_logit", "class_margin")
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Lower-mode Weibull over an uncertainty metric's score distribution."""
+    """Lower-mode Weibull over an uncertainty metric's scores, on the
+    scale of :func:`confidence` (entropy negated)."""
 
     metric: str
     otsu_t: float
@@ -107,18 +108,25 @@ def uncertainty_scores(head: LinearHead, emb: EmbeddingSet, metric: str) -> np.n
     return -terms.sum(axis=1)
 
 
+def confidence(metric: str, scores) -> np.ndarray:
+    """``scores`` of ``metric`` oriented so that higher means more confident."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return -scores if metric == "entropy" else scores
+
+
 def fit_noise_model(
     margin_scores, metric: str = "class_margin", n_bins: int = 256
 ) -> NoiseModel:
-    """Otsu split of the score distribution, Weibull MLE on the lower mode."""
-    t, low, _ = otsu_split(margin_scores, n_bins=n_bins)
+    """Otsu split of the oriented scores, Weibull MLE on the less confident side."""
+    t, low, _ = otsu_split(confidence(metric, margin_scores), n_bins=n_bins)
     return NoiseModel(metric=metric, otsu_t=t, wb_low=weibull_fit_mle(low))
 
 
 def p_minus(m: NoiseModel, score) -> np.ndarray:
     """Probability of incorrect clustering: survival function of the
-    lower-mode Weibull, in [0, 1] and non-increasing in the score."""
-    return m.wb_low.sf(score)
+    lower-mode Weibull at the oriented score, in [0, 1] and non-decreasing in
+    uncertainty."""
+    return m.wb_low.sf(confidence(m.metric, score))
 
 
 def label_cluster_errors(c: Clustering, labels: LabelSet) -> np.ndarray:

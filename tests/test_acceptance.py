@@ -134,8 +134,7 @@ def test_criterion_03_overlap_separation_ordering(announce):
         cfg = _pipeline_config(
             synth={"num_ids": 60, "samples_per_id": 20, "dim": 32,
                    "within_id_sigma": 0.15, "seed": seed},
-            split={"overlap_id_fraction": 0.3, "seed": seed + 1},
-            train={"seed": seed + 6},
+            split={"overlap_id_fraction": 0.3},
         )
         stage_gen(cfg)
         frag = stage_separate(cfg)
@@ -444,12 +443,8 @@ def _overlap_pipeline_rank1(seed: int, separation: bool) -> float:
     cfg = _pipeline_config(
         synth={"num_ids": 40, "samples_per_id": 16, "dim": 32,
                "within_id_sigma": 0.15, "seed": seed},
-        split={"overlap_id_fraction": 0.3, "seed": seed + 1},
+        split={"overlap_id_fraction": 0.3},
         evt={"enabled": separation},
-        cluster={"gcn_seed": seed + 3},
-        noise={"classifier_seed": seed + 5},
-        train={"seed": seed + 6},
-        eval={"seed": seed + 2},
     )
     report = run_pipeline(cfg)
     return report["stages"]["evaluate"]["soft"]["identification_rank"]["1"]

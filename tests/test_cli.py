@@ -18,7 +18,6 @@ seed = 0
 [split]
 labeled_id_fraction = 0.5
 overlap_id_fraction = 0.3
-seed = 1
 
 [cluster]
 gcn_epochs = 60
@@ -116,14 +115,27 @@ def test_seed_override_rederives_stage_seeds(base_config):
     cfg = load_config(base_config)
     apply_overrides(cfg, seed=100)
     assert cfg["synth"]["seed"] == 100
-    assert cfg["split"]["seed"] == 101
+    assert cfg.seed("split") == 101
     # every derived seed is distinct
     seeds = [
-        cfg["synth"]["seed"], cfg["split"]["seed"], cfg["eval"]["seed"],
-        cfg["cluster"]["gcn_seed"], cfg["cluster"]["kmeans_seed"],
-        cfg["noise"]["classifier_seed"], cfg["train"]["seed"],
+        cfg.seed("synth"), cfg.seed("split"), cfg.seed("eval"),
+        cfg.seed("gcn"), cfg.seed("kmeans"),
+        cfg.seed("classifier"), cfg.seed("train"),
     ]
     assert len(set(seeds)) == len(seeds)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("split", "seed"), ("eval", "seed"), ("cluster", "gcn_seed"), ("cluster", "kmeans_seed"),
+    ("noise", "classifier_seed"), ("train", "seed"), ("knn", "thresholds"),
+])
+def test_removed_key_rejected(tmp_path, capsys, section, key):
+    # every seed derives from [synth] seed; each graph's threshold sweep
+    # from its own similarities
+    cfg = _write_ini(tmp_path, f"[{section}]\n{key} = 1\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown key") and repr(key) in err
 
 
 def test_out_override(base_config, tmp_path):
@@ -247,7 +259,6 @@ OUT_OF_RANGE = {
         "labeled_id_fraction = 0.5", "labeled_id_fraction = nan", "labeled_id_fraction"
     ),
     "gamma": ("[eval]", "[noise]\ngamma = inf\n\n[eval]", "gamma"),
-    "thresholds": ("[eval]", "[knn]\nthresholds = 0.9, inf\n\n[eval]", "thresholds"),
     "labeled_id_fraction=0": (
         "labeled_id_fraction = 0.5", "labeled_id_fraction = 0", "[split] labeled_id_fraction"
     ),
@@ -323,6 +334,17 @@ def test_baseline_algorithm_runs(tmp_path, algorithm):
     stage = _load_report(out)["stages"]["cluster"]
     assert stage["algorithm"] == algorithm
     assert stage["n_clustered_input"] > 0
+
+
+@pytest.mark.parametrize("kmeans_k, oracle_k", [(0, True), (3, False)])
+def test_kmeans_reports_the_k_it_used(tmp_path, kmeans_k, oracle_k):
+    text = TINY_INI.replace("gcn_epochs = 5", f"algorithm = kmeans\nkmeans_k = {kmeans_k}")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", _write_ini(tmp_path, text), "--out", out]) == 0
+    stage = _load_report(out)["stages"]["cluster"]
+    # kmeans_k = 0 takes K from the harness's identity size, samples_per_id = 10
+    expected = max(2, stage["n_clustered_input"] // 10) if oracle_k else kmeans_k
+    assert stage["kmeans"] == {"k": expected, "oracle_k": oracle_k}
 
 
 def test_gcn_divergence_exits_2(tmp_path, capsys):

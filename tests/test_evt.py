@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,16 @@ def test_weibull_fit_recovery():
     p = weibull_fit_mle(x)
     assert abs(p.shape_k - 2.0) / 2.0 < 0.05
     assert abs(p.scale_lambda - 1.5) / 1.5 < 0.05
+
+
+def test_weibull_fit_large_shape_without_overflow():
+    # x**k of the raw samples overflows float64 long before k reaches 800
+    x = 4.7 * np.random.default_rng(0).weibull(800, 1500)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = weibull_fit_mle(x)
+    assert abs(p.shape_k - 800) / 800 < 0.05
+    assert abs(p.scale_lambda - 4.7) / 4.7 < 0.05
 
 
 def test_weibull_fit_constant_samples():

@@ -2,7 +2,7 @@
 
 Each pass holds scratch arrays of at most ``knn.BLOCK_ELEMENTS``
 elements, so its peak stays flat in n. The bounds leave room over the
-measured peaks (about 6.9, 7.4 and 5.5 MB) and sit far below what a
+measured peaks (about 5.6, 4.2 and 4.0 MB) and sit far below what a
 pass holding n x n or 1024 x n arrays, or int64 arrays over every
 gathered edge, allocates (about 190, 24 and 245 MB).
 """

@@ -227,6 +227,21 @@ def test_high_margin_samples_get_low_p_minus():
     assert pm[tags == OUTLIER].mean() > pm[tags == CORRECT].mean()
 
 
+def test_entropy_p_minus_rises_with_entropy():
+    # higher entropy means less confident: the fit orients entropy first
+    emb, labels = _harness(seed=5)
+    c = inject_label_noise(clustering_from_labels(labels), labels, 0.2, "outlier", seed=1)
+    head = train_linear_classifier(emb, c, seed=2)
+    entropy = uncertainty_scores(head, emb, "entropy")
+    m = fit_noise_model(entropy, metric="entropy")
+    vals = p_minus(m, np.sort(entropy))
+    assert np.all(np.diff(vals) >= -1e-12)
+    assert vals[-1] > vals[0]
+    pm = p_minus(m, entropy)
+    tags = label_cluster_errors(c, labels)
+    assert pm[tags == OUTLIER].mean() > pm[tags == CORRECT].mean()
+
+
 # --- ground-truth diagnostics ---
 
 def test_label_cluster_errors_trace():
