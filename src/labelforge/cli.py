@@ -133,7 +133,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "max_size": (_int_from(2), 100),
     },
     "cluster": {
-        "algorithm": (_one_of("gcn", "kmeans", "hac", "dbscan"), "gcn"),
+        "algorithm": (_one_of("gcn", "kmeans", "hac"), "gcn"),
         "min_cluster_size": (_int_from(1), 2),
         "augment_unions": (_int_from(-1), -1),  # -1 -> two thirds of the proposal count
         "gcn_epochs": (_int_from(1), 300),
@@ -141,8 +141,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "gcn_batch_size": (_int_from(1), 16),
         "kmeans_k": (_int_from(0), 0),  # 0 -> n_samples // samples_per_id
         "hac_threshold": (_float_in("[0, 2]"), 0.5),  # a cosine distance
-        "dbscan_eps": (_POSITIVE, 0.5),
-        "dbscan_min_size": (_int_from(1), 2),
     },
     "evt": {
         "enabled": (_parse_bool, True),
@@ -289,6 +287,9 @@ def _subset(emb: EmbeddingSet, labels: LabelSet, idx: np.ndarray):
     return EmbeddingSet(emb.rows[idx], normalized=True), LabelSet(relabel(labels.labels[idx]))
 
 
+_DECISIONS = {"disjoint": evt.DISJOINT, "overlap": evt.OVERLAP, "rejected": evt.REJECTED}
+
+
 def _load_disjoint(cfg: PipelineConfig, train_emb, train_labels, unlabeled_idx):
     """Embeddings and ground-truth labels of the unlabeled samples that
     ``separate`` marked evt.DISJOINT, the input of cluster, noise and retrain."""
@@ -298,6 +299,10 @@ def _load_disjoint(cfg: PipelineConfig, train_emb, train_labels, unlabeled_idx):
         raise CorruptArtifact(
             f"{path}: {decisions.size} decisions for {unlabeled_idx.size} unlabeled samples"
         )
+    unknown = ~np.isin(decisions, list(_DECISIONS.values()))
+    if unknown.any():
+        code = decisions[unknown][0]
+        raise CorruptArtifact(f"{path}: decision code {code} is not one of {_DECISIONS}")
     return _subset(train_emb, train_labels, unlabeled_idx[decisions == evt.DISJOINT])
 
 
@@ -432,8 +437,7 @@ def stage_separate(cfg: PipelineConfig) -> dict:
                 "sse_gaussian": sse_gaussian,
             }
         )
-    codes = {"disjoint": evt.DISJOINT, "overlap": evt.OVERLAP, "rejected": evt.REJECTED}
-    out["counts"] = {name: int(np.sum(decisions == code)) for name, code in codes.items()}
+    out["counts"] = {name: int(np.sum(decisions == code)) for name, code in _DECISIONS.items()}
     save_archive({"decisions": decisions}, _path(cfg, "decisions.npz"))
     return out
 
@@ -452,10 +456,8 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
         K = c["kmeans_k"] or max(2, dis_emb.n // cfg["synth"]["samples_per_id"])
         clustering = cl.kmeans(dis_emb, K=K, seed=cfg.seed("kmeans"))
         out["kmeans"] = {"k": K, "oracle_k": c["kmeans_k"] == 0}
-    elif algorithm == "hac":
-        clustering = cl.hac(dis_emb, dist_threshold=c["hac_threshold"])
     else:
-        clustering = cl.dbscan(dis_emb, eps=c["dbscan_eps"], min_size=c["dbscan_min_size"])
+        clustering = cl.hac(dis_emb, dist_threshold=c["hac_threshold"])
 
     save_clustering(clustering, _path(cfg, "pseudo_clusters.csv"))
 

@@ -1,8 +1,8 @@
 """Clustering engines.
 
-Three classical baselines (spherical k-means, average-linkage HAC, DBSCAN
-on cosine distance), the graph-convolutional proposal-purity regressor,
-and the greedy de-overlap partitioner that turns scored proposals into a
+Two classical baselines (spherical k-means and average-linkage HAC on
+cosine distance), the graph-convolutional proposal-purity regressor, and
+the greedy de-overlap partitioner that turns scored proposals into a
 disjoint clustering.
 """
 
@@ -110,54 +110,6 @@ def hac(emb: EmbeddingSet, dist_threshold: float) -> Clustering:
         merges.append((a, b))
     lo, hi = np.array(merges, dtype=np.int64).reshape(-1, 2).T
     return Clustering(relabel(component_labels(np.arange(n), lo, hi)))
-
-
-def dbscan(emb: EmbeddingSet, eps: float, min_size: int) -> Clustering:
-    """Density clustering on cosine distance; noise points UNASSIGNED.
-
-    A point is core when at least ``min_size`` points (itself included)
-    lie within ``eps``. Core points within ``eps`` of each other form the
-    clusters; a non-core point within ``eps`` of a core point joins the
-    cluster with the smallest core member among those it touches. Clusters
-    are numbered by their smallest core member.
-
-    Distances are taken a row block at a time (:func:`knn.block_rows`
-    rows against every row), in three passes: one counts each row's
-    neighbours to find the core points, one feeds each block's core
-    ε-edges to :func:`knn.component_labels`, one gives each non-core row
-    its border cluster. No n × n array is held.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if min_size < 1:
-        raise ValueError("min_size must be >= 1")
-    n = emb.n
-    rows = emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None]
-    step = knn.block_rows(n)
-    starts = range(0, n, step)
-    buf = np.empty((min(step, n), n), dtype=rows.dtype)  # reused, as in knn.build_knn_graph
-
-    def within(start: int) -> np.ndarray:
-        """``dist <= eps`` between the rows of the block at ``start`` and every row."""
-        block = rows[start : start + step]
-        dist = np.matmul(block, rows.T, out=buf[: len(block)])
-        np.subtract(1.0, dist, out=dist)
-        return dist <= eps
-
-    core = np.concatenate([within(a).sum(axis=1) >= min_size for a in starts])
-    label = np.arange(n)
-    for a in starts:
-        touch = within(a)
-        touch &= core
-        touch[~core[a : a + step]] = False
-        lo, hi = np.nonzero(touch)
-        lo += a
-        upper = hi > lo
-        label = component_labels(label, lo[upper], hi[upper])
-    core_label = np.where(core, label, n)
-    border = np.concatenate([np.where(within(a), core_label, n).min(axis=1) for a in starts])
-    label[~core] = np.where(border < n, border, UNASSIGNED)[~core]
-    return Clustering(relabel(label))
 
 
 def clustering_from_labels(labels: LabelSet) -> Clustering:

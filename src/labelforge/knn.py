@@ -108,10 +108,9 @@ def ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 # elements of the largest scratch array a graph-layer pass may hold: the
 # (rows x n) similarity block of a k-NN worker (a float32 block and its
-# int64 argpartition indices: 3 MiB), the (rows x n) float32 distance
-# block of a DBSCAN pass, or, at a quarter of it, the edges of a run of a
-# proposal gather (cluster._prepare). Scratch memory then stays flat in
-# n instead of growing as a fixed row count times n. On a 2-core Xeon
+# int64 argpartition indices: 3 MiB) or, at a quarter of it, the edges of
+# a run of a proposal gather (cluster._prepare). Scratch memory then stays
+# flat in n instead of growing as a fixed row count times n. On a 2-core Xeon
 # with one BLAS thread and float64 blocks, 2**18 built k=8 graphs in 59,
 # 218 and 35 ms at n=2500 and n=5000 (d=32) and n=1600 (d=128), against
 # 73, 275 and 43 ms with 1024-row blocks; 2**17 and 2**19 were within 11%

@@ -198,12 +198,12 @@ def test_evt_disabled_treats_everything_as_disjoint(tmp_path):
 
 
 def test_degenerate_clustering_falls_back_to_zero_p_minus(tmp_path):
-    # dbscan on this harness collapses to one giant cluster; the noise
-    # stage cannot fit a model and must fall back to p_minus == 0
+    # one cluster of every sample: the noise stage cannot fit a model and
+    # must fall back to p_minus == 0
     cfg = _write_ini(
         tmp_path,
-        BASE_INI.replace("gcn_epochs = 60", "algorithm = dbscan\ngcn_epochs = 60"),
-        name="dbscan.ini",
+        BASE_INI.replace("gcn_epochs = 60", "algorithm = kmeans\nkmeans_k = 1"),
+        name="one_cluster.ini",
     )
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out, "--seed", "0"]) == 0
@@ -246,10 +246,8 @@ def test_gcn_key_out_of_range_rejected(tmp_path, capsys, line, key):
 
 # test id -> (text of BASE_INI, its replacement, the key the error must name)
 OUT_OF_RANGE = {
-    "dbscan_eps": ("gcn_epochs = 60", "algorithm = dbscan\ndbscan_eps = 0", "dbscan_eps"),
-    "dbscan_min_size": (
-        "gcn_epochs = 60", "algorithm = dbscan\ndbscan_min_size = 0", "dbscan_min_size"
-    ),
+    "algorithm=dbscan": ("gcn_epochs = 60", "algorithm = dbscan", "algorithm"),
+    "dbscan_eps": ("gcn_epochs = 60", "gcn_epochs = 60\ndbscan_eps = 0.3", "dbscan_eps"),
     "hac_threshold": ("gcn_epochs = 60", "algorithm = hac\nhac_threshold = nan", "hac_threshold"),
     "hac_threshold=-1": (
         "gcn_epochs = 60", "algorithm = hac\nhac_threshold = -1", "[cluster] hac_threshold"
@@ -326,7 +324,7 @@ def test_config_value_out_of_range_rejected(tmp_path, capsys, old, new, key):
 
 # --- baseline algorithms ---
 
-@pytest.mark.parametrize("algorithm", ["kmeans", "hac", "dbscan"])
+@pytest.mark.parametrize("algorithm", ["kmeans", "hac"])
 def test_baseline_algorithm_runs(tmp_path, algorithm):
     cfg = _write_ini(tmp_path, TINY_INI.replace("gcn_epochs = 5", f"algorithm = {algorithm}"))
     out = str(tmp_path / "out")
@@ -478,6 +476,16 @@ def test_decisions_must_match_unlabeled_count(run_copy, capsys):
     np.savez(out / "decisions.npz", decisions=decisions[:-1])
     code, err = _stage_exit(capsys, "retrain", cfg, out)
     assert code == 2 and "unlabeled samples" in err
+
+
+def test_unknown_decision_code_exits_2(run_copy, capsys):
+    cfg, out = run_copy
+    with np.load(out / "decisions.npz") as z:
+        decisions = z["decisions"]
+    decisions[0] = 7
+    np.savez(out / "decisions.npz", decisions=decisions)
+    code, err = _stage_exit(capsys, "cluster", cfg, out)
+    assert code == 2 and "decision code 7" in err
 
 
 def test_split_index_out_of_range_exits_2(run_copy, capsys):

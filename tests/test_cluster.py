@@ -14,7 +14,6 @@ from labelforge.cluster import (
     _runs,
     _targets,
     clustering_from_labels,
-    dbscan,
     deoverlap,
     gcn_train,
     hac,
@@ -31,7 +30,6 @@ from labelforge.synth import SynthConfig, generate_identities
 import gcn_reference
 import proposal_reference
 from gcn_reference import proposal_operator
-from test_graph_oracles import block_budget, tied_embeddings
 
 
 def two_blobs(per_id=15, sigma=0.05, seed=0, dim=8):
@@ -145,7 +143,8 @@ def _clusters_in_id_order(assignment):
 def duplicated_rows(draw, max_n=30):
     """Gaussian rows, some copied onto others: the copies tie exactly in
     every distance, while the rest stay in general position. (The grid rows
-    of ``tied_embeddings`` put most dendrograms on an undecided tie.)"""
+    of ``test_graph_oracles.tied_embeddings`` put most dendrograms on an
+    undecided tie.)"""
     n = draw(st.integers(2, max_n))
     d = draw(st.integers(2, 4))
     rows = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, d))
@@ -162,125 +161,6 @@ def test_hac_matches_oracle_on_duplicated_rows(emb, threshold):
     # the oracle's list is sorted, so equality also checks that cluster
     # ids ascend with their smallest member
     assert _clusters_in_id_order(hac(emb, dist_threshold=threshold).assignment) == clusters
-
-
-# --- DBSCAN ---
-
-def dbscan_oracle(rows, eps, min_size):
-    """Quadratic textbook DBSCAN on cosine distance.
-
-    Clusters grow from each unvisited core point in index order, so they are
-    numbered by their smallest core member, and a border point stays with
-    the first cluster that reaches it: the one with the smallest core member
-    among those within ``eps`` of it.
-    """
-    rows = rows / np.linalg.norm(rows, axis=1)[:, None]
-    n = rows.shape[0]
-    dist = 1.0 - rows @ rows.T
-    labels = [None] * n
-    cid = -1
-    for i in range(n):
-        if labels[i] is not None:
-            continue
-        nbrs = [j for j in range(n) if dist[i, j] <= eps]
-        if len(nbrs) < min_size:
-            labels[i] = UNASSIGNED
-            continue
-        cid += 1
-        labels[i] = cid
-        queue = [j for j in nbrs if j != i]
-        while queue:
-            q = queue.pop(0)
-            if labels[q] == UNASSIGNED:
-                labels[q] = cid
-            if labels[q] is not None:
-                continue
-            labels[q] = cid
-            q_nbrs = [j for j in range(n) if dist[q, j] <= eps]
-            if len(q_nbrs) >= min_size:
-                queue.extend(q_nbrs)
-    return [UNASSIGNED if v is None else v for v in labels]
-
-
-def test_dbscan_all_noise():
-    emb = EmbeddingSet(np.eye(4), normalized=True)
-    c = dbscan(emb, eps=0.5, min_size=2)
-    assert np.all(c.assignment == UNASSIGNED)
-
-
-def test_dbscan_one_blob():
-    emb, _ = two_blobs(per_id=10)
-    blob = EmbeddingSet(emb.rows[:10], normalized=True)
-    c = dbscan(blob, eps=0.5, min_size=2)
-    assert c.num_clusters == 1
-    assert np.all(c.assignment == 0)
-
-
-def test_dbscan_matches_reference():
-    rng = np.random.default_rng(21)
-    cfg = SynthConfig(num_ids=6, samples_per_id=40, dim=6,
-                      within_id_sigma=0.15, seed=4)
-    emb, _ = generate_identities(cfg)
-    noise_rows = rng.standard_normal((60, 6))
-    rows = np.vstack([emb.rows, noise_rows])
-    full = l2_normalize(EmbeddingSet(rows))  # n = 300
-    c = dbscan(full, eps=0.08, min_size=4)
-    assert c.assignment.tolist() == dbscan_oracle(full.rows, eps=0.08, min_size=4)
-
-
-@settings(max_examples=150, deadline=None)
-@given(emb=tied_embeddings(), eps=st.floats(1e-6, 2.0), min_size=st.integers(1, 6))
-def test_dbscan_matches_oracle_on_tied_rows(emb, eps, min_size):
-    c = dbscan(emb, eps=eps, min_size=min_size)
-    assert c.assignment.tolist() == dbscan_oracle(emb.rows, eps, min_size)
-
-
-@st.composite
-def arc_rows(draw):
-    """Unit vectors at angles 0.05 * k along an arc: runs of one to three
-    copies per step, a lone point between consecutive runs, in random
-    order. With ``eps`` one step, the lone point is a border point of both
-    neighbouring runs when it is not dense enough to be core itself."""
-    runs = draw(st.lists(st.lists(st.integers(1, 3), min_size=2, max_size=3), min_size=2, max_size=4))
-    angle, at = [], 0
-    for run in runs:
-        for copies in run:
-            angle += [at] * copies
-            at += 1
-        angle.append(at)
-        at += 1
-    angle = 0.05 * np.array(draw(st.permutations(angle)))
-    return EmbeddingSet(np.stack([np.cos(angle), np.sin(angle)], axis=1), normalized=True)
-
-
-@settings(max_examples=150, deadline=None)
-@given(emb=arc_rows(), min_size=st.integers(3, 5))
-def test_dbscan_border_points_match_oracle(emb, min_size):
-    eps = 1.0 - np.cos(0.05) + 1e-9
-    c = dbscan(emb, eps=eps, min_size=min_size)
-    assert c.assignment.tolist() == dbscan_oracle(emb.rows, eps, min_size)
-
-
-@settings(max_examples=100, deadline=None)
-@given(emb=arc_rows(), min_size=st.integers(3, 5), data=st.data())
-def test_dbscan_in_row_blocks_matches_oracle(emb, min_size, data):
-    eps = 1.0 - np.cos(0.05) + 1e-9
-    want = dbscan_oracle(emb.rows, eps, min_size)
-    for rows in (1, data.draw(st.integers(2, emb.n))):
-        with block_budget(rows * emb.n):
-            assert dbscan(emb, eps=eps, min_size=min_size).assignment.tolist() == want
-
-
-def test_dbscan_in_row_blocks_matches_reference():
-    rng = np.random.default_rng(21)
-    cfg = SynthConfig(num_ids=6, samples_per_id=40, dim=6,
-                      within_id_sigma=0.15, seed=4)
-    emb, _ = generate_identities(cfg)
-    full = l2_normalize(EmbeddingSet(np.vstack([emb.rows, rng.standard_normal((60, 6))])))
-    want = dbscan_oracle(full.rows, eps=0.08, min_size=4)
-    for rows in (1, 7, 64):
-        with block_budget(rows * full.n):
-            assert dbscan(full, eps=0.08, min_size=4).assignment.tolist() == want
 
 
 # --- proposal targets ---
