@@ -101,16 +101,6 @@ def _one_of(*names: str):
     return parse
 
 
-def _list_of(parse):
-    """Parser of a comma-separated list; an empty value is the empty tuple."""
-
-    def parse_list(raw: str) -> tuple:
-        raw = raw.strip()
-        return tuple(parse(v) for v in raw.split(",")) if raw else ()
-
-    return parse_list
-
-
 _POSITIVE = _float_in("(0, inf)")
 
 SCHEMA: dict[str, dict[str, tuple]] = {
@@ -129,43 +119,30 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "knn": {
         "k": (_int_from(1), 8),
-        "threshold_count": (_int_from(1), 12),
-        "max_size": (_int_from(2), 100),
     },
     "cluster": {
         "algorithm": (_one_of("gcn", "kmeans", "hac"), "gcn"),
-        "min_cluster_size": (_int_from(1), 2),
         "augment_unions": (_int_from(-1), -1),  # -1 -> two thirds of the proposal count
         "gcn_epochs": (_int_from(1), 300),
         "gcn_lr": (_POSITIVE, 0.5),
-        "gcn_batch_size": (_int_from(1), 16),
         "kmeans_k": (_int_from(0), 0),  # 0 -> n_samples // samples_per_id
         "hac_threshold": (_float_in("[0, 2]"), 0.5),  # a cosine distance
     },
     "evt": {
         "enabled": (_parse_bool, True),
-        "n_bins": (_int_from(2), 64),
-        "confidence": (_float_in("(0, 1)"), 0.95),
     },
     "noise": {
         "metric": (_one_of(*noise.METRICS), "class_margin"),
         "gamma": (_float_in("[0, inf)"), 1.0),
-        "classifier_epochs": (_int_from(1), 30),
         "classifier_lr": (_POSITIVE, 1.0),
-        "n_bins": (_int_from(2), 64),
     },
     "train": {
-        "alpha": (_POSITIVE, 16.0),
-        "margin_m": (_float_in("[0, 1]"), 0.35),
         "epochs": (_int_from(1), 40),
         "lr": (_POSITIVE, 0.1),
-        "batch_size": (_int_from(1), 256),
         "with_encoder": (_parse_bool, True),
     },
     "eval": {
         "holdout_per_id": (_int_from(2), 4),
-        "fars": (_list_of(_float_in("[0, 1]")), (1e-2, 1e-3)),
-        "ks": (_list_of(_int_from(1)), (1, 5)),
         "pairs_per_class": (_int_from(1), 3),
     },
     "paths": {
@@ -197,10 +174,7 @@ class PipelineConfig:
 
     def echo(self) -> dict:
         """JSON-serializable copy of the resolved configuration."""
-        return {
-            section: {k: list(v) if isinstance(v, tuple) else v for k, v in keys.items()}
-            for section, keys in self.values.items()
-        }
+        return {section: dict(keys) for section, keys in self.values.items()}
 
     def sha(self) -> str:
         """sha256 of the resolved configuration, ``[paths]`` excepted."""
@@ -316,11 +290,11 @@ def _load_clustering(cfg: PipelineConfig, name: str, n: int) -> Clustering:
 
 def _train_head(cfg: PipelineConfig, labeled, pseudo=None, use_weights=False):
     """The baseline (no ``pseudo``), hard or soft (``use_weights``) head."""
-    t, gamma = cfg["train"], cfg["noise"]["gamma"]
-    loss_cfg = train.LossConfig(alpha=t["alpha"], margin_m=t["margin_m"], gamma=gamma)
+    t = cfg["train"]
+    loss_cfg = train.LossConfig(gamma=cfg["noise"]["gamma"])
     return train.train_head(
         labeled, pseudo, loss_cfg, epochs=t["epochs"], lr=t["lr"], seed=cfg.seed("train"),
-        use_weights=use_weights, with_encoder=t["with_encoder"], batch_size=t["batch_size"],
+        use_weights=use_weights, with_encoder=t["with_encoder"],
     )
 
 
@@ -407,9 +381,7 @@ def stage_separate(cfg: PipelineConfig) -> dict:
     if not cfg["evt"]["enabled"]:
         decisions = np.full(unl_emb.n, evt.DISJOINT, dtype=np.int64)
     else:
-        mix = evt.fit_two_weibull_mixture(
-            scores, n_bins=cfg["evt"]["n_bins"], confidence=cfg["evt"]["confidence"]
-        )
+        mix = evt.fit_two_weibull_mixture(scores)
         write_json(dataclasses.asdict(mix), _path(cfg, "mixture.json"))
         decisions = evt.separate_overlap(scores, mix)
         wb_fpr, wb_fnr = _rates(decisions == evt.OVERLAP, gt_overlap)
@@ -477,16 +449,13 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
 def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
     c = cfg["cluster"]
     k = cfg["knn"]["k"]
-    count = cfg["knn"]["threshold_count"]
-    max_size = cfg["knn"]["max_size"]
     lab_emb, lab_labels = labeled
 
     # purity regressor is trained on the labeled split, where IoU/IoP
     # targets are known
     lab_graph = knn.build_knn_graph(lab_emb, k=k)
     # each graph's sweep comes from its own similarity distribution
-    lab_thresholds = knn.default_thresholds(lab_graph, count=count)
-    lab_props = knn.proposals_from_thresholds(lab_graph, lab_thresholds, max_size=max_size)
+    lab_props = knn.proposals_from_thresholds(lab_graph, knn.default_thresholds(lab_graph))
     n_aug = c["augment_unions"]
     if n_aug < 0:
         n_aug = 2 * len(lab_props) // 3
@@ -499,15 +468,12 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
         epochs=c["gcn_epochs"],
         lr=c["gcn_lr"],
         seed=cfg.seed("gcn"),
-        batch_size=c["gcn_batch_size"],
     )
     cl.save_gcn_model(model, _path(cfg, "gcn.npz"))
 
     graph = knn.build_knn_graph(dis_emb, k=k, threads=cfg.threads)
-    thresholds = knn.default_thresholds(graph, count=count)
-    props = knn.proposals_from_thresholds(graph, thresholds, max_size=max_size)
-    scores = cl.score_proposals(model, props, dis_emb, graph)
-    return cl.deoverlap(props, scores, min_cluster_size=c["min_cluster_size"])
+    props = knn.proposals_from_thresholds(graph, knn.default_thresholds(graph))
+    return cl.deoverlap(props, cl.score_proposals(model, props, dis_emb, graph))
 
 
 def stage_noise(cfg: PipelineConfig) -> dict:
@@ -518,32 +484,27 @@ def stage_noise(cfg: PipelineConfig) -> dict:
     n = cfg["noise"]
     tags = noise.label_cluster_errors(clustering, gt)
     assigned = clustering.assignment != UNASSIGNED
+    positives = tags[assigned] != noise.CORRECT
     ap: dict[str, float | None] = {metric: None for metric in noise.METRICS}
     model = None
     pm = np.zeros(dis_emb.n)
     try:
         head = noise.train_linear_classifier(
-            dis_emb,
-            clustering,
-            epochs=n["classifier_epochs"],
-            lr=n["classifier_lr"],
-            seed=cfg.seed("classifier"),
+            dis_emb, clustering, lr=n["classifier_lr"], seed=cfg.seed("classifier")
         )
     except TooFewClusters:
         # degenerate clustering: no basis for uncertainty, treat as clean
         pass
     else:
         # AP of each metric at flagging mis-clustered samples, vs ground truth
-        for metric in noise.METRICS:
-            ranking = -noise.confidence(metric, noise.uncertainty_scores(head, dis_emb, metric))
-            positives = tags[assigned] != noise.CORRECT
-            if positives.any():
+        scores = {m: noise.uncertainty_scores(head, dis_emb, m) for m in noise.METRICS}
+        if positives.any():
+            for metric, s in scores.items():
+                ranking = -noise.confidence(metric, s)
                 ap[metric] = noise.average_precision(ranking[assigned], positives)
-        margins = noise.uncertainty_scores(head, dis_emb, n["metric"])
+        margins = scores[n["metric"]]
         try:
-            model = noise.fit_noise_model(
-                margins, metric=n["metric"], n_bins=n["n_bins"]
-            )
+            model = noise.fit_noise_model(margins, metric=n["metric"])
         except OneSidedData:
             # no separable lower mode: treat every assignment as clean
             pass
@@ -560,7 +521,7 @@ def stage_noise(cfg: PipelineConfig) -> dict:
         "otsu_t": model.otsu_t if model is not None else None,
         "average_precision": ap,
         "mean_p_minus": float(pm[assigned].mean()) if assigned.any() else None,
-        "n_error_samples": int(np.sum(tags[assigned] != noise.CORRECT)),
+        "n_error_samples": int(positives.sum()),
     }
 
 
@@ -587,9 +548,8 @@ def stage_retrain(cfg: PipelineConfig) -> dict:
 def stage_evaluate(cfg: PipelineConfig) -> dict:
     test_emb, test_labels = _load_labeled(cfg, "test")
 
-    e = cfg["eval"]
     protocol = metrics.build_verification_protocol(
-        test_labels, pairs_per_class=e["pairs_per_class"], seed=cfg.seed("eval")
+        test_labels, pairs_per_class=cfg["eval"]["pairs_per_class"], seed=cfg.seed("eval")
     )
     # gallery: first held-out sample per identity; probes: the rest
     order, bounds = groups(test_labels.labels, test_labels.num_ids)
@@ -600,11 +560,10 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     for variant in ("baseline", "hard", "soft"):
         model = train.load_trained_model(_path(cfg, f"{variant}.npz"))
         emb = train.embed(model, test_emb) if model.encoder is not None else test_emb
-        acc, tars = metrics.verification_metrics(emb, protocol, fars=e["fars"])
+        acc, tars = metrics.verification_metrics(emb, protocol)
         ranks = metrics.identification_rank(
             (EmbeddingSet(emb.rows[gallery_idx], normalized=True), test_labels.labels[gallery_idx]),
             (EmbeddingSet(emb.rows[probe_idx], normalized=True), test_labels.labels[probe_idx]),
-            ks=e["ks"],
         )
         out[variant] = {
             "verification_accuracy": acc,

@@ -369,9 +369,10 @@ def union_augment(proposals: Proposals, count: int, seed: int = 0) -> Proposals:
     proposal (or an earlier union) are skipped. The union inherits the
     smaller threshold of the pair.
 
-    Each attempt draws its own pair, ``rng.integers(0, P, size=2)``, for
-    at most ``20 * count`` attempts. Attempts run in rounds as long as
-    the number of unions still missing; a round's unions are formed at once.
+    Attempts run in rounds as long as the number of unions still missing,
+    for at most ``20 * count`` attempts; a round draws its pairs with one
+    ``rng.integers(0, P, size=(tries, 2))`` call and forms their unions at
+    once. That call draws the same pairs as one ``size=2`` call per attempt.
     """
     if len(proposals) < 2:
         return Proposals.of([])
@@ -381,9 +382,9 @@ def union_augment(proposals: Proposals, count: int, seed: int = 0) -> Proposals:
     attempts = 0
     while len(pairs) < count and attempts < 20 * count:
         tries = min(count - len(pairs), 20 * count - attempts)
-        draws = [rng.integers(0, len(proposals), size=2) for _ in range(tries)]
+        draws = rng.integers(0, len(proposals), size=(tries, 2))
         attempts += tries
-        for pair, union in zip(draws, _unions(proposals, np.array(draws))):
+        for pair, union in zip(draws, _unions(proposals, draws)):
             key = union.members.tobytes()
             if key not in seen:
                 seen.add(key)

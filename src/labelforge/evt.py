@@ -81,7 +81,7 @@ def max_logits(head: LinearHead, emb: EmbeddingSet) -> np.ndarray:
     return head.logits(emb).max(axis=1)
 
 
-def otsu_threshold(scores, n_bins: int = 256) -> float:
+def otsu_threshold(scores, n_bins: int = 64) -> float:
     """Histogram threshold maximizing between-class variance.
 
     Candidate thresholds are the interior bin edges of an equal-width
@@ -174,7 +174,7 @@ def weibull_fit_shifted(samples) -> WeibullParams:
     )
 
 
-def otsu_split(scores, n_bins: int = 256) -> tuple[float, np.ndarray, np.ndarray]:
+def otsu_split(scores, n_bins: int = 64) -> tuple[float, np.ndarray, np.ndarray]:
     """Otsu threshold t and the scores below it and at or above it.
 
     Raises OneSidedData when either side has fewer than MIN_SIDE_SAMPLES.
@@ -188,7 +188,7 @@ def otsu_split(scores, n_bins: int = 256) -> tuple[float, np.ndarray, np.ndarray
 
 
 def fit_two_weibull_mixture(
-    scores, n_bins: int = 256, confidence: float = 0.95
+    scores, n_bins: int = 64, confidence: float = 0.95
 ) -> MixtureSeparation:
     """Otsu-initialized per-side Weibull fits and confidence cuts.
 

@@ -251,7 +251,7 @@ def component_labels(label: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
 
 def proposals_from_thresholds(
-    g: KnnGraph, thresholds: list[float], max_size: int = 300
+    g: KnnGraph, thresholds: list[float], max_size: int = 100
 ) -> Proposals:
     """Connected-component proposals at each threshold, oversized ones re-cut.
 
@@ -296,7 +296,7 @@ def proposals_from_thresholds(
     return Proposals(np.concatenate(chunks), offsets(np.concatenate(sizes)), np.concatenate(cuts))
 
 
-def default_thresholds(g: KnnGraph, count: int = 8) -> list[float]:
+def default_thresholds(g: KnnGraph, count: int = 12) -> list[float]:
     """Evenly spaced quantiles of the symmetrized edge-sim distribution."""
     _, _, sim = symmetric_edges(g)
     qs = np.linspace(1.0 / (count + 1), count / (count + 1), count)

@@ -75,7 +75,7 @@ def coverage(c: Clustering) -> float:
 
 
 def verification_metrics(
-    emb: EmbeddingSet, protocol: VerificationProtocol, fars: tuple[float, ...] = (1e-3, 1e-4)
+    emb: EmbeddingSet, protocol: VerificationProtocol, fars: tuple[float, ...] = (1e-2, 1e-3)
 ) -> tuple[float, dict[float, float]]:
     """Best sweep accuracy plus TAR at each requested FAR.
 

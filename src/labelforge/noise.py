@@ -115,7 +115,7 @@ def confidence(metric: str, scores) -> np.ndarray:
 
 
 def fit_noise_model(
-    margin_scores, metric: str = "class_margin", n_bins: int = 256
+    margin_scores, metric: str = "class_margin", n_bins: int = 64
 ) -> NoiseModel:
     """Otsu split of the oriented scores, Weibull MLE on the less confident side."""
     t, low, _ = otsu_split(confidence(metric, margin_scores), n_bins=n_bins)

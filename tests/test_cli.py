@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from labelforge.cli import apply_overrides, load_config, main
+from labelforge.cli import SCHEMA, apply_overrides, load_config, main, run_pipeline
 
 
 BASE_INI = """\
@@ -128,14 +128,40 @@ def test_seed_override_rederives_stage_seeds(base_config):
 @pytest.mark.parametrize("section, key", [
     ("split", "seed"), ("eval", "seed"), ("cluster", "gcn_seed"), ("cluster", "kmeans_seed"),
     ("noise", "classifier_seed"), ("train", "seed"), ("knn", "thresholds"),
+    ("knn", "threshold_count"), ("knn", "max_size"), ("cluster", "min_cluster_size"),
+    ("cluster", "gcn_batch_size"), ("evt", "n_bins"), ("evt", "confidence"),
+    ("noise", "classifier_epochs"), ("noise", "n_bins"), ("train", "alpha"),
+    ("train", "margin_m"), ("train", "batch_size"), ("eval", "fars"), ("eval", "ks"),
 ])
 def test_removed_key_rejected(tmp_path, capsys, section, key):
     # every seed derives from [synth] seed; each graph's threshold sweep
-    # from its own similarities
+    # from its own similarities; the keys after that are fixed at the
+    # defaults of the functions they fed
     cfg = _write_ini(tmp_path, f"[{section}]\n{key} = 1\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown key") and repr(key) in err
+
+
+def test_every_schema_key_is_read(tmp_path):
+    # a key that no run reads would be a setting that changes nothing
+    read = set()
+
+    class Recording(dict):
+        def __init__(self, section, values):
+            super().__init__(values)
+            self.section = section
+
+        def __getitem__(self, key):
+            read.add((self.section, key))
+            return super().__getitem__(key)
+
+    for algorithm in ("gcn", "kmeans", "hac"):
+        text = TINY_INI.replace("[cluster]\n", f"[cluster]\nalgorithm = {algorithm}\n")
+        cfg = load_config(_write_ini(tmp_path, text, f"{algorithm}.ini"))
+        cfg.values = {s: Recording(s, v) for s, v in cfg.values.items()}
+        run_pipeline(apply_overrides(cfg, out=str(tmp_path / algorithm)))
+    assert {(s, k) for s, keys in SCHEMA.items() for k in keys} - read == set()
 
 
 def test_out_override(base_config, tmp_path):
@@ -230,6 +256,7 @@ def test_report_is_sorted_and_finite(base_config, tmp_path):
 @pytest.mark.parametrize(
     "line, key",
     [
+        # no longer a key: rejected as unknown
         ("gcn_batch_size = 0", "gcn_batch_size"),
         ("gcn_epochs = -1", "gcn_epochs"),
         ("gcn_lr = nan", "gcn_lr"),
@@ -244,7 +271,8 @@ def test_gcn_key_out_of_range_rejected(tmp_path, capsys, line, key):
 
 # --- value ranges of the other keys ---
 
-# test id -> (text of BASE_INI, its replacement, the key the error must name)
+# test id -> (text of BASE_INI, its replacement, the key the error must name);
+# a removed key is rejected as unknown whatever its value
 OUT_OF_RANGE = {
     "algorithm=dbscan": ("gcn_epochs = 60", "algorithm = dbscan", "algorithm"),
     "dbscan_eps": ("gcn_epochs = 60", "gcn_epochs = 60\ndbscan_eps = 0.3", "dbscan_eps"),
@@ -284,32 +312,39 @@ OUT_OF_RANGE = {
     ),
     "seed": ("seed = 0", "seed = -1", "[synth] seed"),
     "k": ("[eval]", "[knn]\nk = 0\n\n[eval]", "[knn] k"),
-    "threshold_count": ("[eval]", "[knn]\nthreshold_count = 0\n\n[eval]", "[knn] threshold_count"),
-    "max_size": ("[eval]", "[knn]\nmax_size = 0\n\n[eval]", "[knn] max_size"),
+    "threshold_count": (
+        "[eval]", "[knn]\nthreshold_count = 0\n\n[eval]", "unknown key 'threshold_count'"
+    ),
+    "max_size": ("[eval]", "[knn]\nmax_size = 0\n\n[eval]", "unknown key 'max_size'"),
     "min_cluster_size": (
-        "gcn_epochs = 60", "gcn_epochs = 60\nmin_cluster_size = 0", "[cluster] min_cluster_size"
+        "gcn_epochs = 60", "gcn_epochs = 60\nmin_cluster_size = 0",
+        "unknown key 'min_cluster_size'",
     ),
     "augment_unions": (
         "gcn_epochs = 60", "gcn_epochs = 60\naugment_unions = -2", "[cluster] augment_unions"
     ),
-    "evt_n_bins": ("[eval]", "[evt]\nn_bins = 1\n\n[eval]", "[evt] n_bins"),
-    "confidence": ("[eval]", "[evt]\nconfidence = 1\n\n[eval]", "[evt] confidence"),
+    "evt_n_bins": (
+        "[eval]", "[evt]\nn_bins = 1\n\n[eval]", "unknown key 'n_bins' in section [evt]"
+    ),
+    "confidence": ("[eval]", "[evt]\nconfidence = 1\n\n[eval]", "unknown key 'confidence'"),
     "gamma=-1": ("[eval]", "[noise]\ngamma = -1\n\n[eval]", "[noise] gamma"),
     "classifier_epochs": (
-        "[eval]", "[noise]\nclassifier_epochs = 0\n\n[eval]", "[noise] classifier_epochs"
+        "[eval]", "[noise]\nclassifier_epochs = 0\n\n[eval]", "unknown key 'classifier_epochs'"
     ),
     "classifier_lr": ("[eval]", "[noise]\nclassifier_lr = 0\n\n[eval]", "[noise] classifier_lr"),
-    "noise_n_bins": ("[eval]", "[noise]\nn_bins = 1\n\n[eval]", "[noise] n_bins"),
-    "alpha": ("[eval]", "[train]\nalpha = 0\n\n[eval]", "[train] alpha"),
-    "margin_m": ("[eval]", "[train]\nmargin_m = 2\n\n[eval]", "[train] margin_m"),
+    "noise_n_bins": (
+        "[eval]", "[noise]\nn_bins = 1\n\n[eval]", "unknown key 'n_bins' in section [noise]"
+    ),
+    "alpha": ("[eval]", "[train]\nalpha = 0\n\n[eval]", "unknown key 'alpha'"),
+    "margin_m": ("[eval]", "[train]\nmargin_m = 2\n\n[eval]", "unknown key 'margin_m'"),
     "epochs": ("[eval]", "[train]\nepochs = -1\n\n[eval]", "[train] epochs"),
     "lr": ("[eval]", "[train]\nlr = 0\n\n[eval]", "[train] lr"),
-    "batch_size": ("[eval]", "[train]\nbatch_size = 0\n\n[eval]", "[train] batch_size"),
+    "batch_size": ("[eval]", "[train]\nbatch_size = 0\n\n[eval]", "unknown key 'batch_size'"),
     "pairs_per_class": (
         "holdout_per_id = 2", "holdout_per_id = 2\npairs_per_class = 0", "[eval] pairs_per_class"
     ),
-    "ks": ("holdout_per_id = 2", "holdout_per_id = 2\nks = 1, 0", "[eval] ks"),
-    "fars": ("holdout_per_id = 2", "holdout_per_id = 2\nfars = 0.01, 2", "[eval] fars"),
+    "ks": ("holdout_per_id = 2", "holdout_per_id = 2\nks = 1, 0", "unknown key 'ks'"),
+    "fars": ("holdout_per_id = 2", "holdout_per_id = 2\nfars = 0.01, 2", "unknown key 'fars'"),
 }
 
 

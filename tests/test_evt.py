@@ -241,7 +241,7 @@ def _bimodal_scores(seed=0, n=500):
 
 def test_mixture_well_separated():
     x = _bimodal_scores()
-    mix = fit_two_weibull_mixture(x)
+    mix = fit_two_weibull_mixture(x, n_bins=256)
     assert mix.lower_cut < mix.upper_cut
     assert x[: len(x) // 2].mean() < mix.otsu_t < x[len(x) // 2 :].mean()
 
@@ -251,12 +251,12 @@ def test_mixture_unimodal_one_sided():
     x = rng.normal(10, 0.001, 300)
     x[0] += 5.0  # a single far value pulls Otsu past one side
     with pytest.raises(errors.OneSidedData):
-        fit_two_weibull_mixture(x)
+        fit_two_weibull_mixture(x, n_bins=256)
 
 
 def test_separation_decisions():
     x = _bimodal_scores(seed=1)
-    mix = fit_two_weibull_mixture(x)
+    mix = fit_two_weibull_mixture(x, n_bins=256)
     decisions = separate_overlap(np.array([-10.0, 10.0]), mix)
     assert decisions[0] == DISJOINT and decisions[1] == OVERLAP
     mid = 0.5 * (mix.lower_cut + mix.upper_cut)
@@ -265,7 +265,7 @@ def test_separation_decisions():
 
 def test_separation_monotone():
     x = _bimodal_scores(seed=2)
-    mix = fit_two_weibull_mixture(x)
+    mix = fit_two_weibull_mixture(x, n_bins=256)
     zs = np.linspace(x.min() - 1, x.max() + 1, 500)
     decisions = separate_overlap(zs, mix)
     changes = np.sum(np.diff(decisions) != 0)
@@ -303,7 +303,7 @@ def test_sse_two_bins_by_hand():
 
 def test_mixture_json_roundtrip(tmp_path):
     x = _bimodal_scores(seed=3)
-    mix = fit_two_weibull_mixture(x)
+    mix = fit_two_weibull_mixture(x, n_bins=256)
     path = tmp_path / "mix.json"
     write_json(dataclasses.asdict(mix), path)
     assert read_json(path) == dataclasses.asdict(mix)

@@ -186,7 +186,7 @@ def _bimodal_margins(seed=0, n=400):
 
 def test_noise_model_bimodal():
     x = _bimodal_margins()
-    m = fit_noise_model(x)
+    m = fit_noise_model(x, n_bins=256)
     assert x[:400].mean() < m.otsu_t < x[400:].mean()
     assert m.wb_low.shape_k > 0
 
@@ -196,11 +196,11 @@ def test_noise_model_one_sided():
     x = rng.normal(5, 0.001, 300)
     x[0] += 3.0
     with pytest.raises(errors.OneSidedData):
-        fit_noise_model(x)
+        fit_noise_model(x, n_bins=256)
 
 
 def test_p_minus_limits():
-    m = fit_noise_model(_bimodal_margins(seed=2))
+    m = fit_noise_model(_bimodal_margins(seed=2), n_bins=256)
     wb = m.wb_low
     at_scale = p_minus(m, np.array([wb.shift + wb.scale_lambda]))
     assert at_scale[0] == pytest.approx(math.exp(-1), abs=1e-12)
@@ -209,7 +209,7 @@ def test_p_minus_limits():
 
 
 def test_p_minus_monotone_nonincreasing():
-    m = fit_noise_model(_bimodal_margins(seed=3))
+    m = fit_noise_model(_bimodal_margins(seed=3), n_bins=256)
     xs = np.linspace(-1.0, 6.0, 200)
     vals = p_minus(m, xs)
     assert np.all(np.diff(vals) <= 1e-12)
@@ -221,7 +221,7 @@ def test_high_margin_samples_get_low_p_minus():
     c = inject_label_noise(clustering_from_labels(labels), labels, 0.2, "outlier", seed=1)
     head = train_linear_classifier(emb, c, seed=2)
     margins = uncertainty_scores(head, emb, "class_margin")
-    m = fit_noise_model(margins)
+    m = fit_noise_model(margins, n_bins=256)
     pm = p_minus(m, margins)
     tags = label_cluster_errors(c, labels)
     assert pm[tags == OUTLIER].mean() > pm[tags == CORRECT].mean()
@@ -233,7 +233,7 @@ def test_entropy_p_minus_rises_with_entropy():
     c = inject_label_noise(clustering_from_labels(labels), labels, 0.2, "outlier", seed=1)
     head = train_linear_classifier(emb, c, seed=2)
     entropy = uncertainty_scores(head, emb, "entropy")
-    m = fit_noise_model(entropy, metric="entropy")
+    m = fit_noise_model(entropy, metric="entropy", n_bins=256)
     vals = p_minus(m, np.sort(entropy))
     assert np.all(np.diff(vals) >= -1e-12)
     assert vals[-1] > vals[0]
@@ -347,7 +347,7 @@ def test_average_precision_monotone_transform_invariant():
 
 
 def test_noise_model_roundtrip(tmp_path):
-    m = fit_noise_model(_bimodal_margins(seed=4))
+    m = fit_noise_model(_bimodal_margins(seed=4), n_bins=256)
     path = tmp_path / "noise.json"
     write_json(dataclasses.asdict(m), path)
     assert read_json(path) == dataclasses.asdict(m)
