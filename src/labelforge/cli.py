@@ -42,6 +42,7 @@ from .data import (
 from .errors import (
     ConfigError,
     CorruptArtifact,
+    IoFailure,
     LabelForgeError,
     OneSidedData,
     StageFailure,
@@ -234,6 +235,17 @@ def _path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
+def _remove(cfg: PipelineConfig, name: str) -> None:
+    """Delete the optional artifact ``name``, which this run does not write,
+    so that a copy from an earlier run under another config does not outlive it."""
+    try:
+        os.remove(_path(cfg, name))
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+
 def _load_labeled(cfg: PipelineConfig, split: str):
     """The embeddings and labels of ``split`` (train or test), one label per row."""
     emb_path, labels_path = _path(cfg, f"{split}.emb"), _path(cfg, f"{split}_labels.csv")
@@ -379,6 +391,7 @@ def stage_separate(cfg: PipelineConfig) -> dict:
 
     out: dict = {"enabled": cfg["evt"]["enabled"]}
     if not cfg["evt"]["enabled"]:
+        _remove(cfg, "mixture.json")
         decisions = np.full(unl_emb.n, evt.DISJOINT, dtype=np.int64)
     else:
         mix = evt.fit_two_weibull_mixture(scores)
@@ -430,6 +443,8 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
         out["kmeans"] = {"k": K, "oracle_k": c["kmeans_k"] == 0}
     else:
         clustering = cl.hac(dis_emb, dist_threshold=c["hac_threshold"])
+    if algorithm != "gcn":
+        _remove(cfg, "gcn.npz")
 
     save_clustering(clustering, _path(cfg, "pseudo_clusters.csv"))
 
@@ -453,7 +468,7 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
 
     # purity regressor is trained on the labeled split, where IoU/IoP
     # targets are known
-    lab_graph = knn.build_knn_graph(lab_emb, k=k)
+    lab_graph = knn.build_knn_graph(lab_emb, k=k, threads=cfg.threads)
     # each graph's sweep comes from its own similarity distribution
     lab_props = knn.proposals_from_thresholds(lab_graph, knn.default_thresholds(lab_graph))
     n_aug = c["augment_unions"]
@@ -511,6 +526,8 @@ def stage_noise(cfg: PipelineConfig) -> dict:
         else:
             write_json(dataclasses.asdict(model), _path(cfg, "noise_model.json"))
             pm = noise.p_minus(model, margins)
+    if model is None:
+        _remove(cfg, "noise_model.json")
     pm = np.where(assigned, pm, 0.0)
     save_clustering(
         Clustering(clustering.assignment, p_minus=pm),

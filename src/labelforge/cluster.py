@@ -23,7 +23,7 @@ from .data import (
     relabel,
     save_archive,
 )
-from .errors import KOutOfRange, LengthMismatch, NoProposals, TrainingDiverged
+from .errors import InvalidData, TrainingDiverged
 from . import knn
 from .knn import KnnGraph, Proposals, component_labels, offsets, ranges, symmetric_csr
 
@@ -38,7 +38,7 @@ def kmeans(emb: EmbeddingSet, K: int, max_iters: int = 100, seed: int = 0) -> Cl
     farthest from its centroid."""
     n = emb.n
     if not 1 <= K <= n:
-        raise KOutOfRange(f"K={K} out of range for n={n}")
+        raise InvalidData(f"K={K} out of range for n={n}")
     rows = emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
@@ -434,7 +434,7 @@ def gcn_train(
     weights are not finite (``lr`` too large for the data).
     """
     if not len(proposals):
-        raise NoProposals("need at least one proposal to train on")
+        raise InvalidData("need at least one proposal to train on")
     dtype = emb.rows.dtype
     init = GcnModel.init(emb.d, seed=seed, widths=widths)
     model = GcnModel(
@@ -518,7 +518,7 @@ def deoverlap(proposals: Proposals, scores: np.ndarray, min_cluster_size: int = 
     claimable by later proposals.
     """
     if len(proposals) != len(scores):
-        raise LengthMismatch(f"{len(proposals)} proposals vs {len(scores)} scores")
+        raise InvalidData(f"{len(proposals)} proposals vs {len(scores)} scores")
     members, sizes, starts = proposals.members, proposals.sizes, proposals.starts.tolist()
     # lexsort is stable, so equal keys keep index order
     order = np.lexsort((-sizes, -np.clip(np.asarray(scores)[:, 0], 0.0, 1.0)))

@@ -20,18 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CorruptArtifact,
-    DuplicateIndex,
-    InvalidData,
-    IoFailure,
-    MissingIndex,
-    NegativeLabel,
-    TruncatedFile,
-    ZeroDimension,
-    ZeroNormRow,
-)
+from .errors import CorruptArtifact, InvalidData, IoFailure
 
 MAGIC = b"EMB1"
 UNASSIGNED = -1
@@ -79,7 +68,7 @@ class LabelSet:
         if labels.size == 0:
             raise InvalidData("labels must be non-empty")
         if labels.min() < 0:
-            raise NegativeLabel("negative identity id")
+            raise InvalidData("negative identity id")
         k = int(labels.max()) + 1
         present = np.bincount(labels, minlength=k)
         if np.any(present == 0):
@@ -160,10 +149,8 @@ class LinearHead:
         return self.weights.shape[1]
 
     def logits(self, emb: EmbeddingSet) -> np.ndarray:
-        from .errors import DimensionMismatch
-
         if emb.d != self.d:
-            raise DimensionMismatch(f"head expects d={self.d}, got d={emb.d}")
+            raise InvalidData(f"head expects d={self.d}, got d={emb.d}")
         return emb.rows @ self.weights.T
 
 
@@ -213,7 +200,7 @@ def l2_normalize(emb: EmbeddingSet) -> EmbeddingSet:
     norms = np.linalg.norm(emb.rows, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ZeroNormRow(int(zero[0]))
+        raise InvalidData(f"row {zero[0]} has zero L2 norm")
     return EmbeddingSet(emb.rows / norms[:, None], normalized=True)
 
 
@@ -248,15 +235,15 @@ def load_embeddings(path) -> EmbeddingSet:
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     if len(blob) < 12:
-        raise TruncatedFile(f"{path}: only {len(blob)} header bytes")
+        raise CorruptArtifact(f"{path}: only {len(blob)} header bytes")
     if blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {blob[:4]!r}")
+        raise CorruptArtifact(f"{path}: bad magic {blob[:4]!r}")
     n, d = (int(v) for v in np.frombuffer(blob[4:12], dtype="<u4"))
     if n == 0 or d == 0:
-        raise ZeroDimension(f"{path}: header n={n}, d={d}")
+        raise CorruptArtifact(f"{path}: header n={n}, d={d}")
     expected = 12 + 4 * n * d
     if len(blob) != expected:
-        raise TruncatedFile(f"{path}: {len(blob)} bytes, expected {expected}")
+        raise CorruptArtifact(f"{path}: {len(blob)} bytes, expected {expected}")
     return EmbeddingSet(np.frombuffer(blob, "<f4", offset=12).reshape(n, d), normalized=False)
 
 
@@ -270,10 +257,10 @@ def _read_table(path, header: tuple[str, ...]) -> tuple[np.ndarray, list[list[st
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     if len(rows) < 2 or rows[0][: len(header)] != list(header):
-        raise MissingIndex(f"{path}: expected the header {','.join(header)!r} and data rows")
+        raise CorruptArtifact(f"{path}: expected the header {','.join(header)!r} and data rows")
     for row in rows[1:]:
         if len(row) != len(header):
-            raise MissingIndex(f"{path}: malformed row {row!r}")
+            raise CorruptArtifact(f"{path}: malformed row {row!r}")
     # one list per column: zip(*rows) would allocate an iterator per row for the GC to track
     index, *columns = ([row[j] for row in rows[1:]] for j in range(len(header)))
     index = _int_column(path, "index", index)
@@ -281,9 +268,9 @@ def _read_table(path, header: tuple[str, ...]) -> tuple[np.ndarray, list[list[st
     index = index[order]
     repeated = index[1:][index[1:] == index[:-1]]
     if repeated.size:
-        raise DuplicateIndex(f"{path}: duplicate index {repeated[0]}")
+        raise CorruptArtifact(f"{path}: duplicate index {repeated[0]}")
     if index[0] != 0 or index[-1] != index.size - 1:
-        raise MissingIndex(f"{path}: indices not 0..{index.size - 1}")
+        raise CorruptArtifact(f"{path}: indices not 0..{index.size - 1}")
     return order, columns
 
 
@@ -291,7 +278,7 @@ def _int_column(path, name: str, fields: list[str]) -> np.ndarray:
     try:
         return np.fromiter(map(int, fields), np.int64, len(fields))
     except (ValueError, OverflowError) as exc:
-        raise NegativeLabel(f"{path}: non-integer {name} field ({exc})") from exc
+        raise CorruptArtifact(f"{path}: non-integer {name} field ({exc})") from exc
 
 
 def load_labels(path) -> LabelSet:
@@ -303,7 +290,7 @@ def load_labels(path) -> LabelSet:
     order, (raw,) = _read_table(path, ("index", "label"))
     raw_labels = _int_column(path, "label", raw)[order]
     if raw_labels.min() < 0:
-        raise NegativeLabel(f"{path}: negative label {raw_labels.min()}")
+        raise CorruptArtifact(f"{path}: negative label {raw_labels.min()}")
     uniq, labels = np.unique(raw_labels, return_inverse=True)
     return LabelSet(labels, original_ids={i: int(v) for i, v in enumerate(uniq)})
 

@@ -1,146 +1,42 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline: one class per way a
+caller or a user reacts. The message names the cause."""
 
 
 class LabelForgeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- file I/O ---
-
-class BadMagic(LabelForgeError):
-    pass
-
-
-class TruncatedFile(LabelForgeError):
-    pass
-
-
-class ZeroDimension(LabelForgeError):
-    pass
-
-
 class IoFailure(LabelForgeError):
-    pass
-
-
-class DuplicateIndex(LabelForgeError):
-    pass
-
-
-class MissingIndex(LabelForgeError):
-    pass
-
-
-class NegativeLabel(LabelForgeError):
-    pass
+    """A file could not be opened, read or written."""
 
 
 class CorruptArtifact(LabelForgeError):
-    pass
+    """A file's bytes, header, rows or fields are wrong, or it disagrees with
+    the artifacts beside it."""
 
 
 class InvalidData(LabelForgeError, ValueError):
-    """A container invariant does not hold for the values given."""
-
-
-class ZeroNormRow(LabelForgeError):
-    def __init__(self, index: int):
-        super().__init__(f"row {index} has zero L2 norm")
-        self.index = index
-
-
-# --- synthesis / splits ---
-
-class InsufficientIds(LabelForgeError):
-    pass
-
-
-class RateOutOfRange(LabelForgeError):
-    pass
-
-
-# --- graph / clustering ---
-
-class NotNormalized(LabelForgeError):
-    pass
-
-
-class KOutOfRange(LabelForgeError):
-    pass
-
-
-class EmptyThresholds(LabelForgeError):
-    pass
-
-
-class NoProposals(LabelForgeError):
-    pass
-
-
-class LengthMismatch(LabelForgeError):
-    pass
-
-
-# --- statistics ---
-
-class DegenerateScores(LabelForgeError):
-    pass
-
-
-class TooFewSamples(LabelForgeError):
-    pass
+    """A value breaks a container invariant or a function's precondition."""
 
 
 class NonConvergence(LabelForgeError):
-    pass
-
-
-class QuantileOutOfRange(LabelForgeError):
-    pass
+    """An iterative fit did not converge."""
 
 
 class OneSidedData(LabelForgeError):
-    pass
-
-
-# --- classification / training ---
-
-class DimensionMismatch(LabelForgeError):
-    pass
+    """Too few scores fall on one side of the Otsu threshold to fit them."""
 
 
 class TooFewClusters(LabelForgeError):
-    pass
-
-
-class NoPositives(LabelForgeError):
-    pass
-
-
-class LabelCollision(LabelForgeError):
-    pass
-
-
-class EmptyTrainingSet(LabelForgeError):
-    pass
-
-
-class NoEncoder(LabelForgeError):
-    pass
-
-
-class ProbeIdMissing(LabelForgeError):
-    pass
+    """A clustering has too few clusters to train a classifier on."""
 
 
 class TrainingDiverged(LabelForgeError):
-    pass
+    """A training run reached a non-finite loss or weight."""
 
-
-# --- pipeline orchestration ---
 
 class ConfigError(LabelForgeError):
-    pass
+    """A config file or command-line value is rejected; ``forge`` exits 1."""
 
 
 class StaleArtifact(LabelForgeError):
@@ -148,6 +44,8 @@ class StaleArtifact(LabelForgeError):
 
 
 class StageFailure(LabelForgeError):
+    """A stage stopped on ``cause``; ``forge`` exits 2."""
+
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage

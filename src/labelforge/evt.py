@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EmbeddingSet, LinearHead
-from .errors import (
-    DegenerateScores,
-    NonConvergence,
-    OneSidedData,
-    QuantileOutOfRange,
-    TooFewSamples,
-)
+from .errors import InvalidData, NonConvergence, OneSidedData
 
 MIN_SIDE_SAMPLES = 8
 
@@ -63,7 +57,7 @@ class WeibullParams:
         q = np.asarray(q, dtype=np.float64)
         bad = q[~((q > 0.0) & (q < 1.0))]
         if bad.size:
-            raise QuantileOutOfRange(f"quantile arg {bad[0]} not in (0, 1)")
+            raise InvalidData(f"quantile arg {bad[0]} not in (0, 1)")
         return self.shift + self.scale_lambda * (-np.log1p(-q)) ** (1.0 / self.shape_k)
 
 
@@ -92,7 +86,7 @@ def otsu_threshold(scores, n_bins: int = 64) -> float:
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
     if x.size < 2 or np.ptp(x) == 0.0:
-        raise DegenerateScores("need >= 2 distinct score values")
+        raise InvalidData("need >= 2 distinct score values")
     counts, edges = np.histogram(x, bins=n_bins, range=(x.min(), x.max()))
     centers = 0.5 * (edges[:-1] + edges[1:])
     mass = counts * centers
@@ -116,10 +110,10 @@ def weibull_fit_mle(samples, max_iter: int = 100, tol: float = 1e-9) -> WeibullP
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < MIN_SIDE_SAMPLES:
-        raise TooFewSamples(f"need >= {MIN_SIDE_SAMPLES} samples, got {x.size}")
+        raise InvalidData(f"need >= {MIN_SIDE_SAMPLES} samples, got {x.size}")
     rng_ = float(np.ptp(x))
     if rng_ == 0.0:
-        raise TooFewSamples("samples are all equal")
+        raise InvalidData("samples are all equal")
     shift = 0.0
     if x.min() <= 0.0:
         shift = float(x.min()) - 1e-6 * rng_
@@ -164,7 +158,7 @@ def weibull_fit_shifted(samples) -> WeibullParams:
     two-parameter fit wastes its shape on bridging the gap to the origin.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
-    # the inner fit raises TooFewSamples on too few or all-equal samples
+    # the inner fit raises InvalidData on too few or all-equal samples
     shift = float(x.min()) - 1e-6 * float(np.ptp(x)) if x.size else 0.0
     inner = weibull_fit_mle(x - shift)
     return WeibullParams(

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import EmbeddingSet
-from .errors import EmptyThresholds, KOutOfRange, NotNormalized
+from .errors import InvalidData
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,10 @@ def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
     identical output; each worker holds one block.
     """
     if not emb.normalized:
-        raise NotNormalized("build_knn_graph requires unit-norm embeddings")
+        raise InvalidData("build_knn_graph requires unit-norm embeddings")
     n = emb.n
     if not 1 <= k < n:
-        raise KOutOfRange(f"k={k} out of range for n={n}")
+        raise InvalidData(f"k={k} out of range for n={n}")
     rows = emb.rows
     neighbors = np.empty((n, k), dtype=np.int64)
     sims = np.empty((n, k), dtype=rows.dtype)
@@ -269,7 +269,7 @@ def proposals_from_thresholds(
     at most ``max_size`` members that grew since the threshold before.
     """
     if not thresholds:
-        raise EmptyThresholds("need at least one threshold")
+        raise InvalidData("need at least one threshold")
     ts = list(thresholds)
     if any(ts[i] <= ts[i + 1] for i in range(len(ts) - 1)):
         raise ValueError("thresholds must be strictly descending")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, groups
-from .errors import ProbeIdMissing, TooFewSamples
+from .errors import InvalidData
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def identification_rank(
     p_ids = np.asarray(p_ids, dtype=np.int64)
     missing = set(p_ids.tolist()) - set(g_ids.tolist())
     if missing:
-        raise ProbeIdMissing(f"probe ids not in gallery: {sorted(missing)[:5]}")
+        raise InvalidData(f"probe ids not in gallery: {sorted(missing)[:5]}")
     g_rows = g_emb.rows / np.linalg.norm(g_emb.rows, axis=1)[:, None]
     p_rows = p_emb.rows / np.linalg.norm(p_emb.rows, axis=1)[:, None]
     sims = p_rows @ g_rows.T
@@ -150,7 +150,7 @@ class FrechetStats:
 
 def frechet_stats(emb: EmbeddingSet, regularizer: float = 1e-6) -> FrechetStats:
     if emb.n < 2:
-        raise TooFewSamples("need >= 2 samples for covariance")
+        raise InvalidData("need >= 2 samples for covariance")
     # accumulate in float64: the float32 rows would round the sums
     mean = emb.rows.mean(axis=0, dtype=np.float64)
     centered = emb.rows - mean

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, LinearHead, modal
-from .errors import NoPositives, TooFewClusters, TrainingDiverged
+from .errors import InvalidData, TooFewClusters, TrainingDiverged
 from .evt import WeibullParams, otsu_split, weibull_fit_mle
 
 CORRECT = 0
@@ -156,7 +156,7 @@ def average_precision(scores, positives) -> float:
     s = np.asarray(scores, dtype=np.float64).ravel()
     pos = np.asarray(positives, dtype=bool).ravel()
     if not pos.any():
-        raise NoPositives("need at least one positive sample")
+        raise InvalidData("need at least one positive sample")
     order = np.lexsort((np.arange(s.size), -s))
     hits = pos[order]
     ranks = np.flatnonzero(hits) + 1

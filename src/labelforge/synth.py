@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, groups, relabel
-from .errors import InsufficientIds, RateOutOfRange
+from .errors import InvalidData
 
 
 @dataclass(frozen=True)
@@ -100,13 +100,13 @@ def make_overlap_split(
     n_labeled_only = int(round(spec.labeled_id_fraction * remaining))
     n_unlabeled_only = remaining - n_labeled_only
     if spec.overlap_id_fraction > 0 and n_overlap == 0:
-        raise InsufficientIds("overlap fraction nonzero but no overlap ids")
+        raise InvalidData("overlap fraction nonzero but no overlap ids")
     if remaining > 0 and n_labeled_only == 0:
-        raise InsufficientIds("no labeled-only identities")
+        raise InvalidData("no labeled-only identities")
     if remaining > 0 and spec.labeled_id_fraction < 1.0 and n_unlabeled_only == 0:
-        raise InsufficientIds("no unlabeled-only identities")
+        raise InvalidData("no unlabeled-only identities")
     if n_labeled_only == 0 and n_overlap == 0:
-        raise InsufficientIds("labeled split would be empty")
+        raise InvalidData("labeled split would be empty")
 
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     perm = rng.permutation(num_ids)
@@ -136,7 +136,7 @@ def inject_label_noise(
     moving a random half of each into a fresh cluster.
     """
     if not 0.0 <= rate < 1.0:
-        raise RateOutOfRange(f"rate {rate} not in [0, 1)")
+        raise InvalidData(f"rate {rate} not in [0, 1)")
     if mode not in ("outlier", "split_id"):
         raise ValueError(f"unknown noise mode {mode!r}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -22,13 +22,7 @@ from .data import (
     load_archive,
     save_archive,
 )
-from .errors import (
-    CorruptArtifact,
-    EmptyTrainingSet,
-    LabelCollision,
-    NoEncoder,
-    TrainingDiverged,
-)
+from .errors import CorruptArtifact, InvalidData, TrainingDiverged
 
 
 @dataclass(frozen=True)
@@ -161,7 +155,7 @@ def _assemble(
     if pseudo is not None:
         emb_u, c = pseudo
         if emb_u.n != c.n:
-            raise LabelCollision("pseudo embeddings and clustering disagree in length")
+            raise InvalidData("pseudo embeddings and clustering disagree in length")
         mask = c.assignment != UNASSIGNED
         if mask.any():
             X.append(emb_u.rows[mask])
@@ -174,10 +168,10 @@ def _assemble(
     y = np.concatenate(y)
     w = np.concatenate(w, dtype=X.dtype)
     if X.shape[0] == 0:
-        raise EmptyTrainingSet("no training samples")
+        raise InvalidData("no training samples")
     num_classes = int(y.max()) + 1
     if num_classes < 2:
-        raise EmptyTrainingSet("need at least 2 classes to train the head")
+        raise InvalidData("need at least 2 classes to train the head")
     return X, y, w, num_classes
 
 
@@ -263,7 +257,7 @@ def train_head(
 def embed(model: TrainedModel, emb: EmbeddingSet) -> EmbeddingSet:
     """Map embeddings through the trained encoder and renormalize."""
     if model.encoder is None:
-        raise NoEncoder("model was trained without an encoder")
+        raise InvalidData("model was trained without an encoder")
     out, _ = _encode(model.encoder, emb.rows)
     return EmbeddingSet(out, normalized=True)
 

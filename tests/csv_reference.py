@@ -11,7 +11,7 @@ import csv
 import numpy as np
 
 from labelforge.data import UNASSIGNED, Clustering, LabelSet
-from labelforge.errors import DuplicateIndex, IoFailure, MissingIndex, NegativeLabel
+from labelforge.errors import CorruptArtifact, IoFailure
 
 
 def load_labels(path) -> LabelSet:
@@ -21,26 +21,26 @@ def load_labels(path) -> LabelSet:
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     if not rows or rows[0][:2] != ["index", "label"]:
-        raise MissingIndex(f"{path}: expected 'index,label' header")
+        raise CorruptArtifact(f"{path}: expected 'index,label' header")
     seen: dict[int, int] = {}
     for row in rows[1:]:
         if len(row) != 2:
-            raise MissingIndex(f"{path}: malformed row {row!r}")
+            raise CorruptArtifact(f"{path}: malformed row {row!r}")
         try:
             idx, raw = int(row[0]), int(row[1])
         except ValueError:
-            raise NegativeLabel(f"{path}: non-integer field in {row!r}")
+            raise CorruptArtifact(f"{path}: non-integer field in {row!r}")
         if raw < 0:
-            raise NegativeLabel(f"{path}: negative label in {row!r}")
+            raise CorruptArtifact(f"{path}: negative label in {row!r}")
         if idx in seen:
-            raise DuplicateIndex(f"{path}: duplicate index {idx}")
+            raise CorruptArtifact(f"{path}: duplicate index {idx}")
         seen[idx] = raw
     n = len(seen)
     if n == 0:
-        raise MissingIndex(f"{path}: no data rows")
+        raise CorruptArtifact(f"{path}: no data rows")
     if set(seen) != set(range(n)):
         missing = sorted(set(range(n)) - set(seen))[:3]
-        raise MissingIndex(f"{path}: indices not 0..{n - 1} (missing {missing})")
+        raise CorruptArtifact(f"{path}: indices not 0..{n - 1} (missing {missing})")
     raw_labels = np.array([seen[i] for i in range(n)], dtype=np.int64)
     uniq, labels = np.unique(raw_labels, return_inverse=True)
     return LabelSet(labels, original_ids={i: int(v) for i, v in enumerate(uniq)})
@@ -53,27 +53,27 @@ def load_clustering(path) -> Clustering:
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     if not rows or rows[0][:3] != ["index", "cluster_id", "p_minus"]:
-        raise MissingIndex(f"{path}: expected 'index,cluster_id,p_minus' header")
+        raise CorruptArtifact(f"{path}: expected 'index,cluster_id,p_minus' header")
     seen: dict[int, tuple[int, float | None]] = {}
     any_p = False
     for row in rows[1:]:
         if len(row) != 3:
-            raise MissingIndex(f"{path}: malformed row {row!r}")
+            raise CorruptArtifact(f"{path}: malformed row {row!r}")
         try:
             idx, cid = int(row[0]), int(row[1])
         except ValueError:
-            raise NegativeLabel(f"{path}: non-integer field in {row!r}")
+            raise CorruptArtifact(f"{path}: non-integer field in {row!r}")
         if cid < UNASSIGNED:
-            raise NegativeLabel(f"{path}: invalid cluster id {cid}")
+            raise CorruptArtifact(f"{path}: invalid cluster id {cid}")
         if idx in seen:
-            raise DuplicateIndex(f"{path}: duplicate index {idx}")
+            raise CorruptArtifact(f"{path}: duplicate index {idx}")
         p = float(row[2]) if row[2] != "" else None
         if p is not None:
             any_p = True
         seen[idx] = (cid, p)
     n = len(seen)
     if n == 0 or set(seen) != set(range(n)):
-        raise MissingIndex(f"{path}: indices not exactly 0..n-1")
+        raise CorruptArtifact(f"{path}: indices not exactly 0..n-1")
     assignment = np.array([seen[i][0] for i in range(n)], dtype=np.int64)
     p_minus = None
     if any_p:

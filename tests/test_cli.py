@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from labelforge import knn
 from labelforge.cli import SCHEMA, apply_overrides, load_config, main, run_pipeline
 
 
@@ -453,6 +454,43 @@ def test_output_directory_holds_one_artifact_format(finished_run):
         + [f"stage_{name}.json" for name in
            ("gen", "separate", "cluster", "noise", "retrain", "evaluate")]
     )
+
+
+@pytest.mark.parametrize(
+    "name, edit, last_stage",
+    [
+        ("mixture.json", lambda ini: ini + "\n[evt]\nenabled = false\n", "separate"),
+        ("gcn.npz", lambda ini: ini.replace("[cluster]\n", "[cluster]\nalgorithm = hac\n"),
+         "cluster"),
+        # one cluster: the noise stage fits no model
+        ("noise_model.json",
+         lambda ini: ini.replace("[cluster]\n", "[cluster]\nalgorithm = kmeans\nkmeans_k = 1\n"),
+         "noise"),
+    ],
+    ids=["mixture.json", "gcn.npz", "noise_model.json"],
+)
+def test_skipped_optional_artifact_is_removed(run_copy, tmp_path, name, edit, last_stage):
+    cfg, out = run_copy
+    assert (out / name).exists()
+    other = _write_ini(tmp_path, edit(TINY_INI), name="other.ini")
+    stages = ("gen", "separate", "cluster", "noise")
+    for stage in stages[: stages.index(last_stage) + 1]:
+        assert main([stage, "--config", other, "--out", str(out)]) == 0
+    assert not (out / name).exists()
+
+
+def test_threads_reach_both_knn_builds(run_copy, monkeypatch):
+    cfg, out = run_copy
+    build, calls = knn.build_knn_graph, []
+
+    def recorded(emb, k, threads=1):
+        calls.append(threads)
+        return build(emb, k, threads)
+
+    monkeypatch.setattr(knn, "build_knn_graph", recorded)
+    assert main(["cluster", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    # the labeled graph the GCN trains on, then the disjoint graph it scores
+    assert calls == [2, 2]
 
 
 @pytest.mark.parametrize(

@@ -56,9 +56,9 @@ def test_kmeans_two_blobs_perfect():
 
 def test_kmeans_k_out_of_range():
     emb, _ = two_blobs(per_id=3)
-    with pytest.raises(errors.KOutOfRange):
+    with pytest.raises(errors.InvalidData, match="K=0 out of range"):
         kmeans(emb, K=0)
-    with pytest.raises(errors.KOutOfRange):
+    with pytest.raises(errors.InvalidData, match=f"K={emb.n + 1} out of range for n={emb.n}"):
         kmeans(emb, K=emb.n + 1)
 
 
@@ -401,7 +401,7 @@ def test_score_blocks_group_consecutive_proposals_up_to_128_rows():
 
 def test_gcn_train_no_proposals():
     emb, g = _tiny_graph()
-    with pytest.raises(errors.NoProposals):
+    with pytest.raises(errors.InvalidData, match="need at least one proposal"):
         gcn_train(Proposals.of([]), emb, g, LabelSet(np.array([0, 0, 1, 1])))
 
 
@@ -499,7 +499,7 @@ def test_deoverlap_small_cluster_dropped():
 
 
 def test_deoverlap_length_mismatch():
-    with pytest.raises(errors.LengthMismatch):
+    with pytest.raises(errors.InvalidData, match="1 proposals vs 0 scores"):
         deoverlap(single((0,)), np.zeros((0, 2)))
 
 

@@ -75,13 +75,13 @@ def test_threads_deterministic():
 
 def test_requires_normalized():
     emb = EmbeddingSet(np.random.default_rng(0).standard_normal((5, 3)))
-    with pytest.raises(errors.NotNormalized):
+    with pytest.raises(errors.InvalidData, match="requires unit-norm embeddings"):
         build_knn_graph(emb, k=2)
 
 
 def test_k_out_of_range():
     emb = EmbeddingSet(np.eye(3), normalized=True)
-    with pytest.raises(errors.KOutOfRange):
+    with pytest.raises(errors.InvalidData, match="k=3 out of range for n=3"):
         build_knn_graph(emb, k=3)
 
 
@@ -185,7 +185,7 @@ def test_max_size_recut():
 def test_empty_thresholds():
     emb = EmbeddingSet(np.eye(3), normalized=True)
     g = build_knn_graph(emb, k=1)
-    with pytest.raises(errors.EmptyThresholds):
+    with pytest.raises(errors.InvalidData, match="need at least one threshold"):
         proposals_from_thresholds(g, [], max_size=10)
 
 

@@ -330,7 +330,7 @@ def test_average_precision_perfect_ranking():
 
 
 def test_average_precision_no_positives():
-    with pytest.raises(errors.NoPositives):
+    with pytest.raises(errors.InvalidData, match="need at least one positive sample"):
         average_precision([0.5, 0.4], [False, False])
 
 

@@ -31,10 +31,10 @@ def cosine_loss(feature: np.ndarray, weights: np.ndarray, label_j: int, cfg: Los
     """
     f = np.asarray(feature, dtype=np.float64)
     if abs(np.linalg.norm(f) - 1.0) > 1e-5:
-        raise errors.NotNormalized("feature must be unit-norm")
+        raise errors.InvalidData("feature must be unit-norm")
     norms = np.linalg.norm(weights, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-5):
-        raise errors.NotNormalized("head rows must be unit-norm")
+        raise errors.InvalidData("head rows must be unit-norm")
     logits = cfg.alpha * (weights @ f)
     logits[label_j] -= cfg.alpha * cfg.margin_m
     shifted = logits - logits.max()
@@ -84,13 +84,13 @@ def test_cosine_loss_alpha_scales_confidence():
 
 
 def test_cosine_loss_requires_unit_feature():
-    with pytest.raises(errors.NotNormalized):
+    with pytest.raises(errors.InvalidData, match="feature must be unit-norm"):
         cosine_loss(np.array([2.0, 0.0]), _unit_head(), 0, LossConfig())
 
 
 def test_cosine_loss_requires_unit_head_rows():
     head = np.array([[2.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(errors.NotNormalized):
+    with pytest.raises(errors.InvalidData, match="head rows must be unit-norm"):
         cosine_loss(np.array([1.0, 0.0]), head, 0, LossConfig())
 
 
@@ -277,7 +277,7 @@ def test_pseudo_classes_offset_past_labeled():
 def test_pseudo_length_mismatch():
     emb, labels = _harness(num_ids=2, per_id=5, seed=4)
     pseudo = Clustering(np.zeros(3, dtype=np.int64))
-    with pytest.raises(errors.LabelCollision):
+    with pytest.raises(errors.InvalidData, match="disagree in length"):
         train_head((emb, labels), (emb, pseudo), LossConfig(), epochs=1)
 
 
@@ -287,7 +287,7 @@ def test_single_class_rejected():
     rows /= np.linalg.norm(rows, axis=1)[:, None]
     emb = EmbeddingSet(rows, normalized=True)
     labels = LabelSet(np.zeros(10, dtype=np.int64))
-    with pytest.raises(errors.EmptyTrainingSet):
+    with pytest.raises(errors.InvalidData, match="need at least 2 classes"):
         train_head((emb, labels), None, LossConfig(), epochs=1)
 
 
@@ -373,7 +373,7 @@ def test_encoder_identity_at_init():
 def test_embed_requires_encoder():
     emb, labels = _harness(num_ids=2, per_id=5, seed=9)
     model = train_head((emb, labels), None, LossConfig(), epochs=1, seed=0)
-    with pytest.raises(errors.NoEncoder):
+    with pytest.raises(errors.InvalidData, match="trained without an encoder"):
         embed(model, emb)
 
 
