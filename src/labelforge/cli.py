@@ -191,12 +191,15 @@ class PipelineConfig:
 def load_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}")
+    # configparser copies [DEFAULT] keys into every section
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
 
     values = {s: {k: d for k, (_, d) in keys.items()} for s, keys in SCHEMA.items()}
     for section in parser.sections():
@@ -248,7 +251,7 @@ def _remove(cfg: PipelineConfig, name: str) -> None:
 
 def _load_labeled(cfg: PipelineConfig, split: str):
     """The embeddings and labels of ``split`` (train or test), one label per row."""
-    emb_path, labels_path = _path(cfg, f"{split}.emb"), _path(cfg, f"{split}_labels.csv")
+    emb_path, labels_path = _path(cfg, f"{split}_emb.npz"), _path(cfg, f"{split}_labels.npz")
     emb, labels = load_embeddings(emb_path), load_labels(labels_path)
     if labels.n != emb.n:
         raise CorruptArtifact(f"{labels_path}: {labels.n} labels for the {emb.n} rows of {emb_path}")
@@ -347,10 +350,10 @@ def stage_gen(cfg: PipelineConfig) -> dict:
         train_emb, train_labels, spec
     )
 
-    save_embeddings(train_emb, _path(cfg, "train.emb"))
-    save_labels(train_labels, _path(cfg, "train_labels.csv"))
-    save_embeddings(test_emb, _path(cfg, "test.emb"))
-    save_labels(test_labels, _path(cfg, "test_labels.csv"))
+    save_embeddings(train_emb, _path(cfg, "train_emb.npz"))
+    save_labels(train_labels, _path(cfg, "train_labels.npz"))
+    save_embeddings(test_emb, _path(cfg, "test_emb.npz"))
+    save_labels(test_labels, _path(cfg, "test_labels.npz"))
     save_archive(
         {"labeled_idx": labeled_idx, "unlabeled_idx": unlabeled_idx, "overlap_mask": gt_overlap},
         _path(cfg, "split.npz"),
@@ -446,7 +449,7 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
     if algorithm != "gcn":
         _remove(cfg, "gcn.npz")
 
-    save_clustering(clustering, _path(cfg, "pseudo_clusters.csv"))
+    save_clustering(clustering, _path(cfg, "pseudo_clusters.npz"))
 
     # diagnostics against the synthetic ground truth
     pw = metrics.pairwise_prf(clustering, gt)
@@ -494,7 +497,7 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
 def stage_noise(cfg: PipelineConfig) -> dict:
     train_emb, train_labels, _, unlabeled_idx, _ = _load_split(cfg)
     dis_emb, gt = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
-    clustering = _load_clustering(cfg, "pseudo_clusters.csv", dis_emb.n)
+    clustering = _load_clustering(cfg, "pseudo_clusters.npz", dis_emb.n)
 
     n = cfg["noise"]
     tags = noise.label_cluster_errors(clustering, gt)
@@ -531,7 +534,7 @@ def stage_noise(cfg: PipelineConfig) -> dict:
     pm = np.where(assigned, pm, 0.0)
     save_clustering(
         Clustering(clustering.assignment, p_minus=pm),
-        _path(cfg, "pseudo_clusters_pm.csv"),
+        _path(cfg, "pseudo_clusters_pm.npz"),
     )
     return {
         "metric": n["metric"],
@@ -545,7 +548,7 @@ def stage_noise(cfg: PipelineConfig) -> dict:
 def stage_retrain(cfg: PipelineConfig) -> dict:
     train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_split(cfg)
     dis_emb, _ = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
-    clustering = _load_clustering(cfg, "pseudo_clusters_pm.csv", dis_emb.n)
+    clustering = _load_clustering(cfg, "pseudo_clusters_pm.npz", dis_emb.n)
     models = {"baseline": train.load_trained_model(_path(cfg, "baseline.npz"))}
 
     labeled = _subset(train_emb, train_labels, labeled_idx)
@@ -613,11 +616,14 @@ def _check_config(cfg: PipelineConfig, fragments: dict) -> None:
 
 
 def _run_stage(name: str, fn, cfg: PipelineConfig) -> dict:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     names = [n for n, _ in STAGES]
     # an earlier stage that has not run is left for the readers to report
     earlier = {n: _path(cfg, f"stage_{n}.json") for n in names[: names.index(name)]}
     try:
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(str(exc)) from exc
         _check_config(cfg, {n: read_json(p) for n, p in earlier.items() if os.path.exists(p)})
         start = time.perf_counter()
         payload = fn(cfg)

@@ -112,11 +112,6 @@ def hac(emb: EmbeddingSet, dist_threshold: float) -> Clustering:
     return Clustering(relabel(component_labels(np.arange(n), lo, hi)))
 
 
-def clustering_from_labels(labels: LabelSet) -> Clustering:
-    """Ground-truth clustering: one cluster per identity."""
-    return Clustering(labels.labels.copy())
-
-
 # ---------------------------------------------------------------------------
 # GCN proposal scorer
 # ---------------------------------------------------------------------------

@@ -1,28 +1,25 @@
 """Core data containers and bit-exact file I/O.
 
-Embeddings are stored on disk as float32 (magic ``EMB1`` header) and held
-in memory as float32 too: ``EmbeddingSet`` and ``LinearHead`` cast once, at
-construction, and every layer computes in the dtype it is given. Labels
-and clusterings travel as plain CSV; every other artifact is a NumPy
-``.npz`` archive or sorted-key JSON. Each writer replaces its file
-atomically; each reader rejects a malformed file with a
-:class:`LabelForgeError`.
+Embeddings are stored on disk as float32 and held in memory as float32
+too: ``EmbeddingSet`` and ``LinearHead`` cast once, at construction, and
+every layer computes in the dtype it is given. Every artifact that holds
+arrays is a NumPy ``.npz`` archive, and the rest is sorted-key JSON. Each
+writer replaces its file atomically; each reader rejects a malformed file
+with a :class:`LabelForgeError`.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CorruptArtifact, InvalidData, IoFailure
 
-MAGIC = b"EMB1"
 UNASSIGNED = -1
 
 
@@ -59,7 +56,6 @@ class LabelSet:
     """Per-sample identity ids, contiguous in [0, num_ids)."""
 
     labels: np.ndarray
-    original_ids: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -204,14 +200,13 @@ def l2_normalize(emb: EmbeddingSet) -> EmbeddingSet:
     return EmbeddingSet(emb.rows / norms[:, None], normalized=True)
 
 
-def _write_atomic(path, *chunks) -> None:
-    """Write the bytes-like ``chunks`` to a temp file beside ``path``, then
+def _write_atomic(path, blob) -> None:
+    """Write the bytes-like ``blob`` to a temp file beside ``path``, then
     rename it into place: a failed write leaves the previous file as it was."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.write(blob)
         os.replace(tmp, path)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
@@ -220,104 +215,46 @@ def _write_atomic(path, *chunks) -> None:
             os.remove(tmp)
 
 
+def _load(path, container, spec: dict[str, tuple], optional: tuple[str, ...] = ()):
+    """``container`` built from the arrays of the archive at ``path``; an
+    array that breaks its invariant makes the file corrupt."""
+    arrays = load_archive(path, spec, optional)
+    try:
+        return container(**arrays)
+    except ValueError as exc:
+        raise CorruptArtifact(f"{path}: {exc}") from exc
+
+
 def save_embeddings(emb: EmbeddingSet, path) -> None:
-    """Write the EMB1 binary format: magic, n, d (u32 LE), float32 rows."""
-    header = MAGIC + np.array([emb.n, emb.d], dtype="<u4").tobytes()
-    _write_atomic(path, header, np.ascontiguousarray(emb.rows, dtype="<f4"))
+    save_archive({"rows": emb.rows}, path)
 
 
 def load_embeddings(path) -> EmbeddingSet:
-    """Read the EMB1 binary format written by :func:`save_embeddings`; the
-    rows are a read-only float32 view of the file's bytes."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    if len(blob) < 12:
-        raise CorruptArtifact(f"{path}: only {len(blob)} header bytes")
-    if blob[:4] != MAGIC:
-        raise CorruptArtifact(f"{path}: bad magic {blob[:4]!r}")
-    n, d = (int(v) for v in np.frombuffer(blob[4:12], dtype="<u4"))
-    if n == 0 or d == 0:
-        raise CorruptArtifact(f"{path}: header n={n}, d={d}")
-    expected = 12 + 4 * n * d
-    if len(blob) != expected:
-        raise CorruptArtifact(f"{path}: {len(blob)} bytes, expected {expected}")
-    return EmbeddingSet(np.frombuffer(blob, "<f4", offset=12).reshape(n, d), normalized=False)
-
-
-def _read_table(path, header: tuple[str, ...]) -> tuple[np.ndarray, list[list[str]]]:
-    """The stable order that sorts the rows of the CSV table at ``path`` by
-    index, and the fields of each later column in file order. The rows under
-    ``header`` have one field per name; the index holds each of 0..n-1 once."""
-    try:
-        with open(path, "r", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    if len(rows) < 2 or rows[0][: len(header)] != list(header):
-        raise CorruptArtifact(f"{path}: expected the header {','.join(header)!r} and data rows")
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise CorruptArtifact(f"{path}: malformed row {row!r}")
-    # one list per column: zip(*rows) would allocate an iterator per row for the GC to track
-    index, *columns = ([row[j] for row in rows[1:]] for j in range(len(header)))
-    index = _int_column(path, "index", index)
-    order = np.argsort(index, kind="stable")
-    index = index[order]
-    repeated = index[1:][index[1:] == index[:-1]]
-    if repeated.size:
-        raise CorruptArtifact(f"{path}: duplicate index {repeated[0]}")
-    if index[0] != 0 or index[-1] != index.size - 1:
-        raise CorruptArtifact(f"{path}: indices not 0..{index.size - 1}")
-    return order, columns
-
-
-def _int_column(path, name: str, fields: list[str]) -> np.ndarray:
-    try:
-        return np.fromiter(map(int, fields), np.int64, len(fields))
-    except (ValueError, OverflowError) as exc:
-        raise CorruptArtifact(f"{path}: non-integer {name} field ({exc})") from exc
-
-
-def load_labels(path) -> LabelSet:
-    """Parse ``index,label`` CSV; labels relabeled to contiguous ids.
-
-    The original file ids survive in ``LabelSet.original_ids``
-    (contiguous id -> file id).
-    """
-    order, (raw,) = _read_table(path, ("index", "label"))
-    raw_labels = _int_column(path, "label", raw)[order]
-    if raw_labels.min() < 0:
-        raise CorruptArtifact(f"{path}: negative label {raw_labels.min()}")
-    uniq, labels = np.unique(raw_labels, return_inverse=True)
-    return LabelSet(labels, original_ids={i: int(v) for i, v in enumerate(uniq)})
+    return _load(path, EmbeddingSet, {"rows": ("f4", "n", "d")})
 
 
 def save_labels(labels: LabelSet, path) -> None:
-    rows = "".join(f"{i},{int(lab)}\n" for i, lab in enumerate(labels.labels))
-    _write_atomic(path, ("index,label\n" + rows).encode())
+    save_archive({"labels": labels.labels}, path)
+
+
+def load_labels(path) -> LabelSet:
+    return _load(path, LabelSet, {"labels": ("i8", "n")})
 
 
 def save_clustering(c: Clustering, path) -> None:
-    """Write ``index,cluster_id,p_minus`` CSV; UNASSIGNED as -1, absent p- empty."""
-    p = [""] * c.n if c.p_minus is None else [f"{v:.6f}" for v in c.p_minus]
-    rows = "".join(f"{i},{int(cid)},{p[i]}\n" for i, cid in enumerate(c.assignment))
-    _write_atomic(path, ("index,cluster_id,p_minus\n" + rows).encode())
+    """Write the assignment and, when present, p⁻ rounded to 6 decimals."""
+    arrays = {"assignment": c.assignment}
+    if c.p_minus is not None:
+        # 6 decimals is the precision p⁻ was always stored at, so the soft
+        # head trained on it, and every report, stay the same
+        arrays["p_minus"] = np.round(c.p_minus, 6)
+    save_archive(arrays, path)
 
 
 def load_clustering(path) -> Clustering:
-    """Parse ``index,cluster_id,p_minus`` CSV; p⁻ is None when every field
-    is empty, and an empty field reads 0 otherwise."""
-    order, (ids, p) = _read_table(path, ("index", "cluster_id", "p_minus"))
-    assignment = _int_column(path, "cluster_id", ids)[order]
-    try:
-        floats = map(float, (v or "0" for v in p))
-        p_minus = np.fromiter(floats, np.float64, len(p))[order] if any(p) else None
-        return Clustering(assignment, p_minus=p_minus)
-    except ValueError as exc:
-        raise InvalidData(f"{path}: {exc}") from exc
+    """p⁻ is None when the archive holds no ``p_minus`` array."""
+    spec = {"assignment": ("i8", "n"), "p_minus": ("f8", "n")}
+    return _load(path, Clustering, spec, optional=("p_minus",))
 
 
 def save_archive(arrays: dict[str, np.ndarray], path) -> None:

@@ -11,8 +11,8 @@ class IoFailure(LabelForgeError):
 
 
 class CorruptArtifact(LabelForgeError):
-    """A file's bytes, header, rows or fields are wrong, or it disagrees with
-    the artifacts beside it."""
+    """A file's contents are wrong, or it disagrees with the artifacts beside
+    it."""
 
 
 class InvalidData(LabelForgeError, ValueError):

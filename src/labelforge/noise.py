@@ -83,14 +83,6 @@ def train_linear_classifier(
     return LinearHead(W)
 
 
-def cross_entropy(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample negative log-likelihood of the given targets under the
-    softmax of ``logits``, in their dtype."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return -log_probs[np.arange(len(y)), y]
-
-
 def uncertainty_scores(head: LinearHead, emb: EmbeddingSet, metric: str) -> np.ndarray:
     """Score each sample; higher always means *more confident* for
     max_logit / class_margin, and higher entropy means less confident."""

@@ -1,9 +1,8 @@
 """Synthetic embedding harness.
 
 Generates identity-structured unit-norm embeddings (one spherical prototype
-per identity, gaussian perturbation, renormalization), builds labeled /
-unlabeled splits with controlled identity overlap, and injects the two
-structured pseudo-label noise modes (outlier, split-id).
+per identity, gaussian perturbation, renormalization) and builds labeled /
+unlabeled splits with controlled identity overlap.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, groups, relabel
+from .data import EmbeddingSet, LabelSet, groups
 from .errors import InvalidData
 
 
@@ -124,48 +123,3 @@ def make_overlap_split(
     is_labeled[order[rank < np.repeat(keep, sizes)]] = True
     unlabeled = np.flatnonzero(~is_labeled)
     return np.flatnonzero(is_labeled), unlabeled, keep[labels.labels[unlabeled]] > 0
-
-
-def inject_label_noise(
-    c: Clustering, labels: LabelSet, rate: float, mode: str, seed: int
-) -> Clustering:
-    """Corrupt a ground-truth-derived clustering with structured noise.
-
-    ``outlier`` reassigns floor(rate * n) random samples to a random other
-    cluster; ``split_id`` splits floor(rate * num_clusters) random clusters,
-    moving a random half of each into a fresh cluster.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise InvalidData(f"rate {rate} not in [0, 1)")
-    if mode not in ("outlier", "split_id"):
-        raise ValueError(f"unknown noise mode {mode!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    assignment = c.assignment.copy()
-    num_clusters = c.num_clusters
-
-    if mode == "outlier":
-        assigned = np.flatnonzero(assignment != UNASSIGNED)
-        count = int(rate * assignment.size)
-        count = min(count, assigned.size)
-        if count and num_clusters >= 2:
-            victims = rng.choice(assigned, size=count, replace=False)
-            for i in victims:
-                cur = assignment[i]
-                offset = rng.integers(1, num_clusters)
-                assignment[i] = (cur + offset) % num_clusters
-    else:
-        count = int(rate * num_clusters)
-        if count:
-            targets = rng.choice(num_clusters, size=count, replace=False)
-            next_id = num_clusters
-            # moved members get fresh ids, so the groups of the targets hold
-            order, bounds = groups(assignment, num_clusters)
-            for cid in targets:
-                members = order[bounds[cid] : bounds[cid + 1]]
-                if members.size < 2:
-                    continue
-                half = members.size // 2
-                moved = rng.choice(members, size=half, replace=False)
-                assignment[moved] = next_id
-                next_id += 1
-    return Clustering(relabel(assignment), p_minus=c.p_minus)

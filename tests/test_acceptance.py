@@ -18,8 +18,9 @@ from labelforge import errors, evt, knn, metrics, noise
 from labelforge import cluster as cl
 from labelforge.cli import SCHEMA, PipelineConfig, main, run_pipeline, stage_gen, stage_separate
 from labelforge.data import Clustering, EmbeddingSet, LabelSet
-from labelforge.synth import SynthConfig, generate_identities, inject_label_noise
+from labelforge.synth import SynthConfig, generate_identities
 from labelforge.train import LossConfig, _loss_and_grads, embed, train_head
+from noise_helpers import inject_label_noise
 
 
 @pytest.fixture
@@ -311,7 +312,7 @@ def test_criterion_07_uncertainty_metric_ordering(announce):
         cfg = SynthConfig(num_ids=40, samples_per_id=20, dim=32,
                           within_id_sigma=0.15, seed=seed)
         emb, labels = generate_identities(cfg)
-        c = cl.clustering_from_labels(labels)
+        c = Clustering(labels.labels)
         # 20% mixed noise: half outlier reassignments, half cluster splits
         c = inject_label_noise(c, labels, rate=0.10, mode="outlier", seed=seed + 100)
         c = inject_label_noise(c, labels, rate=0.10, mode="split_id", seed=seed + 200)
@@ -359,7 +360,7 @@ def _soft_vs_hard(seed: int, rate: float):
     )
     un_emb = EmbeddingSet(tr_emb.rows[~lab_mask], normalized=True)
     un_lab = LabelSet(tr_lab.labels[~lab_mask] - n_lab)
-    c = cl.clustering_from_labels(un_lab)
+    c = Clustering(un_lab.labels)
     if rate > 0:
         c = inject_label_noise(c, un_lab, rate=rate / 2, mode="outlier", seed=seed + 10)
         c = inject_label_noise(c, un_lab, rate=rate / 2, mode="split_id", seed=seed + 20)
@@ -425,7 +426,7 @@ def _rank1_with_correct_pseudo(seed: int):
         LabelSet(tr_lab.labels[lab_mask]),
     )
     un_emb = EmbeddingSet(tr_emb.rows[~lab_mask], normalized=True)
-    pseudo = cl.clustering_from_labels(LabelSet(tr_lab.labels[~lab_mask] - n_lab))
+    pseudo = Clustering(tr_lab.labels[~lab_mask] - n_lab)
 
     gallery = (EmbeddingSet(te_emb.rows[::2], normalized=True), te_lab[::2])
     probe = (EmbeddingSet(te_emb.rows[1::2], normalized=True), te_lab[1::2])

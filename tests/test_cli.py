@@ -75,6 +75,26 @@ def test_missing_config_file(tmp_path, capsys):
     assert "nope.ini" in capsys.readouterr().err
 
 
+def test_non_utf8_config_rejected(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[synth]\nseed = \xff\xfe\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed config {path}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text", ["[DEFAULT]\nseed = 3\n", "[DEFAULT]\nk = 3\n\n[synth]\nseed = 3\n"],
+    ids=["alone", "beside-synth"],
+)
+def test_default_section_rejected(tmp_path, capsys, text):
+    # configparser copies [DEFAULT] keys into every section
+    cfg = _write_ini(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: unknown config section [DEFAULT]\n"
+
+
 def test_threads_must_be_positive(base_config, tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["run", "--config", base_config, "--out", out, "--threads", "0"]) == 1
@@ -84,8 +104,8 @@ def test_threads_must_be_positive(base_config, tmp_path, capsys):
 # --- stage errors (exit code 2) ---
 
 # stage -> the input its first reader opens
-FIRST_INPUT = {"separate": "train.emb", "cluster": "train.emb", "noise": "train.emb",
-               "retrain": "train.emb", "evaluate": "test.emb", "report": "stage_gen.json"}
+FIRST_INPUT = {"separate": "train_emb.npz", "cluster": "train_emb.npz", "noise": "train_emb.npz",
+               "retrain": "train_emb.npz", "evaluate": "test_emb.npz", "report": "stage_gen.json"}
 
 
 @pytest.mark.parametrize("stage", FIRST_INPUT)
@@ -95,6 +115,15 @@ def test_stage_without_artifacts_exits_2(base_config, tmp_path, capsys, stage):
     err = capsys.readouterr().err
     # the message names the stage and the missing path
     assert err.startswith(f"error: stage '{stage}' failed:") and FIRST_INPUT[stage] in err
+
+
+def test_out_naming_a_file_exits_2(base_config, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["gen", "--config", base_config, "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'gen' failed:") and str(afile) in err
+    assert "Traceback" not in err
 
 
 def test_stage_rejects_output_of_another_config(base_config, tmp_path, capsys):
@@ -238,8 +267,8 @@ def test_degenerate_clustering_falls_back_to_zero_p_minus(tmp_path):
     ns = report["stages"]["noise"]
     assert ns["otsu_t"] is None
     assert ns["mean_p_minus"] == 0.0
-    pm = np.loadtxt(f"{out}/pseudo_clusters_pm.csv", delimiter=",", skiprows=1)
-    assert np.all(pm[:, 2] == 0.0)
+    with np.load(f"{out}/pseudo_clusters_pm.npz") as z:
+        assert np.all(z["p_minus"] == 0.0)
 
 
 def test_report_is_sorted_and_finite(base_config, tmp_path):
@@ -447,9 +476,9 @@ def _stage_exit(capsys, stage, cfg, out):
 def test_output_directory_holds_one_artifact_format(finished_run):
     _, out = finished_run
     assert sorted(p.name for p in out.iterdir()) == sorted(
-        ["train.emb", "test.emb", "train_labels.csv", "test_labels.csv", "split.npz",
+        ["train_emb.npz", "test_emb.npz", "train_labels.npz", "test_labels.npz", "split.npz",
          "baseline.npz", "mixture.json", "decisions.npz", "gcn.npz",
-         "pseudo_clusters.csv", "noise_model.json", "pseudo_clusters_pm.csv",
+         "pseudo_clusters.npz", "noise_model.json", "pseudo_clusters_pm.npz",
          "hard.npz", "soft.npz", "report.json"]
         + [f"stage_{name}.json" for name in
            ("gen", "separate", "cluster", "noise", "retrain", "evaluate")]
@@ -589,58 +618,54 @@ def test_corrupt_stage_fragment_fails_report(run_copy, capsys):
     assert err.startswith("error: stage 'report' failed:") and "stage_gen.json" in err
 
 
-# --- malformed tables and embeddings exit 2, naming their cause ---
+# --- malformed embeddings, labels and clusterings exit 2, naming their cause ---
 
-def _edit_table(path, row, column, value):
-    lines = path.read_text().splitlines()
-    fields = lines[row].split(",")
-    fields[column] = value
-    lines[row] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _edit_embeddings(path, scale):
-    blob = path.read_bytes()
-    rows = np.frombuffer(blob[12:], dtype="<f4").copy()
-    d = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
-    rows[:d] *= scale
-    path.write_bytes(blob[:12] + rows.tobytes())
+def _edit_archive(path, edit, names=None):
+    """Replace each array ``names`` lists (every array by default) of the
+    archive at ``path`` by ``edit`` of it."""
+    with np.load(path) as z:
+        arrays = {name: z[name] for name in z.files}
+    for name in names or list(arrays):
+        arrays[name] = edit(arrays[name])
+    np.savez(path, **arrays)
 
 
-def _drop_last_rows(path, count):
-    path.write_text("".join(path.read_text().splitlines(True)[:-count]))
+def _put(index, value):
+    """An edit that sets ``array[index]`` to ``value(array)``."""
+    def edit(array):
+        array[index] = value(array)
+        return array
+    return edit
 
 
-def _gap_cluster_id(path):
-    return str(max(int(line.split(",")[1]) for line in path.read_text().splitlines()[1:]) + 2)
+PM = "pseudo_clusters_pm.npz"
 
 
 @pytest.mark.parametrize(
     "edit, stage, cause",
     [
-        (lambda out: _edit_table(out / "pseudo_clusters_pm.csv", 3, 2, "abc"), "retrain",
-         "could not convert string to float: 'abc'"),
-        (lambda out: _edit_table(out / "pseudo_clusters_pm.csv", 3, 2, "1.5"), "retrain",
+        (lambda out: _edit_archive(out / PM, lambda p: np.full(p.shape, "abc"), ["p_minus"]),
+         "retrain", "array 'p_minus' is <U3"),
+        (lambda out: _edit_archive(out / PM, _put(2, lambda p: 1.5), ["p_minus"]), "retrain",
          "p_minus values must lie in [0, 1]"),
-        (lambda out: _edit_table(out / "pseudo_clusters_pm.csv", 3, 2, "nan"), "retrain",
+        (lambda out: _edit_archive(out / PM, _put(2, lambda p: np.nan), ["p_minus"]), "retrain",
          "p_minus values must lie in [0, 1]"),
-        (lambda out: _edit_table(out / "pseudo_clusters_pm.csv", 3, 1,
-                                 _gap_cluster_id(out / "pseudo_clusters_pm.csv")),
+        (lambda out: _edit_archive(out / PM, _put(2, lambda a: a.max() + 2), ["assignment"]),
          "retrain", "cluster ids must be contiguous with no gaps"),
-        (lambda out: _edit_embeddings(out / "train.emb", 2.0), "separate",
+        (lambda out: _edit_archive(out / "train_emb.npz", _put(0, lambda r: 2 * r[0])),
+         "separate", "normalized flag set but rows are not unit-norm"),
+        (lambda out: _edit_archive(out / "test_emb.npz", _put(0, lambda r: np.nan)), "evaluate",
          "normalized flag set but rows are not unit-norm"),
-        (lambda out: _edit_embeddings(out / "test.emb", np.nan), "evaluate",
-         "normalized flag set but rows are not unit-norm"),
-        (lambda out: _drop_last_rows(out / "pseudo_clusters.csv", 5), "noise",
+        (lambda out: _edit_archive(out / "pseudo_clusters.npz", lambda a: a[:-5]), "noise",
          " disjoint samples"),
-        (lambda out: _drop_last_rows(out / "pseudo_clusters_pm.csv", 5), "retrain",
+        (lambda out: _edit_archive(out / PM, lambda a: a[:-5]), "retrain",
          " disjoint samples"),
-        # a short label table used to pass separate and end cluster in an
+        # a short label array used to pass separate and end cluster in an
         # IndexError, or to let evaluate score only the rows it covers
-        (lambda out: _drop_last_rows(out / "train_labels.csv", 5), "separate",
-         "train_labels.csv: 195 labels for the 200 rows of "),
-        (lambda out: _drop_last_rows(out / "test_labels.csv", 5), "evaluate",
-         "test_labels.csv: 35 labels for the 40 rows of "),
+        (lambda out: _edit_archive(out / "train_labels.npz", lambda a: a[:-5]), "separate",
+         "train_labels.npz: 195 labels for the 200 rows of "),
+        (lambda out: _edit_archive(out / "test_labels.npz", lambda a: a[:-5]), "evaluate",
+         "test_labels.npz: 35 labels for the 40 rows of "),
     ],
     ids=["p-abc", "p-1.5", "p-nan", "cluster-id-gap", "train-row-x2", "test-row-nan",
          "short-clustering", "short-clustering-pm", "short-train-labels", "short-test-labels"],
@@ -652,4 +677,3 @@ def test_malformed_input_exits_2(run_copy, capsys, edit, stage, cause):
     assert code == 2
     assert err.startswith(f"error: stage '{stage}' failed:") and cause in err
     assert "diverged" not in err
-

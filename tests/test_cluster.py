@@ -13,7 +13,6 @@ from labelforge.cluster import (
     _prepare,
     _runs,
     _targets,
-    clustering_from_labels,
     deoverlap,
     gcn_train,
     hac,

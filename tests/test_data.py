@@ -1,7 +1,6 @@
 import errno
 import io
 
-import csv_reference as ref
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +30,7 @@ from labelforge.data import (
 def test_embedding_roundtrip(tmp_path):
     rows = np.random.default_rng(0).standard_normal((2, 3))
     emb = EmbeddingSet(rows)
-    path = tmp_path / "e.bin"
+    path = tmp_path / "e.npz"
     save_embeddings(emb, path)
     back = load_embeddings(path)
     assert back.n == 2 and back.d == 3
@@ -40,8 +39,8 @@ def test_embedding_roundtrip(tmp_path):
 
 def test_embeddings_load_as_the_float32_rows_stored(tmp_path):
     rows = np.random.default_rng(1).standard_normal((3, 4)).astype(np.float32)
-    save_embeddings(EmbeddingSet(rows), tmp_path / "e.bin")
-    back = load_embeddings(tmp_path / "e.bin")
+    save_embeddings(EmbeddingSet(rows), tmp_path / "e.npz")
+    back = load_embeddings(tmp_path / "e.npz")
     assert back.rows.dtype == np.float32
     np.testing.assert_array_equal(back.rows, rows)
 
@@ -52,46 +51,10 @@ def test_float32_rows_are_held_without_a_copy():
     assert EmbeddingSet(rows.astype(np.float64)).rows.dtype == np.float32
 
 
-def test_embedding_file_size(tmp_path):
-    emb = EmbeddingSet(np.array([[0.6, 0.8]]))
-    path = tmp_path / "e.bin"
-    save_embeddings(emb, path)
-    assert path.stat().st_size == 20
-
-
-def test_truncated_file(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"EMB1" + b"\x00" * 7)  # 11 bytes
-    with pytest.raises(errors.CorruptArtifact, match="only 11 header bytes"):
-        load_embeddings(path)
-
-
-def test_payload_size_mismatch(tmp_path):
-    path = tmp_path / "bad.bin"
-    header = b"EMB1" + np.array([2, 3], dtype="<u4").tobytes()
-    path.write_bytes(header + b"\x00" * 8)
-    with pytest.raises(errors.CorruptArtifact, match="20 bytes, expected 36"):
-        load_embeddings(path)
-
-
-def test_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"XXXX" + b"\x00" * 20)
-    with pytest.raises(errors.CorruptArtifact, match="bad magic b'XXXX'"):
-        load_embeddings(path)
-
-
-def test_zero_dimension(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"EMB1" + np.array([0, 3], dtype="<u4").tobytes())
-    with pytest.raises(errors.CorruptArtifact, match="header n=0, d=3"):
-        load_embeddings(path)
-
-
 def test_save_to_unwritable_path(tmp_path):
     emb = EmbeddingSet(np.array([[0.6, 0.8]]))
     with pytest.raises(errors.IoFailure):
-        save_embeddings(emb, tmp_path / "missing_dir" / "e.bin")
+        save_embeddings(emb, tmp_path / "missing_dir" / "e.npz")
 
 
 def test_l2_normalize_345():
@@ -128,39 +91,9 @@ def test_normalize_preserves_cosine(n, d, seed):
     np.testing.assert_allclose(y @ y.T, cos_before, atol=d * 2.0**-22)
 
 
-def test_labels_relabeled_contiguous(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n0,5\n1,5\n2,7\n")
-    labels = load_labels(path)
-    assert labels.num_ids == 2
-    np.testing.assert_array_equal(labels.labels, [0, 0, 1])
-    assert labels.original_ids == {0: 5, 1: 7}
-
-
-def test_labels_non_integer(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n0,A\n")
-    with pytest.raises(errors.CorruptArtifact, match="non-integer label field"):
-        load_labels(path)
-
-
-def test_labels_duplicate_index(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n0,1\n0,2\n")
-    with pytest.raises(errors.CorruptArtifact, match="duplicate index 0"):
-        load_labels(path)
-
-
-def test_labels_missing_index(tmp_path):
-    path = tmp_path / "labels.csv"
-    path.write_text("index,label\n0,1\n2,2\n")
-    with pytest.raises(errors.CorruptArtifact, match=r"indices not 0\.\.1"):
-        load_labels(path)
-
-
 def test_labels_roundtrip(tmp_path):
     labels = LabelSet(np.array([0, 1, 1, 2, 0]))
-    path = tmp_path / "labels.csv"
+    path = tmp_path / "labels.npz"
     save_labels(labels, path)
     back = load_labels(path)
     np.testing.assert_array_equal(back.labels, labels.labels)
@@ -169,22 +102,42 @@ def test_labels_roundtrip(tmp_path):
 def test_clustering_roundtrip(tmp_path):
     c = Clustering(
         np.array([0, 0, 1, UNASSIGNED, 1]),
-        p_minus=np.array([0.1, 0.25, 0.999999, 0.0, 1.0]),
+        p_minus=np.array([0.1, 0.2500004, 0.9999994, 0.0, 1.0]),
     )
-    path = tmp_path / "c.csv"
+    path = tmp_path / "c.npz"
     save_clustering(c, path)
     back = load_clustering(path)
     np.testing.assert_array_equal(back.assignment, c.assignment)
-    np.testing.assert_allclose(back.p_minus, c.p_minus, atol=5e-7)
+    # p⁻ is stored to 6 decimals
+    np.testing.assert_array_equal(back.p_minus, [0.1, 0.25, 0.999999, 0.0, 1.0])
 
 
 def test_clustering_roundtrip_no_pminus(tmp_path):
     c = Clustering(np.array([0, 1, 0]))
-    path = tmp_path / "c.csv"
+    path = tmp_path / "c.npz"
     save_clustering(c, path)
     back = load_clustering(path)
     assert back.p_minus is None
     np.testing.assert_array_equal(back.assignment, c.assignment)
+
+
+@pytest.mark.parametrize(
+    "load, arrays, cause",
+    [
+        (load_embeddings, {"rows": np.ones((3, 0), dtype=np.float32)}, "need n >= 1 and d >= 2"),
+        (load_labels, {"labels": np.array([0, 2])}, "contiguous with no gaps"),
+        (load_clustering, {"assignment": np.array([0, 0]), "p_minus": np.array([0.5, 1.5])},
+         r"must lie in \[0, 1\]"),
+    ],
+    ids=["zero-width rows", "label gap", "p_minus 1.5"],
+)
+def test_loader_names_its_file(tmp_path, load, arrays, cause):
+    # arrays that fit the loader's spec but break the container's invariant
+    path = tmp_path / "artifact.npz"
+    save_archive(arrays, path)
+    with pytest.raises(errors.CorruptArtifact, match=cause) as exc:
+        load(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_clustering_invariants():
@@ -218,135 +171,6 @@ def test_container_invariants_raise_invalid_data(make):
     with pytest.raises(errors.InvalidData) as exc:
         make()
     assert isinstance(exc.value, errors.LabelForgeError) and isinstance(exc.value, ValueError)
-
-
-# --- CSV tables: the column-wise reader against the per-row reference ---
-
-_NOT_INTS = ("A", "1.5", "", " ", "0x1", "--1", "1e3")
-_INT_FORMS = ("{}", " {}", "{} ", "+{}", "0{}", "1_{}")  # int() reads each of these
-_P_FIELDS = ("", "0", "0.250000", "1", "1.5", "-0.1", "nan", "inf", "1e-3", " 0.5 ")
-
-
-@st.composite
-def _tables(draw, clustering: bool):
-    """``index,label`` or ``index,cluster_id,p_minus`` text with at most one
-    kind of row fault. Faults that only the containers check (cluster id
-    gaps, p⁻ outside [0, 1]) may come on top: both readers check them last."""
-    n = draw(st.integers(1, 10))
-    header = ["index", "cluster_id", "p_minus"] if clustering else ["index", "label"]
-    values = st.integers(-1, 4) if clustering else st.integers(0, 6)
-    rows = []
-    for i in range(n):
-        v = draw(values)
-        rows.append([str(i), draw(st.sampled_from(_INT_FORMS)).format(v) if v >= 0 else str(v)])
-    if clustering:
-        # p⁻ empty in every row, filled in every row, or a mix
-        fields = draw(st.sampled_from(
-            [st.just(""), st.sampled_from(_P_FIELDS[1:]), st.sampled_from(_P_FIELDS)]
-        ))
-        for row in rows:
-            row.append(draw(fields))
-    r = draw(st.integers(0, n - 1))
-    fault = draw(st.sampled_from(
-        ["none", "duplicate", "missing", "short", "not-int", "negative", "width", "header", "empty"]
-        + ["not-float"] * clustering
-    ))
-    if fault == "duplicate" and n > 1:
-        rows[r][0] = str((r + draw(st.integers(1, n - 1))) % n)
-    elif fault == "missing":
-        rows[r][0] = str(n + draw(st.integers(0, 3)))
-    elif fault == "short":
-        del rows[r]
-    elif fault == "not-int":
-        rows[r][draw(st.integers(0, 1))] = draw(st.sampled_from(_NOT_INTS))
-    elif fault == "negative":
-        rows[r][1] = str(draw(st.integers(-5, -2 if clustering else -1)))
-    elif fault == "not-float":
-        rows[r][2] = "abc"
-    elif fault == "width":
-        rows[r] = rows[r][:-1] if draw(st.booleans()) else rows[r] + ["7"]
-    elif fault == "header":
-        header = header[:-1] + ["id"]
-    elif fault == "empty":
-        rows = []
-    lines = [header] + draw(st.permutations(rows))
-    if fault == "empty" and draw(st.booleans()):
-        lines = []
-    return "".join(",".join(row) + "\n" for row in lines)
-
-
-def _outcome(load, path):
-    try:
-        return load(path), None
-    except Exception as exc:  # the reference may raise a bare ValueError
-        return None, exc
-
-
-# the three file faults both readers tell apart, by the phrases of their messages
-_TABLE_FAULTS = {
-    "duplicate index": ("duplicate index",),
-    "bad field": ("non-integer", "negative label"),
-    "bad layout": ("header", "malformed row", "no data rows", "indices not"),
-}
-
-
-def _table_fault(exc, path) -> str:
-    message = str(exc).removeprefix(f"{path}: ")
-    found = [fault for fault, phrases in _TABLE_FAULTS.items()
-             if any(phrase in message for phrase in phrases)]
-    assert len(found) == 1, message
-    return found[0]
-
-
-@pytest.mark.parametrize("clustering", [False, True], ids=["labels", "clustering"])
-@given(draws=st.data())
-@settings(max_examples=400, deadline=None)
-def test_table_readers_match_per_row_reference(tmp_path_factory, clustering, draws):
-    path = tmp_path_factory.getbasetemp() / "table.csv"
-    path.write_text(draws.draw(_tables(clustering)))
-    name = "load_clustering" if clustering else "load_labels"
-    got, got_exc = _outcome(getattr(data, name), path)
-    want, want_exc = _outcome(getattr(ref, name), path)
-    if want_exc is not None:
-        # the cluster-id range is now the container's check
-        cluster_id_range = "invalid cluster id" in str(want_exc)
-        assert isinstance(got_exc, errors.InvalidData if cluster_id_range else type(want_exc))
-        assert isinstance(got_exc, errors.LabelForgeError)
-        if isinstance(want_exc, errors.CorruptArtifact) and not cluster_id_range:
-            assert _table_fault(got_exc, path) == _table_fault(want_exc, path)
-        return
-    assert got_exc is None, got_exc
-    if clustering:
-        for field in ("assignment", "p_minus"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
-    else:
-        assert got.labels.dtype == want.labels.dtype
-        np.testing.assert_array_equal(got.labels, want.labels)
-        assert got.original_ids == want.original_ids
-
-
-@pytest.mark.parametrize(
-    "text, error, match",
-    [
-        ("index,cluster_id,p_minus\n0,0,0.5\n1,0,nan\n", errors.InvalidData, r"\[0, 1\]"),
-        ("index,cluster_id,p_minus\n0,0,0.5\n1,0,abc\n", errors.InvalidData, "'abc'"),
-        ("index,cluster_id,p_minus\n0,0,\n1,-2,\n", errors.InvalidData, "UNASSIGNED"),
-        ("index,cluster_id,p_minus\n0,0,\n1,2,\n", errors.InvalidData, "no gaps"),
-        ("index,cluster_id,p_minus\n0,0,\n1,99999999999999999999,\n",
-         errors.CorruptArtifact, "non-integer cluster_id"),
-    ],
-    ids=["nan", "abc", "id -2", "gap", "int64 overflow"],
-)
-def test_clustering_reader_names_its_file(tmp_path, text, error, match):
-    path = tmp_path / "pseudo_clusters_pm.csv"
-    path.write_text(text)
-    with pytest.raises(error, match=match) as exc:
-        load_clustering(path)
-    assert str(path) in str(exc.value)
 
 
 # --- samples grouped by id ---

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforge import errors
-from labelforge.cluster import clustering_from_labels
 from labelforge.data import (
     UNASSIGNED,
     Clustering,
@@ -25,14 +24,14 @@ from labelforge.noise import (
     OUTLIER,
     SPLIT_ID,
     average_precision,
-    cross_entropy,
     fit_noise_model,
     label_cluster_errors,
     p_minus,
     train_linear_classifier,
     uncertainty_scores,
 )
-from labelforge.synth import SynthConfig, generate_identities, inject_label_noise
+from labelforge.synth import SynthConfig, generate_identities
+from noise_helpers import cross_entropy, inject_label_noise
 
 
 def _harness(num_ids=5, per_id=30, dim=8, sigma=0.1, seed=0):
@@ -45,7 +44,7 @@ def _harness(num_ids=5, per_id=30, dim=8, sigma=0.1, seed=0):
 
 def test_classifier_fits_separable_data():
     emb, labels = _harness()
-    c = clustering_from_labels(labels)
+    c = Clustering(labels.labels)
     head = train_linear_classifier(emb, c, seed=0)
     pred = head.logits(emb).argmax(axis=1)
     assert np.mean(pred == labels.labels) == 1.0
@@ -55,7 +54,7 @@ def test_classifier_trains_in_the_rows_dtype():
     # one epoch of one batch: the float64 draw rounded to float32 once, then
     # a float32 step; a float64 step rounded at the end differs in the last bits
     emb, labels = _harness()
-    c = clustering_from_labels(labels)
+    c = Clustering(labels.labels)
     head = train_linear_classifier(emb, c, epochs=1, lr=0.5, seed=3, batch_size=emb.n)
     rng = np.random.default_rng(np.random.SeedSequence(3))
     W = (rng.standard_normal((labels.num_ids, emb.d)) * 0.01).astype(np.float32)
@@ -82,7 +81,7 @@ def test_classifier_divergence_raises_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflow warning would raise instead
         with pytest.raises(errors.TrainingDiverged, match="diverged"):
-            train_linear_classifier(emb, clustering_from_labels(labels), lr=1e30)
+            train_linear_classifier(emb, Clustering(labels.labels), lr=1e30)
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
@@ -123,7 +122,7 @@ def test_cross_entropy_gradient_matches_finite_differences():
 
 def test_mislabeled_samples_have_higher_loss():
     emb, labels = _harness(seed=3)
-    c = clustering_from_labels(labels)
+    c = Clustering(labels.labels)
     head = train_linear_classifier(emb, c, seed=1)
     correct = cross_entropy(head.logits(emb), labels.labels)
     wrong = cross_entropy(head.logits(emb), (labels.labels + 1) % labels.num_ids)
@@ -218,7 +217,7 @@ def test_p_minus_monotone_nonincreasing():
 
 def test_high_margin_samples_get_low_p_minus():
     emb, labels = _harness(seed=5)
-    c = inject_label_noise(clustering_from_labels(labels), labels, 0.2, "outlier", seed=1)
+    c = inject_label_noise(Clustering(labels.labels), labels, 0.2, "outlier", seed=1)
     head = train_linear_classifier(emb, c, seed=2)
     margins = uncertainty_scores(head, emb, "class_margin")
     m = fit_noise_model(margins, n_bins=256)
@@ -230,7 +229,7 @@ def test_high_margin_samples_get_low_p_minus():
 def test_entropy_p_minus_rises_with_entropy():
     # higher entropy means less confident: the fit orients entropy first
     emb, labels = _harness(seed=5)
-    c = inject_label_noise(clustering_from_labels(labels), labels, 0.2, "outlier", seed=1)
+    c = inject_label_noise(Clustering(labels.labels), labels, 0.2, "outlier", seed=1)
     head = train_linear_classifier(emb, c, seed=2)
     entropy = uncertainty_scores(head, emb, "entropy")
     m = fit_noise_model(entropy, metric="entropy", n_bins=256)
@@ -253,7 +252,7 @@ def test_label_cluster_errors_trace():
 
 def test_label_cluster_errors_perfect():
     _, labels = _harness(num_ids=3, per_id=4)
-    tags = label_cluster_errors(clustering_from_labels(labels), labels)
+    tags = label_cluster_errors(Clustering(labels.labels), labels)
     assert np.all(tags == CORRECT)
 
 
@@ -309,7 +308,7 @@ def test_label_cluster_errors_matches_reference(pairs):
 
 def test_injected_noise_is_recovered_by_tags():
     _, labels = _harness(num_ids=10, per_id=20)
-    clean = clustering_from_labels(labels)
+    clean = Clustering(labels.labels)
     noisy = inject_label_noise(clean, labels, 0.1, "outlier", seed=7)
     tags = label_cluster_errors(noisy, labels)
     moved = np.flatnonzero(noisy.assignment != clean.assignment)

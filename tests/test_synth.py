@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforge import errors
-from labelforge.cluster import clustering_from_labels
 from labelforge.data import UNASSIGNED, Clustering, EmbeddingSet, LabelSet, relabel
 from labelforge.synth import (
     SplitSpec,
     SynthConfig,
     generate_identities,
-    inject_label_noise,
     make_overlap_split,
 )
+from noise_helpers import inject_label_noise
 
 
 def test_zero_sigma_collapses_to_prototype():
@@ -196,14 +195,14 @@ def test_split_insufficient_ids():
 
 def test_noise_rate_zero_unchanged():
     _, labels = _harness()
-    c = clustering_from_labels(labels)
+    c = Clustering(labels.labels)
     out = inject_label_noise(c, labels, rate=0.0, mode="outlier", seed=0)
     np.testing.assert_array_equal(out.assignment, c.assignment)
 
 
 def test_noise_rate_out_of_range():
     _, labels = _harness()
-    c = clustering_from_labels(labels)
+    c = Clustering(labels.labels)
     with pytest.raises(errors.InvalidData, match=r"rate 1\.0 not in \[0, 1\)"):
         inject_label_noise(c, labels, rate=1.0, mode="outlier", seed=0)
 
@@ -211,7 +210,7 @@ def test_noise_rate_out_of_range():
 def test_outlier_noise_diff_count():
     cfg = SynthConfig(num_ids=10, samples_per_id=10, dim=8, within_id_sigma=0.1, seed=2)
     _, labels = generate_identities(cfg)  # n = 100
-    c = clustering_from_labels(labels)
+    c = Clustering(labels.labels)
     out = inject_label_noise(c, labels, rate=0.2, mode="outlier", seed=3)
     assert int(np.sum(out.assignment != c.assignment)) == 20
 
@@ -219,7 +218,7 @@ def test_outlier_noise_diff_count():
 def test_split_id_noise_moves_half():
     cfg = SynthConfig(num_ids=5, samples_per_id=10, dim=8, within_id_sigma=0.1, seed=2)
     _, labels = generate_identities(cfg)
-    c = clustering_from_labels(labels)
+    c = Clustering(labels.labels)
     out = inject_label_noise(c, labels, rate=0.21, mode="split_id", seed=3)
     assert out.num_clusters == c.num_clusters + 1
     # exactly one original cluster lost exactly half its members
@@ -230,7 +229,7 @@ def test_split_id_noise_moves_half():
 
 def test_noise_preserves_invariants():
     _, labels = _harness(seed=8)
-    c = clustering_from_labels(labels)
+    c = Clustering(labels.labels)
     for mode in ("outlier", "split_id"):
         out = inject_label_noise(c, labels, rate=0.3, mode=mode, seed=5)
         assigned = out.assignment[out.assignment != UNASSIGNED]
