@@ -42,6 +42,7 @@ from .data import (
 from .errors import (
     ConfigError,
     CorruptArtifact,
+    InvalidData,
     IoFailure,
     LabelForgeError,
     OneSidedData,
@@ -164,7 +165,6 @@ class PipelineConfig:
 
     def __init__(self, values: dict[str, dict]):
         self.values = values
-        self.threads = 1
 
     def __getitem__(self, section: str) -> dict:
         return self.values[section]
@@ -265,9 +265,12 @@ def _load_split(cfg: PipelineConfig):
     path = _path(cfg, "split.npz")
     spec = {"labeled_idx": ("i8", "l"), "unlabeled_idx": ("i8", "u"), "overlap_mask": ("?", "u")}
     labeled_idx, unlabeled_idx, gt_overlap = load_archive(path, spec).values()
-    for idx in (labeled_idx, unlabeled_idx):
-        if idx.size and not (0 <= idx.min() and idx.max() < train_emb.n):
-            raise CorruptArtifact(f"{path}: sample index out of range for n={train_emb.n}")
+    both = np.concatenate([labeled_idx, unlabeled_idx])
+    if both.size and not (0 <= both.min() and both.max() < train_emb.n):
+        raise CorruptArtifact(f"{path}: sample index out of range for n={train_emb.n}")
+    repeats = both.size - np.unique(both).size
+    if repeats:
+        raise CorruptArtifact(f"{path}: labeled_idx and unlabeled_idx repeat {repeats} indices")
     return train_emb, train_labels, labeled_idx, unlabeled_idx, gt_overlap
 
 
@@ -292,6 +295,9 @@ def _load_disjoint(cfg: PipelineConfig, train_emb, train_labels, unlabeled_idx):
     if unknown.any():
         code = decisions[unknown][0]
         raise CorruptArtifact(f"{path}: decision code {code} is not one of {_DECISIONS}")
+    if not np.any(decisions == evt.DISJOINT):
+        counts = {name: int(np.sum(decisions == code)) for name, code in _DECISIONS.items()}
+        raise InvalidData(f"{path}: separate marked no unlabeled sample disjoint: {counts}")
     return _subset(train_emb, train_labels, unlabeled_idx[decisions == evt.DISJOINT])
 
 
@@ -373,14 +379,8 @@ def _rates(decided_overlap: np.ndarray, gt_overlap: np.ndarray):
     """(false_positive_rate, false_negative_rate) against ground truth;
     None where the truth side is empty."""
     truly_disjoint = ~gt_overlap
-    fpr = (
-        float(np.mean(decided_overlap[truly_disjoint]))
-        if truly_disjoint.any()
-        else None
-    )
-    fnr = (
-        float(np.mean(~decided_overlap[gt_overlap])) if gt_overlap.any() else None
-    )
+    fpr = float(np.mean(decided_overlap[truly_disjoint])) if truly_disjoint.any() else None
+    fnr = float(np.mean(~decided_overlap[gt_overlap])) if gt_overlap.any() else None
     return fpr, fnr
 
 
@@ -471,7 +471,7 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
 
     # purity regressor is trained on the labeled split, where IoU/IoP
     # targets are known
-    lab_graph = knn.build_knn_graph(lab_emb, k=k, threads=cfg.threads)
+    lab_graph = knn.build_knn_graph(lab_emb, k=k)
     # each graph's sweep comes from its own similarity distribution
     lab_props = knn.proposals_from_thresholds(lab_graph, knn.default_thresholds(lab_graph))
     n_aug = c["augment_unions"]
@@ -489,7 +489,7 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
     )
     cl.save_gcn_model(model, _path(cfg, "gcn.npz"))
 
-    graph = knn.build_knn_graph(dis_emb, k=k, threads=cfg.threads)
+    graph = knn.build_knn_graph(dis_emb, k=k)
     props = knn.proposals_from_thresholds(graph, knn.default_thresholds(graph))
     return cl.deoverlap(props, cl.score_proposals(model, props, dis_emb, graph))
 
@@ -681,18 +681,14 @@ def main(argv=None) -> int:
         )
         p.add_argument("--config", required=True, help="path to INI config file")
         p.add_argument("--seed", type=int, default=None, help="set [synth] seed, the base seed")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for k-NN search")
         p.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
         apply_overrides(cfg, seed=args.seed, out=args.out)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         if args.seed is not None and args.seed < 0:
             raise ConfigError("--seed must be >= 0")
-        cfg.threads = args.threads
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,15 +21,15 @@ class KnnGraph:
     several equally similar candidates the smaller indices are kept.
 
     The rule is applied to the sims as the matrix product of a row block
-    computes them. The thread count never changes the result, but the
-    block height (:func:`block_rows`) can, because BLAS rounds a product
-    according to how it tiles it. The sims take the dtype of the rows
-    (float32). Every sim is within the rounding of a d-term dot product
-    of the exact ``rows[i] @ rows[j]``, so under two block heights the
-    sims at each rank differ by at most ``d * 2**-23``,
-    and the neighbors at a rank can differ only between candidates whose
-    exact sims are within twice that: two different rows exactly as
-    similar to row ``i`` may be rounded into either order.
+    computes them. The block height (:func:`block_rows`) can change the
+    result, because BLAS rounds a product according to how it tiles it.
+    The sims take the dtype of the rows (float32). Every sim is within
+    the rounding of a d-term dot product of the exact
+    ``rows[i] @ rows[j]``, so under two block heights the sims at each
+    rank differ by at most ``d * 2**-23``, and the neighbors at a rank
+    can differ only between candidates whose exact sims are within twice
+    that: two different rows exactly as similar to row ``i`` may be
+    rounded into either order.
     """
 
     neighbors: np.ndarray
@@ -107,7 +106,7 @@ def ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 # elements of the largest scratch array a graph-layer pass may hold: the
-# (rows x n) similarity block of a k-NN worker (a float32 block and its
+# (rows x n) similarity block of the k-NN build (a float32 block and its
 # int64 argpartition indices: 3 MiB) or, at a quarter of it, the edges of
 # a run of a proposal gather (cluster._prepare). Scratch memory then stays
 # flat in n instead of growing as a fixed row count times n. On a 2-core Xeon
@@ -125,7 +124,7 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
-def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
+def build_knn_graph(emb: EmbeddingSet, k: int) -> KnnGraph:
     """Exact top-k cosine neighbors via blockwise dense products.
 
     Each block of :func:`block_rows` rows is scored against every row; the
@@ -133,8 +132,7 @@ def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
     (-sim, index), the rule stated on :class:`KnnGraph`. Rows whose k-th
     value is tied with an unselected candidate are re-selected from all
     candidates at or above that value, so the smaller indices win the
-    tie. ``threads > 1`` splits the blocks among that many workers, with
-    identical output; each worker holds one block.
+    tie.
     """
     if not emb.normalized:
         raise InvalidData("build_knn_graph requires unit-norm embeddings")
@@ -145,38 +143,28 @@ def build_knn_graph(emb: EmbeddingSet, k: int, threads: int = 1) -> KnnGraph:
     neighbors = np.empty((n, k), dtype=np.int64)
     sims = np.empty((n, k), dtype=rows.dtype)
     block = block_rows(n)
-    starts = range(0, n, block)
-    workers = min(threads, len(starts))
-
-    def process(worker: int) -> None:
-        # one block buffer per worker, reused: a block allocated afresh for
-        # every step is handed back to the OS when freed and faulted in
-        # again, which doubled the build time at n=2500
-        buf = np.empty((min(block, n), n), dtype=rows.dtype)
-        for start in starts[worker::workers]:
-            stop = min(start + block, n)
-            local = np.arange(stop - start)
-            s = np.matmul(rows[start:stop], rows.T, out=buf[: stop - start])
-            s[local, local + start] = -np.inf  # exclude self
-            top = np.argpartition(s, n - k, axis=1)[:, n - k :]
-            kth = s[local, top[:, 0]]
-            top.sort(axis=1)
-            # a tie at the k-th value leaves argpartition free to pick any of
-            # the tied candidates: take the smallest indices instead
-            for r in np.flatnonzero((s >= kth[:, None]).sum(axis=1) > k):
-                cand = np.flatnonzero(s[r] >= kth[r])
-                top[r] = np.sort(cand[np.argsort(-s[r, cand], kind="stable")[:k]])
-            # top is in index order, so a stable sort on -sim gives (-sim, index)
-            top_sims = np.take_along_axis(s, top, axis=1)
-            order = np.argsort(-top_sims, axis=1, kind="stable")
-            neighbors[start:stop] = np.take_along_axis(top, order, axis=1)
-            sims[start:stop] = np.take_along_axis(top_sims, order, axis=1)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(process, range(workers)))
-    else:
-        process(0)
+    # one block buffer, reused: a block allocated afresh for every step is
+    # handed back to the OS when freed and faulted in again, which doubled
+    # the build time at n=2500
+    buf = np.empty((min(block, n), n), dtype=rows.dtype)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        local = np.arange(stop - start)
+        s = np.matmul(rows[start:stop], rows.T, out=buf[: stop - start])
+        s[local, local + start] = -np.inf  # exclude self
+        top = np.argpartition(s, n - k, axis=1)[:, n - k :]
+        kth = s[local, top[:, 0]]
+        top.sort(axis=1)
+        # a tie at the k-th value leaves argpartition free to pick any of
+        # the tied candidates: take the smallest indices instead
+        for r in np.flatnonzero((s >= kth[:, None]).sum(axis=1) > k):
+            cand = np.flatnonzero(s[r] >= kth[r])
+            top[r] = np.sort(cand[np.argsort(-s[r, cand], kind="stable")[:k]])
+        # top is in index order, so a stable sort on -sim gives (-sim, index)
+        top_sims = np.take_along_axis(s, top, axis=1)
+        order = np.argsort(-top_sims, axis=1, kind="stable")
+        neighbors[start:stop] = np.take_along_axis(top, order, axis=1)
+        sims[start:stop] = np.take_along_axis(top_sims, order, axis=1)
     return KnnGraph(neighbors, sims)
 
 

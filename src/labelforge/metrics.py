@@ -22,7 +22,7 @@ class VerificationProtocol:
         pairs = tuple((int(a), int(b), bool(s)) for a, b, s in self.pairs)
         same = [s for _, _, s in pairs]
         if not any(same) or all(same):
-            raise ValueError("need at least one positive and one negative pair")
+            raise InvalidData("need at least one positive and one negative pair")
         object.__setattr__(self, "pairs", pairs)
 
 
@@ -184,6 +184,11 @@ def build_verification_protocol(
     pairs: list[tuple[int, int, bool]] = []
     n = labels.n
     order, bounds = groups(labels.labels, labels.num_ids)
+    # a negative pair needs a second identity, a positive one two samples of one
+    if labels.num_ids < 2:
+        raise InvalidData(f"verification pairs need two or more identities, got {labels.num_ids}")
+    if np.diff(bounds).max() < 2:
+        raise InvalidData("verification pairs need an identity with two or more samples, got none")
     for ident in range(labels.num_ids):
         members = order[bounds[ident] : bounds[ident + 1]]
         if members.size < 2:

@@ -543,22 +543,13 @@ def test_criterion_11_determinism(tmp_path, announce):
     )
     out = str(tmp_path / "out")
 
-    def run_and_read(threads):
-        code = main(["run", "--config", str(ini), "--seed", "5",
-                     "--threads", str(threads), "--out", out])
-        assert code == 0
+    def run_and_read():
+        assert main(["run", "--config", str(ini), "--seed", "5", "--out", out]) == 0
         with open(f"{out}/report.json") as fh:
             raw = fh.read()
         return json.dumps(_strip_wall_clock(json.loads(raw)), sort_keys=True)
 
-    first = run_and_read(threads=1)
-    second = run_and_read(threads=1)
-    threaded = run_and_read(threads=2)
-    repeat_ok = first == second
-    thread_ok = first == threaded
-    ok = repeat_ok and thread_ok
-    announce(11, "byte-identical reports for config+seed", ok,
-              f"repeat run identical: {repeat_ok}; --threads 2 identical: {thread_ok} "
-              "(wall-clock fields excluded)")
+    repeat_ok = run_and_read() == run_and_read()
+    announce(11, "byte-identical reports for config+seed", repeat_ok,
+              f"repeat run identical: {repeat_ok} (wall-clock fields excluded)")
     assert repeat_ok
-    assert thread_ok

@@ -4,7 +4,6 @@ import shutil
 import numpy as np
 import pytest
 
-from labelforge import knn
 from labelforge.cli import SCHEMA, apply_overrides, load_config, main, run_pipeline
 
 
@@ -95,10 +94,12 @@ def test_default_section_rejected(tmp_path, capsys, text):
     assert capsys.readouterr().err == "config error: unknown config section [DEFAULT]\n"
 
 
-def test_threads_must_be_positive(base_config, tmp_path, capsys):
-    out = str(tmp_path / "out")
-    assert main(["run", "--config", base_config, "--out", out, "--threads", "0"]) == 1
-    assert "threads" in capsys.readouterr().err
+def test_threads_flag_rejected(base_config, tmp_path, capsys):
+    # the k-NN build has one path; argparse rejects the old flag like any unknown one
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", base_config, "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 # --- stage errors (exit code 2) ---
@@ -508,20 +509,6 @@ def test_skipped_optional_artifact_is_removed(run_copy, tmp_path, name, edit, la
     assert not (out / name).exists()
 
 
-def test_threads_reach_both_knn_builds(run_copy, monkeypatch):
-    cfg, out = run_copy
-    build, calls = knn.build_knn_graph, []
-
-    def recorded(emb, k, threads=1):
-        calls.append(threads)
-        return build(emb, k, threads)
-
-    monkeypatch.setattr(knn, "build_knn_graph", recorded)
-    assert main(["cluster", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
-    # the labeled graph the GCN trains on, then the disjoint graph it scores
-    assert calls == [2, 2]
-
-
 @pytest.mark.parametrize(
     "name, stage",
     [("baseline.npz", "retrain"), ("baseline.npz", "evaluate"), ("hard.npz", "evaluate"),
@@ -641,6 +628,13 @@ def _put(index, value):
 PM = "pseudo_clusters_pm.npz"
 
 
+def _share_split_indices(out):
+    """Point the first 10 unlabeled indices of split.npz at labeled samples."""
+    with np.load(out / "split.npz") as z:
+        labeled = z["labeled_idx"]
+    _edit_archive(out / "split.npz", _put(slice(0, 10), lambda u: labeled[:10]), ["unlabeled_idx"])
+
+
 @pytest.mark.parametrize(
     "edit, stage, cause",
     [
@@ -666,9 +660,21 @@ PM = "pseudo_clusters_pm.npz"
          "train_labels.npz: 195 labels for the 200 rows of "),
         (lambda out: _edit_archive(out / "test_labels.npz", lambda a: a[:-5]), "evaluate",
          "test_labels.npz: 35 labels for the 40 rows of "),
+        # one identity made the verification-pair builder loop forever, and
+        # no identity with two samples ended evaluate in a traceback
+        (lambda out: _edit_archive(out / "test_labels.npz", np.zeros_like), "evaluate",
+         "verification pairs need two or more identities, got 1"),
+        (lambda out: _edit_archive(out / "test_labels.npz", lambda a: np.arange(a.size)),
+         "evaluate", "verification pairs need an identity with two or more samples"),
+        # shared indices let separate train and score on the same rows
+        (_share_split_indices, "separate",
+         "split.npz: labeled_idx and unlabeled_idx repeat 10 indices"),
+        (lambda out: _edit_archive(out / "decisions.npz", lambda d: np.ones_like(d)), "cluster",
+         "decisions.npz: separate marked no unlabeled sample disjoint: {'disjoint': 0,"),
     ],
     ids=["p-abc", "p-1.5", "p-nan", "cluster-id-gap", "train-row-x2", "test-row-nan",
-         "short-clustering", "short-clustering-pm", "short-train-labels", "short-test-labels"],
+         "short-clustering", "short-clustering-pm", "short-train-labels", "short-test-labels",
+         "one-test-identity", "singleton-test-identities", "shared-split-index", "no-disjoint"],
 )
 def test_malformed_input_exits_2(run_copy, capsys, edit, stage, cause):
     cfg, out = run_copy

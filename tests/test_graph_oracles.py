@@ -167,8 +167,7 @@ def graphs(draw):
 @given(emb=tied_embeddings(), data=st.data())
 def test_knn_matches_full_argsort(emb, data):
     k = data.draw(st.integers(1, emb.n - 1))
-    threads = data.draw(st.integers(1, 2))
-    g = build_knn_graph(emb, k=k, threads=threads)
+    g = build_knn_graph(emb, k=k)
     neighbors, sims = reference_knn(emb.rows, k)
     np.testing.assert_array_equal(g.neighbors, neighbors)
     np.testing.assert_array_equal(g.sims, sims)

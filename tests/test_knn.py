@@ -64,15 +64,6 @@ def test_exactness_invariant():
         assert kth >= max(others) - 1e-12
 
 
-def test_threads_deterministic():
-    rng = np.random.default_rng(3)
-    emb = l2_normalize(EmbeddingSet(rng.standard_normal((300, 8))))
-    g1 = build_knn_graph(emb, k=6, threads=1)
-    g4 = build_knn_graph(emb, k=6, threads=4)
-    np.testing.assert_array_equal(g1.neighbors, g4.neighbors)
-    np.testing.assert_array_equal(g1.sims, g4.sims)
-
-
 def test_requires_normalized():
     emb = EmbeddingSet(np.random.default_rng(0).standard_normal((5, 3)))
     with pytest.raises(errors.InvalidData, match="requires unit-norm embeddings"):

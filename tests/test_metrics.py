@@ -214,7 +214,7 @@ def test_verification_matches_reference_sweep(case, fars):
 
 
 def test_protocol_needs_both_pair_kinds():
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.InvalidData, match="one positive and one negative pair"):
         VerificationProtocol(((0, 1, True), (1, 2, True)))
 
 
@@ -333,3 +333,15 @@ def test_build_protocol_balanced_and_consistent():
     assert sum(same) == len(same) - sum(same)  # balanced
     for a, b, s in protocol.pairs:
         assert (labels.labels[a] == labels.labels[b]) == s
+
+
+@pytest.mark.parametrize(
+    "labels, cause",
+    [(np.zeros(6), "two or more identities, got 1"),
+     (np.arange(6), "an identity with two or more samples")],
+    ids=["one-identity", "all-singletons"],
+)
+def test_build_protocol_rejects_labels_it_cannot_pair(labels, cause):
+    # one identity once made the negative-pair redraw loop forever
+    with pytest.raises(errors.InvalidData, match=cause):
+        build_verification_protocol(LabelSet(labels), pairs_per_class=3, seed=0)
