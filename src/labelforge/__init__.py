@@ -6,35 +6,4 @@ clustering uncertainty, and retrains a cosine-margin classification head
 with uncertainty-weighted losses.
 """
 
-from .data import (
-    UNASSIGNED,
-    Clustering,
-    EmbeddingSet,
-    LabelSet,
-    LinearHead,
-    l2_normalize,
-    load_clustering,
-    load_embeddings,
-    load_labels,
-    save_clustering,
-    save_embeddings,
-    save_labels,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "UNASSIGNED",
-    "Clustering",
-    "EmbeddingSet",
-    "LabelSet",
-    "LinearHead",
-    "l2_normalize",
-    "load_clustering",
-    "load_embeddings",
-    "load_labels",
-    "save_clustering",
-    "save_embeddings",
-    "save_labels",
-    "__version__",
-]

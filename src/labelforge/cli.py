@@ -124,10 +124,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "cluster": {
         "algorithm": (_one_of("gcn", "kmeans", "hac"), "gcn"),
-        "augment_unions": (_int_from(-1), -1),  # -1 -> two thirds of the proposal count
         "gcn_epochs": (_int_from(1), 300),
         "gcn_lr": (_POSITIVE, 0.5),
-        "kmeans_k": (_int_from(0), 0),  # 0 -> n_samples // samples_per_id
         "hac_threshold": (_float_in("[0, 2]"), 0.5),  # a cosine distance
     },
     "evt": {
@@ -440,10 +438,10 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
     if algorithm == "gcn":
         clustering = _gcn_cluster(cfg, _subset(train_emb, train_labels, labeled_idx), dis_emb)
     elif algorithm == "kmeans":
-        # kmeans_k = 0 reads the harness's true identity size: an oracle-K reference
-        K = c["kmeans_k"] or max(2, dis_emb.n // cfg["synth"]["samples_per_id"])
+        # K reads the harness's true identity size: an oracle-K reference
+        K = max(2, dis_emb.n // cfg["synth"]["samples_per_id"])
         clustering = cl.kmeans(dis_emb, K=K, seed=cfg.seed("kmeans"))
-        out["kmeans"] = {"k": K, "oracle_k": c["kmeans_k"] == 0}
+        out["kmeans"] = {"k": K}
     else:
         clustering = cl.hac(dis_emb, dist_threshold=c["hac_threshold"])
     if algorithm != "gcn":
@@ -474,10 +472,7 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
     lab_graph = knn.build_knn_graph(lab_emb, k=k)
     # each graph's sweep comes from its own similarity distribution
     lab_props = knn.proposals_from_thresholds(lab_graph, knn.default_thresholds(lab_graph))
-    n_aug = c["augment_unions"]
-    if n_aug < 0:
-        n_aug = 2 * len(lab_props) // 3
-    aug = cl.union_augment(lab_props, n_aug, seed=cfg.seed("gcn") + 1)
+    aug = cl.union_augment(lab_props, 2 * len(lab_props) // 3, seed=cfg.seed("gcn") + 1)
     model = cl.gcn_train(
         lab_props + aug,
         lab_emb,
@@ -578,7 +573,13 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
 
     out = {}
     for variant in ("baseline", "hard", "soft"):
-        model = train.load_trained_model(_path(cfg, f"{variant}.npz"))
+        path = _path(cfg, f"{variant}.npz")
+        model = train.load_trained_model(path)
+        if model.head.d != test_emb.d:
+            raise CorruptArtifact(
+                f"{path}: a model of width {model.head.d} for the width-{test_emb.d} rows of "
+                f"{_path(cfg, 'test_emb.npz')}"
+            )
         emb = train.embed(model, test_emb) if model.encoder is not None else test_emb
         acc, tars = metrics.verification_metrics(emb, protocol)
         ranks = metrics.identification_rank(
@@ -656,32 +657,22 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _defaults_epilog() -> str:
-    lines = ["config defaults:"]
-    for section, keys in SCHEMA.items():
-        for key, (_, default) in keys.items():
-            lines.append(f"  [{section}] {key} = {default!r}")
-    return "\n".join(lines)
-
-
 def main(argv=None) -> int:
+    defaults = [
+        f"  [{section}] {key} = {default!r}"
+        for section, keys in SCHEMA.items()
+        for key, (_, default) in keys.items()
+    ]
     parser = argparse.ArgumentParser(
         prog="forge",
         description="Semi-supervised pseudo-label pipeline for embedding classifiers.",
-        epilog=_defaults_epilog(),
+        epilog="\n".join(["config defaults:", *defaults]),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = [name for name, _ in STAGES] + ["report", "run"]
-    for name in commands:
-        p = sub.add_parser(
-            name,
-            epilog=_defaults_epilog(),
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        p.add_argument("--config", required=True, help="path to INI config file")
-        p.add_argument("--seed", type=int, default=None, help="set [synth] seed, the base seed")
-        p.add_argument("--out", default=None, help="override the output directory")
+    parser.add_argument("command", choices=[name for name, _ in STAGES] + ["report", "run"])
+    parser.add_argument("--config", required=True, help="path to INI config file")
+    parser.add_argument("--seed", type=int, default=None, help="set [synth] seed, the base seed")
+    parser.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 
     try:

@@ -137,10 +137,6 @@ class LinearHead:
         object.__setattr__(self, "weights", w)
 
     @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def d(self) -> int:
         return self.weights.shape[1]
 

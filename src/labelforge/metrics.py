@@ -105,8 +105,6 @@ def verification_metrics(
         allowed = int(np.floor(far * neg.size))
         if allowed >= neg.size:
             threshold = -np.inf
-        elif allowed == 0:
-            threshold = np.nextafter(neg_sorted[0], np.inf)
         else:
             # pass exactly `allowed` negatives: threshold just above the
             # (allowed+1)-th largest negative

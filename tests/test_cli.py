@@ -163,11 +163,12 @@ def test_seed_override_rederives_stage_seeds(base_config):
     ("cluster", "gcn_batch_size"), ("evt", "n_bins"), ("evt", "confidence"),
     ("noise", "classifier_epochs"), ("noise", "n_bins"), ("train", "alpha"),
     ("train", "margin_m"), ("train", "batch_size"), ("eval", "fars"), ("eval", "ks"),
+    ("cluster", "kmeans_k"), ("cluster", "augment_unions"),
 ])
 def test_removed_key_rejected(tmp_path, capsys, section, key):
     # every seed derives from [synth] seed; each graph's threshold sweep
     # from its own similarities; the keys after that are fixed at the
-    # defaults of the functions they fed
+    # defaults of the functions they fed, or at the rule their sentinel chose
     cfg = _write_ini(tmp_path, f"[{section}]\n{key} = 1\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -193,6 +194,16 @@ def test_every_schema_key_is_read(tmp_path):
         cfg.values = {s: Recording(s, v) for s, v in cfg.values.items()}
         run_pipeline(apply_overrides(cfg, out=str(tmp_path / algorithm)))
     assert {(s, k) for s, keys in SCHEMA.items() for k in keys} - read == set()
+
+
+def test_run_help_lists_every_default(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for section, keys in SCHEMA.items():
+        for key, (_, default) in keys.items():
+            assert f"[{section}] {key} = {default!r}\n" in out
 
 
 def test_out_override(base_config, tmp_path):
@@ -255,16 +266,17 @@ def test_evt_disabled_treats_everything_as_disjoint(tmp_path):
 
 
 def test_degenerate_clustering_falls_back_to_zero_p_minus(tmp_path):
-    # one cluster of every sample: the noise stage cannot fit a model and
-    # must fall back to p_minus == 0
+    # one cluster of every sample (HAC at the largest cosine distance): the
+    # noise stage cannot fit a model and must fall back to p_minus == 0
     cfg = _write_ini(
         tmp_path,
-        BASE_INI.replace("gcn_epochs = 60", "algorithm = kmeans\nkmeans_k = 1"),
+        BASE_INI.replace("gcn_epochs = 60", "algorithm = hac\nhac_threshold = 2"),
         name="one_cluster.ini",
     )
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out, "--seed", "0"]) == 0
     report = _load_report(out)
+    assert report["stages"]["cluster"]["num_clusters"] == 1
     ns = report["stages"]["noise"]
     assert ns["otsu_t"] is None
     assert ns["mean_p_minus"] == 0.0
@@ -311,7 +323,6 @@ OUT_OF_RANGE = {
     "hac_threshold=-1": (
         "gcn_epochs = 60", "algorithm = hac\nhac_threshold = -1", "[cluster] hac_threshold"
     ),
-    "kmeans_k": ("gcn_epochs = 60", "algorithm = kmeans\nkmeans_k = -1", "kmeans_k"),
     "labeled_id_fraction": (
         "labeled_id_fraction = 0.5", "labeled_id_fraction = nan", "labeled_id_fraction"
     ),
@@ -350,9 +361,6 @@ OUT_OF_RANGE = {
     "min_cluster_size": (
         "gcn_epochs = 60", "gcn_epochs = 60\nmin_cluster_size = 0",
         "unknown key 'min_cluster_size'",
-    ),
-    "augment_unions": (
-        "gcn_epochs = 60", "gcn_epochs = 60\naugment_unions = -2", "[cluster] augment_unions"
     ),
     "evt_n_bins": (
         "[eval]", "[evt]\nn_bins = 1\n\n[eval]", "unknown key 'n_bins' in section [evt]"
@@ -400,15 +408,13 @@ def test_baseline_algorithm_runs(tmp_path, algorithm):
     assert stage["n_clustered_input"] > 0
 
 
-@pytest.mark.parametrize("kmeans_k, oracle_k", [(0, True), (3, False)])
-def test_kmeans_reports_the_k_it_used(tmp_path, kmeans_k, oracle_k):
-    text = TINY_INI.replace("gcn_epochs = 5", f"algorithm = kmeans\nkmeans_k = {kmeans_k}")
+def test_kmeans_reports_the_k_it_used(tmp_path):
+    text = TINY_INI.replace("gcn_epochs = 5", "algorithm = kmeans")
     out = str(tmp_path / "out")
     assert main(["run", "--config", _write_ini(tmp_path, text), "--out", out]) == 0
     stage = _load_report(out)["stages"]["cluster"]
-    # kmeans_k = 0 takes K from the harness's identity size, samples_per_id = 10
-    expected = max(2, stage["n_clustered_input"] // 10) if oracle_k else kmeans_k
-    assert stage["kmeans"] == {"k": expected, "oracle_k": oracle_k}
+    # K comes from the harness's identity size, samples_per_id = 10
+    assert stage["kmeans"] == {"k": max(2, stage["n_clustered_input"] // 10)}
 
 
 def test_gcn_divergence_exits_2(tmp_path, capsys):
@@ -494,7 +500,7 @@ def test_output_directory_holds_one_artifact_format(finished_run):
          "cluster"),
         # one cluster: the noise stage fits no model
         ("noise_model.json",
-         lambda ini: ini.replace("[cluster]\n", "[cluster]\nalgorithm = kmeans\nkmeans_k = 1\n"),
+         lambda ini: ini.replace("[cluster]\n", "[cluster]\nalgorithm = hac\nhac_threshold = 2\n"),
          "noise"),
     ],
     ids=["mixture.json", "gcn.npz", "noise_model.json"],
@@ -635,6 +641,12 @@ def _share_split_indices(out):
     _edit_archive(out / "split.npz", _put(slice(0, 10), lambda u: labeled[:10]), ["unlabeled_idx"])
 
 
+def _narrow_model(out):
+    """Drop the last embedding dimension of soft.npz's head and encoder."""
+    _edit_archive(out / "soft.npz", lambda head: head[:, :-1], ["head"])
+    _edit_archive(out / "soft.npz", lambda enc: enc[:, :-1, :-1], ["encoder"])
+
+
 @pytest.mark.parametrize(
     "edit, stage, cause",
     [
@@ -671,10 +683,13 @@ def _share_split_indices(out):
          "split.npz: labeled_idx and unlabeled_idx repeat 10 indices"),
         (lambda out: _edit_archive(out / "decisions.npz", lambda d: np.ones_like(d)), "cluster",
          "decisions.npz: separate marked no unlabeled sample disjoint: {'disjoint': 0,"),
+        # a model of another width ended evaluate in a matmul traceback
+        (_narrow_model, "evaluate", "soft.npz: a model of width 15 for the width-16 rows of "),
     ],
     ids=["p-abc", "p-1.5", "p-nan", "cluster-id-gap", "train-row-x2", "test-row-nan",
          "short-clustering", "short-clustering-pm", "short-train-labels", "short-test-labels",
-         "one-test-identity", "singleton-test-identities", "shared-split-index", "no-disjoint"],
+         "one-test-identity", "singleton-test-identities", "shared-split-index", "no-disjoint",
+         "model-width"],
 )
 def test_malformed_input_exits_2(run_copy, capsys, edit, stage, cause):
     cfg, out = run_copy
