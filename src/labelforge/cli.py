@@ -391,11 +391,17 @@ def stage_separate(cfg: PipelineConfig) -> dict:
     scores = evt.max_logits(baseline.head, unl_emb)
 
     out: dict = {"enabled": cfg["evt"]["enabled"]}
-    if not cfg["evt"]["enabled"]:
+    mix = None
+    if cfg["evt"]["enabled"]:
+        try:
+            mix = evt.fit_two_weibull_mixture(scores)
+        except OneSidedData as exc:
+            # too few scores for one of the two modes: nothing to separate
+            out["no_fit"] = str(exc)
+    if mix is None:
         _remove(cfg, "mixture.json")
         decisions = np.full(unl_emb.n, evt.DISJOINT, dtype=np.int64)
     else:
-        mix = evt.fit_two_weibull_mixture(scores)
         write_json(dataclasses.asdict(mix), _path(cfg, "mixture.json"))
         decisions = evt.separate_overlap(scores, mix)
         wb_fpr, wb_fnr = _rates(decisions == evt.OVERLAP, gt_overlap)
@@ -498,39 +504,29 @@ def stage_noise(cfg: PipelineConfig) -> dict:
     tags = noise.label_cluster_errors(clustering, gt)
     assigned = clustering.assignment != UNASSIGNED
     positives = tags[assigned] != noise.CORRECT
-    ap: dict[str, float | None] = {metric: None for metric in noise.METRICS}
+    ap: dict[str, float | None] = dict.fromkeys(noise.METRICS)
     model = None
-    pm = np.zeros(dis_emb.n)
     try:
         head = noise.train_linear_classifier(
             dis_emb, clustering, lr=n["classifier_lr"], seed=cfg.seed("classifier")
         )
-    except TooFewClusters:
-        # degenerate clustering: no basis for uncertainty, treat as clean
-        pass
-    else:
-        # AP of each metric at flagging mis-clustered samples, vs ground truth
         scores = {m: noise.uncertainty_scores(head, dis_emb, m) for m in noise.METRICS}
         if positives.any():
-            for metric, s in scores.items():
-                ranking = -noise.confidence(metric, s)
-                ap[metric] = noise.average_precision(ranking[assigned], positives)
+            # AP of each metric at flagging mis-clustered samples, vs ground truth
+            ap = {m: noise.average_precision(-noise.confidence(m, s)[assigned], positives)
+                  for m, s in scores.items()}
         margins = scores[n["metric"]]
-        try:
-            model = noise.fit_noise_model(margins, metric=n["metric"])
-        except OneSidedData:
-            # no separable lower mode: treat every assignment as clean
-            pass
-        else:
-            write_json(dataclasses.asdict(model), _path(cfg, "noise_model.json"))
-            pm = noise.p_minus(model, margins)
+        model = noise.fit_noise_model(margins, metric=n["metric"])
+    except (TooFewClusters, OneSidedData):
+        pass  # one cluster, or no separable lower mode: treat every assignment as clean
     if model is None:
         _remove(cfg, "noise_model.json")
-    pm = np.where(assigned, pm, 0.0)
-    save_clustering(
-        Clustering(clustering.assignment, p_minus=pm),
-        _path(cfg, "pseudo_clusters_pm.npz"),
-    )
+        pm = np.zeros(dis_emb.n)
+    else:
+        write_json(dataclasses.asdict(model), _path(cfg, "noise_model.json"))
+        pm = np.where(assigned, noise.p_minus(model, margins), 0.0)
+    with_pm = Clustering(clustering.assignment, p_minus=pm)
+    save_clustering(with_pm, _path(cfg, "pseudo_clusters_pm.npz"))
     return {
         "metric": n["metric"],
         "otsu_t": model.otsu_t if model is not None else None,
@@ -544,6 +540,9 @@ def stage_retrain(cfg: PipelineConfig) -> dict:
     train_emb, train_labels, labeled_idx, unlabeled_idx, _ = _load_split(cfg)
     dis_emb, _ = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
     clustering = _load_clustering(cfg, "pseudo_clusters_pm.npz", dis_emb.n)
+    if clustering.p_minus is None:
+        # without p⁻ the soft head would train with weights of 1, as the hard one
+        raise CorruptArtifact(f"{_path(cfg, 'pseudo_clusters_pm.npz')}: missing array 'p_minus'")
     models = {"baseline": train.load_trained_model(_path(cfg, "baseline.npz"))}
 
     labeled = _subset(train_emb, train_labels, labeled_idx)

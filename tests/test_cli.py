@@ -515,6 +515,24 @@ def test_skipped_optional_artifact_is_removed(run_copy, tmp_path, name, edit, la
     assert not (out / name).exists()
 
 
+def test_one_sided_scores_fall_back_to_all_disjoint(run_copy, tmp_path):
+    # at the default within_id_sigma, 4 identities and no overlap leave 20
+    # unlabeled max-logit scores, 13 / 7 about the Otsu threshold: too few to
+    # fit the upper mode, so separate marks every sample disjoint, as with EVT
+    # disabled
+    _, out = run_copy
+    text = (TINY_INI.replace("within_id_sigma = 0.15\n", "").replace("num_ids = 20", "num_ids = 4")
+            .replace("overlap_id_fraction = 0.3", "overlap_id_fraction = 0"))
+    assert main(["run", "--config", _write_ini(tmp_path, text), "--out", str(out)]) == 0
+    stages = _load_report(out)["stages"]
+    assert stages["separate"]["no_fit"] == "sides of Otsu threshold too small: 13 / 7"
+    n = stages["gen"]["n_unlabeled"]
+    assert stages["separate"]["counts"] == {"disjoint": n, "overlap": 0, "rejected": 0}
+    assert stages["cluster"]["n_clustered_input"] == n
+    # the finished run's mixture.json does not outlive the fit it held
+    assert not (out / "mixture.json").exists()
+
+
 @pytest.mark.parametrize(
     "name, stage",
     [("baseline.npz", "retrain"), ("baseline.npz", "evaluate"), ("hard.npz", "evaluate"),
@@ -547,9 +565,7 @@ def test_non_archive_split_exits_2(run_copy, capsys):
 
 def test_archive_missing_array_exits_2(run_copy, capsys):
     cfg, out = run_copy
-    with np.load(out / "baseline.npz") as z:
-        kept = {k: z[k] for k in z.files if k != "head"}
-    np.savez(out / "baseline.npz", **kept)
+    _drop_array(out / "baseline.npz", "head")
     code, err = _stage_exit(capsys, "retrain", cfg, out)
     assert code == 2 and "'head'" in err
 
@@ -623,6 +639,13 @@ def _edit_archive(path, edit, names=None):
     np.savez(path, **arrays)
 
 
+def _drop_array(path, name):
+    """Rewrite the archive at ``path`` without its array ``name``."""
+    with np.load(path) as z:
+        kept = {k: z[k] for k in z.files if k != name}
+    np.savez(path, **kept)
+
+
 def _put(index, value):
     """An edit that sets ``array[index]`` to ``value(array)``."""
     def edit(array):
@@ -656,6 +679,9 @@ def _narrow_model(out):
          "p_minus values must lie in [0, 1]"),
         (lambda out: _edit_archive(out / PM, _put(2, lambda p: np.nan), ["p_minus"]), "retrain",
          "p_minus values must lie in [0, 1]"),
+        # without p⁻ the soft head trained as the hard one, byte for byte
+        (lambda out: _drop_array(out / PM, "p_minus"), "retrain",
+         "pseudo_clusters_pm.npz: missing array 'p_minus'"),
         (lambda out: _edit_archive(out / PM, _put(2, lambda a: a.max() + 2), ["assignment"]),
          "retrain", "cluster ids must be contiguous with no gaps"),
         (lambda out: _edit_archive(out / "train_emb.npz", _put(0, lambda r: 2 * r[0])),
@@ -686,7 +712,7 @@ def _narrow_model(out):
         # a model of another width ended evaluate in a matmul traceback
         (_narrow_model, "evaluate", "soft.npz: a model of width 15 for the width-16 rows of "),
     ],
-    ids=["p-abc", "p-1.5", "p-nan", "cluster-id-gap", "train-row-x2", "test-row-nan",
+    ids=["p-abc", "p-1.5", "p-nan", "p-missing", "cluster-id-gap", "train-row-x2", "test-row-nan",
          "short-clustering", "short-clustering-pm", "short-train-labels", "short-test-labels",
          "one-test-identity", "singleton-test-identities", "shared-split-index", "no-disjoint",
          "model-width"],
