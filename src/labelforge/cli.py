@@ -236,17 +236,6 @@ def _path(cfg: PipelineConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _remove(cfg: PipelineConfig, name: str) -> None:
-    """Delete the optional artifact ``name``, which this run does not write,
-    so that a copy from an earlier run under another config does not outlive it."""
-    try:
-        os.remove(_path(cfg, name))
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
 def _load_labeled(cfg: PipelineConfig, split: str):
     """The embeddings and labels of ``split`` (train or test), one label per row."""
     emb_path, labels_path = _path(cfg, f"{split}_emb.npz"), _path(cfg, f"{split}_labels.npz")
@@ -399,10 +388,8 @@ def stage_separate(cfg: PipelineConfig) -> dict:
             # too few scores for one of the two modes: nothing to separate
             out["no_fit"] = str(exc)
     if mix is None:
-        _remove(cfg, "mixture.json")
         decisions = np.full(unl_emb.n, evt.DISJOINT, dtype=np.int64)
     else:
-        write_json(dataclasses.asdict(mix), _path(cfg, "mixture.json"))
         decisions = evt.separate_overlap(scores, mix)
         wb_fpr, wb_fnr = _rates(decisions == evt.OVERLAP, gt_overlap)
         otsu_fpr, otsu_fnr = _rates(scores >= mix.otsu_t, gt_overlap)
@@ -418,9 +405,7 @@ def stage_separate(cfg: PipelineConfig) -> dict:
         )
         out.update(
             {
-                "otsu_t": mix.otsu_t,
-                "lower_cut": mix.lower_cut,
-                "upper_cut": mix.upper_cut,
+                **dataclasses.asdict(mix),  # otsu_t, both fits and the cuts
                 "weibull_fpr": wb_fpr,
                 "weibull_fnr": wb_fnr,
                 "otsu_fpr": otsu_fpr,
@@ -450,8 +435,6 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
         out["kmeans"] = {"k": K}
     else:
         clustering = cl.hac(dis_emb, dist_threshold=c["hac_threshold"])
-    if algorithm != "gcn":
-        _remove(cfg, "gcn.npz")
 
     save_clustering(clustering, _path(cfg, "pseudo_clusters.npz"))
 
@@ -488,7 +471,6 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
         lr=c["gcn_lr"],
         seed=cfg.seed("gcn"),
     )
-    cl.save_gcn_model(model, _path(cfg, "gcn.npz"))
 
     graph = knn.build_knn_graph(dis_emb, k=k)
     props = knn.proposals_from_thresholds(graph, knn.default_thresholds(graph))
@@ -505,7 +487,8 @@ def stage_noise(cfg: PipelineConfig) -> dict:
     assigned = clustering.assignment != UNASSIGNED
     positives = tags[assigned] != noise.CORRECT
     ap: dict[str, float | None] = dict.fromkeys(noise.METRICS)
-    model = None
+    out: dict = {"metric": n["metric"], "otsu_t": None, "wb_low": None}
+    pm = np.zeros(dis_emb.n)
     try:
         head = noise.train_linear_classifier(
             dis_emb, clustering, lr=n["classifier_lr"], seed=cfg.seed("classifier")
@@ -517,19 +500,15 @@ def stage_noise(cfg: PipelineConfig) -> dict:
                   for m, s in scores.items()}
         margins = scores[n["metric"]]
         model = noise.fit_noise_model(margins, metric=n["metric"])
-    except (TooFewClusters, OneSidedData):
-        pass  # one cluster, or no separable lower mode: treat every assignment as clean
-    if model is None:
-        _remove(cfg, "noise_model.json")
-        pm = np.zeros(dis_emb.n)
-    else:
-        write_json(dataclasses.asdict(model), _path(cfg, "noise_model.json"))
+        out.update(dataclasses.asdict(model))  # the metric, otsu_t and the lower-mode fit
         pm = np.where(assigned, noise.p_minus(model, margins), 0.0)
+    except (TooFewClusters, OneSidedData) as exc:
+        # one cluster, or no separable lower mode: treat every assignment as clean
+        out["no_fit"] = str(exc)
     with_pm = Clustering(clustering.assignment, p_minus=pm)
     save_clustering(with_pm, _path(cfg, "pseudo_clusters_pm.npz"))
     return {
-        "metric": n["metric"],
-        "otsu_t": model.otsu_t if model is not None else None,
+        **out,
         "average_precision": ap,
         "mean_p_minus": float(pm[assigned].mean()) if assigned.any() else None,
         "n_error_samples": int(positives.sum()),

@@ -18,10 +18,8 @@ from .data import (
     EmbeddingSet,
     LabelSet,
     groups,
-    load_archive,
     modal,
     relabel,
-    save_archive,
 )
 from .errors import InvalidData, TrainingDiverged
 from . import knn
@@ -123,8 +121,8 @@ class GcnModel:
 
     Each layer computes relu(H @ W1 + (Dinv A H) @ W2). Forward and
     backward passes run in the dtype of their inputs: float32 for a trained
-    or loaded model, float64 for :meth:`init` and :meth:`zeros`, whose
-    weights a finite-difference check can perturb by 1e-6.
+    model, float64 for :meth:`init` and :meth:`zeros`, whose weights a
+    finite-difference check can perturb by 1e-6.
     """
 
     layer_weights: list[tuple[np.ndarray, np.ndarray]]
@@ -423,7 +421,7 @@ def gcn_train(
 
     Training runs in float32, the dtype of the embedding rows and the
     graph: the float64 initial weights and the IoU/IoP targets are rounded
-    to it once, and the returned model is what :func:`save_gcn_model` stores.
+    to it once, and the returned model holds float32 weights.
 
     Raises :class:`TrainingDiverged` when a batch loss or the final
     weights are not finite (``lr`` too large for the data).
@@ -528,25 +526,3 @@ def deoverlap(proposals: Proposals, scores: np.ndarray, min_cluster_size: int = 
             cid += 1
     return Clustering(relabel(assignment))
 
-
-# ---------------------------------------------------------------------------
-# persistence: one .npz archive, weights as float32
-# ---------------------------------------------------------------------------
-
-def save_gcn_model(model: GcnModel, path) -> None:
-    """Each layer is stored as its stacked (W1, W2) pair, plus the head."""
-    arrays = {f"layer{i}": np.stack(pair) for i, pair in enumerate(model.layer_weights)}
-    arrays["head"] = model.head_weights
-    save_archive({k: v.astype(np.float32) for k, v in arrays.items()}, path)
-
-
-def load_gcn_model(path) -> GcnModel:
-    """The float32 weights exactly as stored."""
-    spec = {
-        "layer0": ("f4", 2, "d", "h1"),
-        "layer1": ("f4", 2, "h1", "h2"),
-        "head": ("f4", "h2", 2),
-    }
-    a = load_archive(path, spec)
-    pairs = [(a[f"layer{i}"][0], a[f"layer{i}"][1]) for i in range(2)]
-    return GcnModel(layer_weights=pairs, head_weights=a["head"])

@@ -24,7 +24,8 @@ class NonConvergence(LabelForgeError):
 
 
 class OneSidedData(LabelForgeError):
-    """Too few scores fall on one side of the Otsu threshold to fit them."""
+    """Too few scores fall on one side of the Otsu threshold to fit them, or
+    the scores on one side are all equal."""
 
 
 class TooFewClusters(LabelForgeError):

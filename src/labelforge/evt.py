@@ -171,13 +171,16 @@ def weibull_fit_shifted(samples) -> WeibullParams:
 def otsu_split(scores, n_bins: int = 64) -> tuple[float, np.ndarray, np.ndarray]:
     """Otsu threshold t and the scores below it and at or above it.
 
-    Raises OneSidedData when either side has fewer than MIN_SIDE_SAMPLES.
+    Raises OneSidedData when either side has fewer than MIN_SIDE_SAMPLES
+    or holds one value only: neither gives a Weibull fit.
     """
     x = np.asarray(scores, dtype=np.float64).ravel()
     t = otsu_threshold(x, n_bins=n_bins)
     low, high = x[x < t], x[x >= t]
     if low.size < MIN_SIDE_SAMPLES or high.size < MIN_SIDE_SAMPLES:
         raise OneSidedData(f"sides of Otsu threshold too small: {low.size} / {high.size}")
+    if np.ptp(low) == 0.0 or np.ptp(high) == 0.0:
+        raise OneSidedData(f"a side of Otsu threshold is all one score: {low.size} / {high.size}")
     return t, low, high
 
 

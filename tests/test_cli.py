@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from labelforge.cli import SCHEMA, apply_overrides, load_config, main, run_pipeline
+from labelforge.evt import WeibullParams
 
 
 BASE_INI = """\
@@ -480,39 +481,66 @@ def _stage_exit(capsys, stage, cfg, out):
     return code, err
 
 
-def test_output_directory_holds_one_artifact_format(finished_run):
-    _, out = finished_run
+# one cluster: the noise stage fits no model
+ONE_CLUSTER_INI = TINY_INI.replace("[cluster]\n", "[cluster]\nalgorithm = hac\nhac_threshold = 2\n")
+
+
+@pytest.mark.parametrize(
+    "ini", [TINY_INI, ONE_CLUSTER_INI + "\n[evt]\nenabled = false\n"], ids=["gcn", "no-fits"]
+)
+def test_output_directory_holds_one_artifact_format(tmp_path, ini):
+    # every config writes the same files: each one a later stage reads, a
+    # stage fragment or the report
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_ini(tmp_path, ini), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(
         ["train_emb.npz", "test_emb.npz", "train_labels.npz", "test_labels.npz", "split.npz",
-         "baseline.npz", "mixture.json", "decisions.npz", "gcn.npz",
-         "pseudo_clusters.npz", "noise_model.json", "pseudo_clusters_pm.npz",
+         "baseline.npz", "decisions.npz", "pseudo_clusters.npz", "pseudo_clusters_pm.npz",
          "hard.npz", "soft.npz", "report.json"]
         + [f"stage_{name}.json" for name in
            ("gen", "separate", "cluster", "noise", "retrain", "evaluate")]
     )
 
 
+def test_report_holds_the_fits_the_cuts_come_from(finished_run):
+    _, out = finished_run
+    stages = _load_report(out)["stages"]
+    sep, noi = stages["separate"], stages["noise"]
+    assert float(WeibullParams(**sep["low"]).quantile(0.95)) == sep["lower_cut"]
+    assert float(WeibullParams(**sep["high"]).quantile(0.05)) == sep["upper_cut"]
+    assert (noi["wb_low"] is None) == (noi["otsu_t"] is None)
+
+
+# a lower mode of equal scores: no within-identity spread, HAC at distance 0
+EQUAL_SCORES_INI = """\
+[synth]
+num_ids = 20
+samples_per_id = 20
+dim = 16
+within_id_sigma = 0
+seed = 1
+
+[split]
+overlap_id_fraction = 0.3
+
+[cluster]
+algorithm = hac
+hac_threshold = 0
+"""
+
+
 @pytest.mark.parametrize(
-    "name, edit, last_stage",
-    [
-        ("mixture.json", lambda ini: ini + "\n[evt]\nenabled = false\n", "separate"),
-        ("gcn.npz", lambda ini: ini.replace("[cluster]\n", "[cluster]\nalgorithm = hac\n"),
-         "cluster"),
-        # one cluster: the noise stage fits no model
-        ("noise_model.json",
-         lambda ini: ini.replace("[cluster]\n", "[cluster]\nalgorithm = hac\nhac_threshold = 2\n"),
-         "noise"),
-    ],
-    ids=["mixture.json", "gcn.npz", "noise_model.json"],
+    "ini, why",
+    [(ONE_CLUSTER_INI, "need >= 2 clusters, got 1"),
+     (EQUAL_SCORES_INI, "a side of Otsu threshold is all one score: 20 / 100")],
+    ids=["one-cluster", "equal-scores"],
 )
-def test_skipped_optional_artifact_is_removed(run_copy, tmp_path, name, edit, last_stage):
-    cfg, out = run_copy
-    assert (out / name).exists()
-    other = _write_ini(tmp_path, edit(TINY_INI), name="other.ini")
-    stages = ("gen", "separate", "cluster", "noise")
-    for stage in stages[: stages.index(last_stage) + 1]:
-        assert main([stage, "--config", other, "--out", str(out)]) == 0
-    assert not (out / name).exists()
+def test_noise_fallback_treats_every_assignment_as_clean(tmp_path, ini, why):
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write_ini(tmp_path, ini), "--out", str(out)]) == 0
+    noi = _load_report(out)["stages"]["noise"]
+    assert noi["no_fit"] == why
+    assert noi["otsu_t"] is None and noi["wb_low"] is None and noi["mean_p_minus"] == 0.0
 
 
 def test_one_sided_scores_fall_back_to_all_disjoint(run_copy, tmp_path):
@@ -529,8 +557,6 @@ def test_one_sided_scores_fall_back_to_all_disjoint(run_copy, tmp_path):
     n = stages["gen"]["n_unlabeled"]
     assert stages["separate"]["counts"] == {"disjoint": n, "overlap": 0, "rejected": 0}
     assert stages["cluster"]["n_clustered_input"] == n
-    # the finished run's mixture.json does not outlive the fit it held
-    assert not (out / "mixture.json").exists()
 
 
 @pytest.mark.parametrize(

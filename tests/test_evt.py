@@ -309,6 +309,15 @@ def test_mixture_json_roundtrip(tmp_path):
     assert read_json(path) == dataclasses.asdict(mix)
 
 
+@pytest.mark.parametrize("equal_side", ["low", "high"])
+def test_otsu_split_rejects_a_side_of_equal_scores(equal_side):
+    # enough scores for a fit, but one value only: no Weibull fits them
+    spread = np.linspace(5.0, 6.0, 20)
+    x = np.concatenate([np.zeros(10), spread] if equal_side == "low" else [-spread, np.zeros(10)])
+    with pytest.raises(errors.OneSidedData, match="all one score: "):
+        otsu_split(x)
+
+
 def test_otsu_split_partitions_at_threshold():
     x = _bimodal_scores(seed=1)
     t, low, high = otsu_split(x, n_bins=64)
