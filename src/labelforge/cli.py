@@ -103,8 +103,6 @@ def _one_of(*names: str):
     return parse
 
 
-_POSITIVE = _float_in("(0, inf)")
-
 SCHEMA: dict[str, dict[str, tuple]] = {
     "synth": {
         "num_ids": (_int_from(2), 60),
@@ -125,7 +123,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "cluster": {
         "algorithm": (_one_of("gcn", "kmeans", "hac"), "gcn"),
         "gcn_epochs": (_int_from(1), 300),
-        "gcn_lr": (_POSITIVE, 0.5),
         "hac_threshold": (_float_in("[0, 2]"), 0.5),  # a cosine distance
     },
     "evt": {
@@ -134,12 +131,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "noise": {
         "metric": (_one_of(*noise.METRICS), "class_margin"),
         "gamma": (_float_in("[0, inf)"), 1.0),
-        "classifier_lr": (_POSITIVE, 1.0),
     },
     "train": {
         "epochs": (_int_from(1), 40),
-        "lr": (_POSITIVE, 0.1),
-        "with_encoder": (_parse_bool, True),
     },
     "eval": {
         "holdout_per_id": (_int_from(2), 4),
@@ -298,11 +292,10 @@ def _load_clustering(cfg: PipelineConfig, name: str, n: int) -> Clustering:
 
 def _train_head(cfg: PipelineConfig, labeled, pseudo=None, use_weights=False):
     """The baseline (no ``pseudo``), hard or soft (``use_weights``) head."""
-    t = cfg["train"]
     loss_cfg = train.LossConfig(gamma=cfg["noise"]["gamma"])
     return train.train_head(
-        labeled, pseudo, loss_cfg, epochs=t["epochs"], lr=t["lr"], seed=cfg.seed("train"),
-        use_weights=use_weights, with_encoder=t["with_encoder"],
+        labeled, pseudo, loss_cfg, epochs=cfg["train"]["epochs"], seed=cfg.seed("train"),
+        use_weights=use_weights,
     )
 
 
@@ -452,7 +445,6 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
 
 
 def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
-    c = cfg["cluster"]
     k = cfg["knn"]["k"]
     lab_emb, lab_labels = labeled
 
@@ -467,8 +459,7 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
         lab_emb,
         lab_graph,
         lab_labels,
-        epochs=c["gcn_epochs"],
-        lr=c["gcn_lr"],
+        epochs=cfg["cluster"]["gcn_epochs"],
         seed=cfg.seed("gcn"),
     )
 
@@ -490,9 +481,7 @@ def stage_noise(cfg: PipelineConfig) -> dict:
     out: dict = {"metric": n["metric"], "otsu_t": None, "wb_low": None}
     pm = np.zeros(dis_emb.n)
     try:
-        head = noise.train_linear_classifier(
-            dis_emb, clustering, lr=n["classifier_lr"], seed=cfg.seed("classifier")
-        )
+        head = noise.train_linear_classifier(dis_emb, clustering, seed=cfg.seed("classifier"))
         scores = {m: noise.uncertainty_scores(head, dis_emb, m) for m in noise.METRICS}
         if positives.any():
             # AP of each metric at flagging mis-clustered samples, vs ground truth
@@ -558,7 +547,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
                 f"{path}: a model of width {model.head.d} for the width-{test_emb.d} rows of "
                 f"{_path(cfg, 'test_emb.npz')}"
             )
-        emb = train.embed(model, test_emb) if model.encoder is not None else test_emb
+        emb = train.embed(model, test_emb)
         acc, tars = metrics.verification_metrics(emb, protocol)
         ranks = metrics.identification_rank(
             (EmbeddingSet(emb.rows[gallery_idx], normalized=True), test_labels.labels[gallery_idx]),

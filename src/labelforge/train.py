@@ -1,9 +1,10 @@
 """Retraining with the additive cosine-margin loss.
 
-The head classifies over the union of labeled identities and pseudo-label
-clusters; pseudo samples can be down-weighted by (1 - p_minus)^gamma. An
-optional residual encoder (identity at init, trainable nonlinearity)
-provides the new feature space for a second clustering iteration.
+The model is a residual encoder (identity at init, trainable nonlinearity)
+followed by a cosine head over the union of labeled identities and
+pseudo-label clusters; pseudo samples can be down-weighted by
+(1 - p_minus)^gamma. Both train together, so the encoder adapts the
+feature space to the pseudo-labeled samples.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class EncoderParams:
 @dataclass
 class TrainedModel:
     head: LinearHead
-    encoder: EncoderParams | None = None
+    encoder: EncoderParams
     initial_loss: float = float("nan")
     final_loss: float = float("nan")
 
@@ -80,7 +81,7 @@ def _encode(enc: EncoderParams, X: np.ndarray):
 
 def _loss_and_grads(
     W: np.ndarray,
-    enc: EncoderParams | None,
+    enc: EncoderParams,
     X: np.ndarray,
     y: np.ndarray,
     weights: np.ndarray,
@@ -88,7 +89,7 @@ def _loss_and_grads(
     grads: bool = True,
 ):
     """Weighted mean cosine-margin loss and gradients w.r.t. the raw head
-    matrix (rows normalized inside) and, if present, the encoder params.
+    matrix (rows normalized inside) and the encoder params.
 
     Works in the dtype of its inputs. With ``grads=False`` only the loss is
     computed and both gradients are None.
@@ -98,10 +99,7 @@ def _loss_and_grads(
     row_norms = np.linalg.norm(W, axis=1)
     W_hat = W / row_norms[:, None]
 
-    if enc is not None:
-        F, (hidden, pre, safe) = _encode(enc, X)
-    else:
-        F = X
+    F, (hidden, pre, safe) = _encode(enc, X)
 
     # one softmax pass, in place: scaled logits, shifted, exponentiated
     logits = F @ W_hat.T
@@ -127,18 +125,15 @@ def _loss_and_grads(
     dot = np.sum(dW_hat * W_hat, axis=1, keepdims=True)
     dW = (dW_hat - W_hat * dot) / row_norms[:, None]
 
-    d_enc = None
-    if enc is not None:
-        dF = cfg.alpha * (dlogits @ W_hat)
-        # back through per-sample normalization of encoded features
-        dot_f = np.sum(dF * F, axis=1, keepdims=True)
-        dpre = (dF - F * dot_f) / safe[:, None]
-        dWenc = X.T @ dpre
-        dV = hidden.T @ dpre
-        dhidden = (dpre @ enc.V.T) * (hidden > 0)
-        dU = X.T @ dhidden
-        d_enc = EncoderParams(W=dWenc, U=dU, V=dV)
-    return loss, dW, d_enc
+    dF = cfg.alpha * (dlogits @ W_hat)
+    # back through per-sample normalization of encoded features
+    dot_f = np.sum(dF * F, axis=1, keepdims=True)
+    dpre = (dF - F * dot_f) / safe[:, None]
+    dWenc = X.T @ dpre
+    dV = hidden.T @ dpre
+    dhidden = (dpre @ enc.V.T) * (hidden > 0)
+    dU = X.T @ dhidden
+    return loss, dW, EncoderParams(W=dWenc, U=dU, V=dV)
 
 
 def _assemble(
@@ -203,13 +198,14 @@ def train_head(
     lr: float = 0.1,
     seed: int = 0,
     use_weights: bool = False,
-    with_encoder: bool = False,
     batch_size: int = 256,
 ) -> TrainedModel:
-    """SGD from scratch on the union of labeled and pseudo-labeled samples.
+    """SGD from scratch of the encoder and head on the union of labeled and
+    pseudo-labeled samples.
 
     Pseudo cluster ids are offset past the labeled id range. Head rows are
-    renormalized to the unit sphere after every step. Training runs in
+    renormalized to the unit sphere after every step; the encoder starts at
+    the identity and moves at a tenth of ``lr``. Training runs in
     float32, the dtype of the embedding rows and of the initial head and
     encoder, so the model equals its saved archive.
 
@@ -220,7 +216,7 @@ def train_head(
     d = X.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     W = _class_mean_init(X, y, num_classes, rng)
-    enc = EncoderParams.identity(d, seed=seed + 1) if with_encoder else None
+    enc = EncoderParams.identity(d, seed=seed + 1)
     n = X.shape[0]
     order = np.arange(n)
     enc_lr = lr * 0.1  # encoder moves slower than the head
@@ -238,13 +234,11 @@ def train_head(
                     )
                 W -= lr * dW
                 W /= np.linalg.norm(W, axis=1)[:, None]
-                if enc is not None:
-                    enc.W -= enc_lr * d_enc.W
-                    enc.U -= enc_lr * d_enc.U
-                    enc.V -= enc_lr * d_enc.V
+                enc.W -= enc_lr * d_enc.W
+                enc.U -= enc_lr * d_enc.U
+                enc.V -= enc_lr * d_enc.V
         final_loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg, grads=False)
-    params = [W] + ([enc.W, enc.U, enc.V] if enc is not None else [])
-    if not all(np.isfinite(p).all() for p in params):
+    if not all(np.isfinite(p).all() for p in (W, enc.W, enc.U, enc.V)):
         raise TrainingDiverged(f"head training diverged: weights not finite (lr={lr})")
     return TrainedModel(
         head=LinearHead(W),
@@ -256,22 +250,19 @@ def train_head(
 
 def embed(model: TrainedModel, emb: EmbeddingSet) -> EmbeddingSet:
     """Map embeddings through the trained encoder and renormalize."""
-    if model.encoder is None:
-        raise InvalidData("model was trained without an encoder")
     out, _ = _encode(model.encoder, emb.rows)
     return EmbeddingSet(out, normalized=True)
 
 
 def save_trained_model(model: TrainedModel, path) -> None:
     """Weights as float32 (the encoder as stacked W, U, V); losses as float64."""
+    enc = model.encoder
     arrays = {
         "head": model.head.weights,
         "initial_loss": np.float64(model.initial_loss),
         "final_loss": np.float64(model.final_loss),
+        "encoder": np.stack([enc.W, enc.U, enc.V]),
     }
-    if model.encoder is not None:
-        enc = model.encoder
-        arrays["encoder"] = np.stack([enc.W, enc.U, enc.V])
     save_archive(arrays, path)
 
 
@@ -282,17 +273,14 @@ def load_trained_model(path) -> TrainedModel:
         "initial_loss": ("f8",),
         "final_loss": ("f8",),
     }
-    a = load_archive(path, spec, optional=("encoder",))
+    a = load_archive(path, spec)
     try:
         head = LinearHead(a["head"])
     except ValueError as exc:
         raise CorruptArtifact(f"{path}: {exc}") from exc
-    enc = None
-    if "encoder" in a:
-        enc = EncoderParams(*a["encoder"])
     return TrainedModel(
         head=head,
-        encoder=enc,
+        encoder=EncoderParams(*a["encoder"]),
         initial_loss=float(a["initial_loss"]),
         final_loss=float(a["final_loss"]),
     )

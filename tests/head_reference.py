@@ -24,10 +24,7 @@ def loss_and_grads(W, enc, X, y, weights, cfg):
     b = X.shape[0]
     row_norms = np.linalg.norm(W, axis=1)
     W_hat = W / row_norms[:, None]
-    if enc is not None:
-        F, (hidden, safe) = encode(enc, X)
-    else:
-        F = X
+    F, (hidden, safe) = encode(enc, X)
 
     logits = cfg.alpha * (F @ W_hat.T)
     logits[np.arange(b), y] -= cfg.alpha * cfg.margin_m
@@ -45,14 +42,11 @@ def loss_and_grads(W, enc, X, y, weights, cfg):
     dot = np.sum(dW_hat * W_hat, axis=1, keepdims=True)
     dW = (dW_hat - W_hat * dot) / row_norms[:, None]
 
-    d_enc = None
-    if enc is not None:
-        dF = cfg.alpha * (dlogits @ W_hat)
-        dot_f = np.sum(dF * F, axis=1, keepdims=True)
-        dpre = (dF - F * dot_f) / safe[:, None]
-        dhidden = (dpre @ enc.V.T) * (hidden > 0)
-        d_enc = EncoderParams(W=X.T @ dpre, U=X.T @ dhidden, V=hidden.T @ dpre)
-    return loss, dW, d_enc
+    dF = cfg.alpha * (dlogits @ W_hat)
+    dot_f = np.sum(dF * F, axis=1, keepdims=True)
+    dpre = (dF - F * dot_f) / safe[:, None]
+    dhidden = (dpre @ enc.V.T) * (hidden > 0)
+    return loss, dW, EncoderParams(W=X.T @ dpre, U=X.T @ dhidden, V=hidden.T @ dpre)
 
 
 def class_mean_init(X, y, num_classes, rng):
@@ -67,17 +61,15 @@ def class_mean_init(X, y, num_classes, rng):
 
 
 def train_head(labeled, pseudo, cfg, epochs=40, lr=0.1, seed=0,
-               use_weights=False, with_encoder=False, batch_size=256):
+               use_weights=False, batch_size=256):
     """(W, encoder, initial_loss, final_loss) after float64 SGD."""
     X, y, w, num_classes = _assemble(labeled, pseudo, cfg.gamma, use_weights)
     X, w = X.astype(np.float64), w.astype(np.float64)
     d = X.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     W = class_mean_init(X, y, num_classes, rng)
-    enc = None
-    if with_encoder:
-        init = EncoderParams.identity(d, seed=seed + 1)
-        enc = EncoderParams(*(a.astype(np.float64) for a in (init.W, init.U, init.V)))
+    init = EncoderParams.identity(d, seed=seed + 1)
+    enc = EncoderParams(*(a.astype(np.float64) for a in (init.W, init.U, init.V)))
 
     initial_loss = loss_and_grads(W, enc, X, y, w, cfg)[0]
     n = X.shape[0]
@@ -90,9 +82,8 @@ def train_head(labeled, pseudo, cfg, epochs=40, lr=0.1, seed=0,
             _, dW, d_enc = loss_and_grads(W, enc, X[idx], y[idx], w[idx], cfg)
             W -= lr * dW
             W /= np.linalg.norm(W, axis=1)[:, None]
-            if enc is not None:
-                enc.W -= enc_lr * d_enc.W
-                enc.U -= enc_lr * d_enc.U
-                enc.V -= enc_lr * d_enc.V
+            enc.W -= enc_lr * d_enc.W
+            enc.U -= enc_lr * d_enc.U
+            enc.V -= enc_lr * d_enc.V
     final_loss = loss_and_grads(W, enc, X, y, w, cfg)[0]
     return W, enc, initial_loss, final_loss

@@ -19,7 +19,7 @@ from labelforge import cluster as cl
 from labelforge.cli import SCHEMA, PipelineConfig, main, run_pipeline, stage_gen, stage_separate
 from labelforge.data import Clustering, EmbeddingSet, LabelSet
 from labelforge.synth import SynthConfig, generate_identities
-from labelforge.train import LossConfig, _loss_and_grads, embed, train_head
+from labelforge.train import EncoderParams, LossConfig, _loss_and_grads, embed, train_head
 from noise_helpers import inject_label_noise
 
 
@@ -242,27 +242,37 @@ def test_criterion_05_gradient_checks(announce):
     gcn_err = _max_rel_fd(arrays, grads, gcn_loss)
     gcn_norm = min(float(np.linalg.norm(g)) for pair in d_layers for g in pair)
 
-    # cosine-margin head loss
+    # cosine-margin loss of the head and its encoder, moved off the identity
+    # (V = 0 there); float64, since float32 cannot resolve the 1e-6 steps
     rng = np.random.default_rng(0)
     X = rng.standard_normal((10, 4))
     X /= np.linalg.norm(X, axis=1)[:, None]
     y = rng.integers(0, 3, size=10)
     w = rng.uniform(0.2, 1.0, size=10)
     W = rng.standard_normal((3, 4))
+    init = EncoderParams.identity(4, seed=2)
+    enc = EncoderParams(*(a.astype(np.float64) for a in (init.W, init.U, init.V)))
+    enc.W += rng.standard_normal((4, 4)) * 0.1
+    enc.V += rng.standard_normal((4, 4)) * 0.1
     loss_cfg = LossConfig(alpha=8.0, margin_m=0.2)
-    _, dW, _ = _loss_and_grads(W, None, X, y, w, loss_cfg)
+    _, dW, d_enc = _loss_and_grads(W, enc, X, y, w, loss_cfg)
+    head_grads = [dW, d_enc.W, d_enc.U, d_enc.V]
     head_err = _max_rel_fd(
-        [W], [dW], lambda: _loss_and_grads(W, None, X, y, w, loss_cfg)[0]
+        [W, enc.W, enc.U, enc.V], head_grads,
+        lambda: _loss_and_grads(W, enc, X, y, w, loss_cfg)[0],
     )
+    head_norm = min(float(np.linalg.norm(g)) for g in head_grads)
 
     elapsed = time.perf_counter() - start
-    ok = gcn_norm > 0 and gcn_err < 1e-4 and head_err < 1e-4 and elapsed < 10.0
+    ok = (gcn_norm > 0 and gcn_err < 1e-4 and head_norm > 0 and head_err < 1e-4
+          and elapsed < 10.0)
     announce(5, "finite-difference gradient checks", ok,
               f"GCN max rel err {gcn_err:.2e} (smallest layer grad norm "
-              f"{gcn_norm:.2e}), cosine head {head_err:.2e} "
-              f"(tol 1e-4), {elapsed:.2f}s (limit 10s)")
+              f"{gcn_norm:.2e}), cosine head and encoder {head_err:.2e} (smallest "
+              f"grad norm {head_norm:.2e}) (tol 1e-4), {elapsed:.2f}s (limit 10s)")
     assert gcn_norm > 0  # zero gradients would make the check vacuous
     assert gcn_err < 1e-4
+    assert head_norm > 0
     assert head_err < 1e-4
     assert elapsed < 10.0
 
@@ -377,7 +387,7 @@ def _soft_vs_hard(seed: int, rate: float):
     accs = {}
     for name, use_w in (("hard", False), ("soft", True)):
         model = train_head(labeled, (un_emb, c), LossConfig(), epochs=60, lr=0.1,
-                           seed=seed, use_weights=use_w, with_encoder=True)
+                           seed=seed, use_weights=use_w)
         accs[name], _ = metrics.verification_metrics(embed(model, te_emb), protocol)
     return accs
 
@@ -432,8 +442,7 @@ def _rank1_with_correct_pseudo(seed: int):
     probe = (EmbeddingSet(te_emb.rows[1::2], normalized=True), te_lab[1::2])
     out = {}
     for name, ps in (("baseline", None), ("pseudo", (un_emb, pseudo))):
-        model = train_head(labeled, ps, LossConfig(), epochs=100, lr=0.1,
-                           seed=seed, with_encoder=True)
+        model = train_head(labeled, ps, LossConfig(), epochs=100, lr=0.1, seed=seed)
         g = (embed(model, gallery[0]), gallery[1])
         p = (embed(model, probe[0]), probe[1])
         out[name] = metrics.identification_rank(g, p, ks=(1,))[1]

@@ -1,9 +1,11 @@
+import functools
 import json
 import shutil
 
 import numpy as np
 import pytest
 
+from labelforge import cluster, noise, train
 from labelforge.cli import SCHEMA, apply_overrides, load_config, main, run_pipeline
 from labelforge.evt import WeibullParams
 
@@ -164,16 +166,20 @@ def test_seed_override_rederives_stage_seeds(base_config):
     ("cluster", "gcn_batch_size"), ("evt", "n_bins"), ("evt", "confidence"),
     ("noise", "classifier_epochs"), ("noise", "n_bins"), ("train", "alpha"),
     ("train", "margin_m"), ("train", "batch_size"), ("eval", "fars"), ("eval", "ks"),
-    ("cluster", "kmeans_k"), ("cluster", "augment_unions"),
+    ("cluster", "kmeans_k"), ("cluster", "augment_unions"), ("train", "merge_overlap"),
+    ("cluster", "dbscan_min_size"), ("train", "lr"), ("cluster", "gcn_lr"),
+    ("noise", "classifier_lr"), ("train", "with_encoder"),
 ])
 def test_removed_key_rejected(tmp_path, capsys, section, key):
     # every seed derives from [synth] seed; each graph's threshold sweep
     # from its own similarities; the keys after that are fixed at the
-    # defaults of the functions they fed, or at the rule their sentinel chose
+    # defaults of the functions they fed, or at the rule their sentinel
+    # chose, and every head trains with its encoder
     cfg = _write_ini(tmp_path, f"[{section}]\n{key} = 1\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown key") and repr(key) in err
+    assert "Traceback" not in err
 
 
 def test_every_schema_key_is_read(tmp_path):
@@ -371,14 +377,12 @@ OUT_OF_RANGE = {
     "classifier_epochs": (
         "[eval]", "[noise]\nclassifier_epochs = 0\n\n[eval]", "unknown key 'classifier_epochs'"
     ),
-    "classifier_lr": ("[eval]", "[noise]\nclassifier_lr = 0\n\n[eval]", "[noise] classifier_lr"),
     "noise_n_bins": (
         "[eval]", "[noise]\nn_bins = 1\n\n[eval]", "unknown key 'n_bins' in section [noise]"
     ),
     "alpha": ("[eval]", "[train]\nalpha = 0\n\n[eval]", "unknown key 'alpha'"),
     "margin_m": ("[eval]", "[train]\nmargin_m = 2\n\n[eval]", "unknown key 'margin_m'"),
     "epochs": ("[eval]", "[train]\nepochs = -1\n\n[eval]", "[train] epochs"),
-    "lr": ("[eval]", "[train]\nlr = 0\n\n[eval]", "[train] lr"),
     "batch_size": ("[eval]", "[train]\nbatch_size = 0\n\n[eval]", "unknown key 'batch_size'"),
     "pairs_per_class": (
         "holdout_per_id = 2", "holdout_per_id = 2\npairs_per_class = 0", "[eval] pairs_per_class"
@@ -418,25 +422,32 @@ def test_kmeans_reports_the_k_it_used(tmp_path):
     assert stage["kmeans"] == {"k": max(2, stage["n_clustered_input"] // 10)}
 
 
-def test_gcn_divergence_exits_2(tmp_path, capsys):
-    cfg = _write_ini(tmp_path, BASE_INI.replace("gcn_epochs = 60", "gcn_epochs = 60\ngcn_lr = 1e150"))
+# the learning rates are constants: a divergence test raises one in the module
+def test_gcn_divergence_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cluster, "gcn_train", functools.partial(cluster.gcn_train, lr=1e150))
+    cfg = _write_ini(tmp_path, BASE_INI)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "cluster" in err and "diverged" in err
 
 
-def test_head_divergence_exits_2(tmp_path, capsys):
-    cfg = _write_ini(tmp_path, BASE_INI + "\n[train]\nlr = 1e30\n")
+def test_head_divergence_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(train, "train_head", functools.partial(train.train_head, lr=1e30))
+    cfg = _write_ini(tmp_path, BASE_INI)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: stage 'separate' failed:") and "diverged" in err
     assert "Traceback" not in err
 
 
-def test_noise_classifier_divergence_exits_2(tmp_path, capsys, recwarn):
+def test_noise_classifier_divergence_exits_2(tmp_path, capsys, recwarn, monkeypatch):
+    monkeypatch.setattr(
+        noise, "train_linear_classifier",
+        functools.partial(noise.train_linear_classifier, lr=1e30),
+    )
     # k-means leaves the noise stage several clusters to train on
     ini = TINY_INI.replace("[cluster]\n", "[cluster]\nalgorithm = kmeans\n")
-    cfg = _write_ini(tmp_path, ini + "\n[noise]\nclassifier_lr = 1e30\n")
+    cfg = _write_ini(tmp_path, ini)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: stage 'noise' failed:") and "diverged" in err
@@ -737,11 +748,14 @@ def _narrow_model(out):
          "decisions.npz: separate marked no unlabeled sample disjoint: {'disjoint': 0,"),
         # a model of another width ended evaluate in a matmul traceback
         (_narrow_model, "evaluate", "soft.npz: a model of width 15 for the width-16 rows of "),
+        # a model without its encoder was scored on the raw test rows
+        (lambda out: _drop_array(out / "hard.npz", "encoder"), "evaluate",
+         "hard.npz: missing array 'encoder'"),
     ],
     ids=["p-abc", "p-1.5", "p-nan", "p-missing", "cluster-id-gap", "train-row-x2", "test-row-nan",
          "short-clustering", "short-clustering-pm", "short-train-labels", "short-test-labels",
          "one-test-identity", "singleton-test-identities", "shared-split-index", "no-disjoint",
-         "model-width"],
+         "model-width", "no-encoder"],
 )
 def test_malformed_input_exits_2(run_copy, capsys, edit, stage, cause):
     cfg, out = run_copy

@@ -110,7 +110,9 @@ def test_batched_loss_is_the_weighted_mean_of_per_sample_losses():
     p_minus = rng.uniform(0.0, 0.9, size=12)
     cfg = LossConfig(alpha=8.0, margin_m=0.2, gamma=2.0)
     weights = (1.0 - p_minus) ** cfg.gamma
-    loss, _, _ = _loss_and_grads(W, None, X, y, weights, cfg)
+    # the encoder at init maps unit rows to themselves
+    enc = _astype(EncoderParams.identity(4, seed=3), np.float64)
+    loss, _, _ = _loss_and_grads(W, enc, X, y, weights, cfg)
     per_sample = [
         weighted_loss(cosine_loss(x, W, int(j), cfg), p, cfg.gamma)
         for x, j, p in zip(X, y, p_minus)
@@ -154,9 +156,11 @@ def test_head_gradient_matches_finite_differences():
     y = rng.integers(0, 3, size=10)
     w = rng.uniform(0.2, 1.0, size=10)
     W = rng.standard_normal((3, 4))
+    # the encoder at init maps unit rows to themselves: the head alone moves
+    enc = _astype(EncoderParams.identity(4, seed=0), np.float64)
     cfg = LossConfig(alpha=8.0, margin_m=0.2)
-    _, dW, _ = _loss_and_grads(W, None, X, y, w, cfg)
-    max_rel = _fd_check([W], [dW], lambda: _loss_and_grads(W, None, X, y, w, cfg)[0])
+    _, dW, _ = _loss_and_grads(W, enc, X, y, w, cfg)
+    max_rel = _fd_check([W], [dW], lambda: _loss_and_grads(W, enc, X, y, w, cfg)[0])
     assert max_rel < 1e-4
 
 
@@ -165,7 +169,7 @@ def test_encoder_gradient_matches_finite_differences():
     X = rng.standard_normal((8, 3))
     X /= np.linalg.norm(X, axis=1)[:, None]
     y = rng.integers(0, 2, size=8)
-    w = np.ones(8)
+    w = rng.uniform(0.2, 1.0, size=8)
     W = rng.standard_normal((2, 3))
     # the kernel runs in float64 here: float32 cannot resolve the 1e-6 steps
     enc = _astype(EncoderParams.identity(3, seed=2), np.float64)
@@ -186,50 +190,47 @@ def _astype(enc, dtype):
     return EncoderParams(*(a.astype(dtype) for a in (enc.W, enc.U, enc.V)))
 
 
-def _batch(with_encoder, dtype=np.float64, seed=15):
+def _batch(moved, dtype=np.float64, seed=15):
+    """A batch, a head and an encoder: the identity every training starts
+    from (V = 0, so U gets a zero gradient), or one ``moved`` off it."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((40, 6))
     X /= np.linalg.norm(X, axis=1)[:, None]
     y = rng.integers(0, 4, size=40)
     w = rng.uniform(0.2, 1.0, size=40)
     W = rng.standard_normal((4, 6))
-    enc = None
-    if with_encoder:
-        enc = _astype(EncoderParams.identity(6, seed=seed), np.float64)
+    enc = _astype(EncoderParams.identity(6, seed=seed), np.float64)
+    if moved:
         enc.V += rng.standard_normal((6, 6)) * 0.1
-        enc = _astype(enc, dtype)
-    return X.astype(dtype), y, w.astype(dtype), W.astype(dtype), enc
+    return X.astype(dtype), y, w.astype(dtype), W.astype(dtype), _astype(enc, dtype)
 
 
-@pytest.mark.parametrize("with_encoder", [False, True])
-def test_float64_loss_and_grads_match_the_reference(with_encoder):
-    X, y, w, W, enc = _batch(with_encoder)
+@pytest.mark.parametrize("moved", [False, True])
+def test_float64_loss_and_grads_match_the_reference(moved):
+    X, y, w, W, enc = _batch(moved)
     cfg = LossConfig(alpha=16.0, margin_m=0.35)
     loss, dW, d_enc = _loss_and_grads(W, enc, X, y, w, cfg)
     ref_loss, ref_dW, ref_enc = ref.loss_and_grads(W, enc, X, y, w, cfg)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     np.testing.assert_allclose(dW, ref_dW, rtol=1e-12, atol=1e-15)
-    if with_encoder:
-        for name in "WUV":
-            np.testing.assert_allclose(
-                getattr(d_enc, name), getattr(ref_enc, name), rtol=1e-12, atol=1e-15
-            )
+    for name in "WUV":
+        np.testing.assert_allclose(
+            getattr(d_enc, name), getattr(ref_enc, name), rtol=1e-12, atol=1e-15
+        )
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("with_encoder", [False, True])
-def test_gradients_follow_the_input_dtype(dtype, with_encoder):
-    X, y, w, W, enc = _batch(with_encoder, dtype)
+@pytest.mark.parametrize("moved", [False, True])
+def test_gradients_follow_the_input_dtype(dtype, moved):
+    X, y, w, W, enc = _batch(moved, dtype)
     _, dW, d_enc = _loss_and_grads(W, enc, X, y, w, LossConfig())
-    assert dW.dtype == dtype
-    if with_encoder:
-        assert {d_enc.W.dtype, d_enc.U.dtype, d_enc.V.dtype} == {np.dtype(dtype)}
+    assert {dW.dtype, d_enc.W.dtype, d_enc.U.dtype, d_enc.V.dtype} == {np.dtype(dtype)}
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("with_encoder", [False, True])
-def test_loss_without_grads_is_the_same_loss(dtype, with_encoder):
-    X, y, w, W, enc = _batch(with_encoder, dtype)
+@pytest.mark.parametrize("moved", [False, True])
+def test_loss_without_grads_is_the_same_loss(dtype, moved):
+    X, y, w, W, enc = _batch(moved, dtype)
     cfg = LossConfig()
     loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg)
     assert _loss_and_grads(W, enc, X, y, w, cfg, grads=False) == (loss, None, None)
@@ -322,24 +323,20 @@ def _labeled_and_pseudo(seed):
     return labeled, (EmbeddingSet(emb.rows[~lab], normalized=True), pseudo)
 
 
-@pytest.mark.parametrize("with_encoder", [False, True])
 @pytest.mark.parametrize("with_pseudo", [False, True])
-def test_float32_training_tracks_the_float64_reference(with_encoder, with_pseudo):
+def test_float32_training_tracks_the_float64_reference(with_pseudo):
     labeled, pseudo = _labeled_and_pseudo(seed=14)
     pseudo = pseudo if with_pseudo else None
-    kwargs = dict(epochs=30, seed=3, use_weights=True, with_encoder=with_encoder, batch_size=32)
+    kwargs = dict(epochs=30, seed=3, use_weights=True, batch_size=32)
     model = train_head(labeled, pseudo, LossConfig(), **kwargs)
     W, enc, initial_loss, final_loss = ref.train_head(labeled, pseudo, LossConfig(), **kwargs)
     assert abs(model.initial_loss - initial_loss) < 1e-4
     assert abs(model.final_loss - final_loss) < 1e-4
     np.testing.assert_allclose(model.head.weights, W, rtol=0, atol=1e-4)
-    if with_encoder:
-        for name in "WUV":
-            np.testing.assert_allclose(
-                getattr(model.encoder, name), getattr(enc, name), rtol=0, atol=1e-4
-            )
-    else:
-        assert model.encoder is None
+    for name in "WUV":
+        np.testing.assert_allclose(
+            getattr(model.encoder, name), getattr(enc, name), rtol=0, atol=1e-4
+        )
 
 
 @pytest.mark.parametrize("n, k, d", [(200, 7, 16), (300, 40, 5), (57, 9, 128)])
@@ -370,17 +367,9 @@ def test_encoder_identity_at_init():
     np.testing.assert_array_equal(out.rows, emb.rows / np.linalg.norm(emb.rows, axis=1)[:, None])
 
 
-def test_embed_requires_encoder():
-    emb, labels = _harness(num_ids=2, per_id=5, seed=9)
-    model = train_head((emb, labels), None, LossConfig(), epochs=1, seed=0)
-    with pytest.raises(errors.InvalidData, match="trained without an encoder"):
-        embed(model, emb)
-
-
 def test_encoder_training_tightens_identities():
     emb, labels = _harness(num_ids=6, per_id=20, dim=16, sigma=0.3, seed=10)
-    model = train_head((emb, labels), None, LossConfig(), epochs=60, seed=0,
-                       with_encoder=True)
+    model = train_head((emb, labels), None, LossConfig(), epochs=60, seed=0)
     new = embed(model, emb)
 
     def mean_within(e):
@@ -399,30 +388,31 @@ def test_encoder_training_tightens_identities():
 # --- persistence ---
 
 def test_roundtrip_without_encoder(tmp_path):
+    # an archive whose encoder was dropped is not a model: loading names it
     emb, labels = _harness(num_ids=2, per_id=10, seed=11)
+    model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0)
+    save_trained_model(model, tmp_path / "m.npz")
+    with np.load(tmp_path / "m.npz") as archive:
+        kept = {name: archive[name] for name in archive.files if name != "encoder"}
+    np.savez(tmp_path / "m.npz", **kept)
+    with pytest.raises(errors.CorruptArtifact, match="missing array 'encoder'"):
+        load_trained_model(tmp_path / "m.npz")
+
+
+def test_roundtrip_with_encoder(tmp_path):
+    emb, labels = _harness(num_ids=2, per_id=10, seed=12)
     model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0)
     save_trained_model(model, tmp_path / "m.npz")
     back = load_trained_model(tmp_path / "m.npz")
     # training runs at the archive's float32: the model is its archive
     assert np.array_equal(back.head.weights, model.head.weights)
-    assert back.encoder is None
-    assert back.final_loss == pytest.approx(model.final_loss)
-
-
-def test_roundtrip_with_encoder(tmp_path):
-    emb, labels = _harness(num_ids=2, per_id=10, seed=12)
-    model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0,
-                       with_encoder=True)
-    save_trained_model(model, tmp_path / "m.npz")
-    back = load_trained_model(tmp_path / "m.npz")
     for name in "WUV":
         assert np.array_equal(getattr(back.encoder, name), getattr(model.encoder, name))
 
 
 def test_trained_and_loaded_models_hold_float32_weights(tmp_path):
     emb, labels = _harness(num_ids=2, per_id=10, seed=12)
-    model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0,
-                       with_encoder=True)
+    model = train_head((emb, labels), None, LossConfig(), epochs=2, seed=0)
     save_trained_model(model, tmp_path / "m.npz")
     back = load_trained_model(tmp_path / "m.npz")
     with np.load(tmp_path / "m.npz") as archive:
@@ -446,7 +436,8 @@ def test_roundtrip_keeps_losses_exact(tmp_path):
     "arrays, message",
     [
         ({"head": np.ones((3, 4), np.float32), "encoder": np.ones((3, 5, 5), np.float32)}, "'encoder'"),
-        ({"head": np.ones((1, 4), np.float32)}, "num_classes >= 2"),
+        ({"head": np.ones((1, 4), np.float32), "encoder": np.ones((3, 4, 4), np.float32)},
+         "num_classes >= 2"),
     ],
 )
 def test_model_archive_that_does_not_fit_rejected(tmp_path, arrays, message):
