@@ -117,9 +117,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "labeled_id_fraction": (_float_in("(0, 1)"), 0.5),
         "overlap_id_fraction": (_float_in("[0, 1]"), 0.0),
     },
-    "knn": {
-        "k": (_int_from(1), 8),
-    },
     "cluster": {
         "algorithm": (_one_of("gcn", "kmeans", "hac"), "gcn"),
         "gcn_epochs": (_int_from(1), 300),
@@ -127,10 +124,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "evt": {
         "enabled": (_parse_bool, True),
-    },
-    "noise": {
-        "metric": (_one_of(*noise.METRICS), "class_margin"),
-        "gamma": (_float_in("[0, inf)"), 1.0),
     },
     "train": {
         "epochs": (_int_from(1), 40),
@@ -292,9 +285,8 @@ def _load_clustering(cfg: PipelineConfig, name: str, n: int) -> Clustering:
 
 def _train_head(cfg: PipelineConfig, labeled, pseudo=None, use_weights=False):
     """The baseline (no ``pseudo``), hard or soft (``use_weights``) head."""
-    loss_cfg = train.LossConfig(gamma=cfg["noise"]["gamma"])
     return train.train_head(
-        labeled, pseudo, loss_cfg, epochs=cfg["train"]["epochs"], seed=cfg.seed("train"),
+        labeled, pseudo, train.LossConfig(), epochs=cfg["train"]["epochs"], seed=cfg.seed("train"),
         use_weights=use_weights,
     )
 
@@ -445,12 +437,11 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
 
 
 def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
-    k = cfg["knn"]["k"]
     lab_emb, lab_labels = labeled
 
     # purity regressor is trained on the labeled split, where IoU/IoP
     # targets are known
-    lab_graph = knn.build_knn_graph(lab_emb, k=k)
+    lab_graph = knn.build_knn_graph(lab_emb)
     # each graph's sweep comes from its own similarity distribution
     lab_props = knn.proposals_from_thresholds(lab_graph, knn.default_thresholds(lab_graph))
     aug = cl.union_augment(lab_props, 2 * len(lab_props) // 3, seed=cfg.seed("gcn") + 1)
@@ -463,7 +454,7 @@ def _gcn_cluster(cfg, labeled, dis_emb) -> Clustering:
         seed=cfg.seed("gcn"),
     )
 
-    graph = knn.build_knn_graph(dis_emb, k=k)
+    graph = knn.build_knn_graph(dis_emb)
     props = knn.proposals_from_thresholds(graph, knn.default_thresholds(graph))
     return cl.deoverlap(props, cl.score_proposals(model, props, dis_emb, graph))
 
@@ -473,12 +464,11 @@ def stage_noise(cfg: PipelineConfig) -> dict:
     dis_emb, gt = _load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
     clustering = _load_clustering(cfg, "pseudo_clusters.npz", dis_emb.n)
 
-    n = cfg["noise"]
     tags = noise.label_cluster_errors(clustering, gt)
     assigned = clustering.assignment != UNASSIGNED
     positives = tags[assigned] != noise.CORRECT
     ap: dict[str, float | None] = dict.fromkeys(noise.METRICS)
-    out: dict = {"metric": n["metric"], "otsu_t": None, "wb_low": None}
+    out: dict = {"metric": noise.P_MINUS_METRIC, "otsu_t": None, "wb_low": None}
     pm = np.zeros(dis_emb.n)
     try:
         head = noise.train_linear_classifier(dis_emb, clustering, seed=cfg.seed("classifier"))
@@ -487,8 +477,8 @@ def stage_noise(cfg: PipelineConfig) -> dict:
             # AP of each metric at flagging mis-clustered samples, vs ground truth
             ap = {m: noise.average_precision(-noise.confidence(m, s)[assigned], positives)
                   for m, s in scores.items()}
-        margins = scores[n["metric"]]
-        model = noise.fit_noise_model(margins, metric=n["metric"])
+        margins = scores[noise.P_MINUS_METRIC]
+        model = noise.fit_noise_model(margins)
         out.update(dataclasses.asdict(model))  # the metric, otsu_t and the lower-mode fit
         pm = np.where(assigned, noise.p_minus(model, margins), 0.0)
     except (TooFewClusters, OneSidedData) as exc:

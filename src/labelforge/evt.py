@@ -171,10 +171,13 @@ def weibull_fit_shifted(samples) -> WeibullParams:
 def otsu_split(scores, n_bins: int = 64) -> tuple[float, np.ndarray, np.ndarray]:
     """Otsu threshold t and the scores below it and at or above it.
 
-    Raises OneSidedData when either side has fewer than MIN_SIDE_SAMPLES
-    or holds one value only: neither gives a Weibull fit.
+    Raises OneSidedData when the scores hold fewer than two distinct
+    values (there is no split), or when either side has fewer than
+    MIN_SIDE_SAMPLES or holds one value only: neither gives a Weibull fit.
     """
     x = np.asarray(scores, dtype=np.float64).ravel()
+    if x.size < 2 or np.ptp(x) == 0.0:
+        raise OneSidedData(f"fewer than 2 distinct scores among {x.size}")
     t = otsu_threshold(x, n_bins=n_bins)
     low, high = x[x < t], x[x >= t]
     if low.size < MIN_SIDE_SAMPLES or high.size < MIN_SIDE_SAMPLES:

@@ -124,7 +124,7 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
-def build_knn_graph(emb: EmbeddingSet, k: int) -> KnnGraph:
+def build_knn_graph(emb: EmbeddingSet, k: int = 8) -> KnnGraph:
     """Exact top-k cosine neighbors via blockwise dense products.
 
     Each block of :func:`block_rows` rows is scored against every row; the

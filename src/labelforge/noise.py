@@ -3,8 +3,10 @@
 Trains a softmax linear classifier on cluster assignments, scores each
 sample's uncertainty (entropy, max-logit or class-margin), fits a Weibull
 to the less confident mode of the scores and turns it into a
-per-sample probability of incorrect clustering. Ground-truth diagnostics
-(outlier / split-id tagging, average precision) live here too.
+per-sample probability of incorrect clustering. The pipeline fits p⁻ on
+one metric, :data:`P_MINUS_METRIC` (the class margin), and reports the
+average precision of all three. Ground-truth diagnostics (outlier /
+split-id tagging, average precision) live here too.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ OUTLIER = 1
 SPLIT_ID = 2
 
 METRICS = ("entropy", "max_logit", "class_margin")
+P_MINUS_METRIC = "class_margin"  # the metric the pipeline's p⁻ is fitted on
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def confidence(metric: str, scores) -> np.ndarray:
 
 
 def fit_noise_model(
-    margin_scores, metric: str = "class_margin", n_bins: int = 64
+    margin_scores, metric: str = P_MINUS_METRIC, n_bins: int = 64
 ) -> NoiseModel:
     """Otsu split of the oriented scores, Weibull MLE on the less confident side."""
     t, low, _ = otsu_split(confidence(metric, margin_scores), n_bins=n_bins)

@@ -30,6 +30,8 @@ holdout_per_id = 2
 """
 
 TINY_INI = BASE_INI.replace("gcn_epochs = 60", "gcn_epochs = 5") + "\n[train]\nepochs = 5\n"
+# TINY_INI's [cluster], [train] and [eval], for a harness of another size
+TINY_SECTIONS = "[cluster]\ngcn_epochs = 5\n\n[train]\nepochs = 5\n\n[eval]\nholdout_per_id = 2\n"
 
 
 @pytest.fixture
@@ -60,10 +62,9 @@ def test_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_bad_value_rejected(tmp_path, capsys):
-    cfg = _write_ini(tmp_path, "[knn]\nk = three\n")
+    cfg = _write_ini(tmp_path, "[train]\nepochs = three\n")
     assert main(["run", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert "knn" in err and "k" in err
+    assert capsys.readouterr().err.startswith("config error: bad value for [train] epochs: ")
 
 
 def test_bad_algorithm_rejected(tmp_path, capsys):
@@ -159,27 +160,48 @@ def test_seed_override_rederives_stage_seeds(base_config):
     assert len(set(seeds)) == len(seeds)
 
 
+# every key the removed sections held: a config with either section exits 1,
+# whatever it holds
+REMOVED_SECTIONS = {
+    "knn": "k = 8\nthresholds = 0.5\nthreshold_count = 12\nmax_size = 100\n",
+    "noise": "metric = class_margin\ngamma = 1\nclassifier_seed = 5\nclassifier_epochs = 30\n"
+             "n_bins = 64\nclassifier_lr = 1.0\n",
+}
+
+
+# every seed derives from [synth] seed; the keys after that are fixed at the
+# defaults of the functions they fed, or at the rule their sentinel chose,
+# DBSCAN went, every head trains with its encoder, and the [knn] and [noise]
+# sections went whole
 @pytest.mark.parametrize("section, key", [
     ("split", "seed"), ("eval", "seed"), ("cluster", "gcn_seed"), ("cluster", "kmeans_seed"),
-    ("noise", "classifier_seed"), ("train", "seed"), ("knn", "thresholds"),
-    ("knn", "threshold_count"), ("knn", "max_size"), ("cluster", "min_cluster_size"),
-    ("cluster", "gcn_batch_size"), ("evt", "n_bins"), ("evt", "confidence"),
-    ("noise", "classifier_epochs"), ("noise", "n_bins"), ("train", "alpha"),
-    ("train", "margin_m"), ("train", "batch_size"), ("eval", "fars"), ("eval", "ks"),
-    ("cluster", "kmeans_k"), ("cluster", "augment_unions"), ("train", "merge_overlap"),
+    ("train", "seed"), ("cluster", "min_cluster_size"), ("cluster", "gcn_batch_size"),
+    ("evt", "n_bins"), ("evt", "confidence"), ("train", "alpha"), ("train", "margin_m"),
+    ("train", "batch_size"), ("eval", "fars"), ("eval", "ks"), ("cluster", "kmeans_k"),
+    ("cluster", "augment_unions"), ("train", "merge_overlap"), ("cluster", "dbscan_eps"),
     ("cluster", "dbscan_min_size"), ("train", "lr"), ("cluster", "gcn_lr"),
-    ("noise", "classifier_lr"), ("train", "with_encoder"),
+    ("train", "with_encoder"), ("knn", "thresholds"), ("knn", "threshold_count"),
+    ("knn", "max_size"), ("noise", "classifier_seed"), ("noise", "classifier_epochs"),
+    ("noise", "n_bins"), ("noise", "classifier_lr"),
 ])
 def test_removed_key_rejected(tmp_path, capsys, section, key):
-    # every seed derives from [synth] seed; each graph's threshold sweep
-    # from its own similarities; the keys after that are fixed at the
-    # defaults of the functions they fed, or at the rule their sentinel
-    # chose, and every head trains with its encoder
+    # a removed key is rejected as unknown whatever its value; in a removed
+    # section the section is rejected first
     cfg = _write_ini(tmp_path, f"[{section}]\n{key} = 1\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: unknown key") and repr(key) in err
+    if section in REMOVED_SECTIONS:
+        assert err == f"config error: unknown config section [{section}]\n"
+    else:
+        assert err.startswith("config error: unknown key") and repr(key) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section", REMOVED_SECTIONS)
+def test_removed_section_rejected(tmp_path, capsys, section):
+    cfg = _write_ini(tmp_path, f"{BASE_INI}\n[{section}]\n{REMOVED_SECTIONS[section]}")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: unknown config section [{section}]\n"
 
 
 def test_every_schema_key_is_read(tmp_path):
@@ -308,7 +330,6 @@ def test_report_is_sorted_and_finite(base_config, tmp_path):
     [
         # no longer a key: rejected as unknown
         ("gcn_batch_size = 0", "gcn_batch_size"),
-        ("gcn_epochs = -1", "gcn_epochs"),
         ("gcn_lr = nan", "gcn_lr"),
     ],
 )
@@ -316,16 +337,17 @@ def test_gcn_key_out_of_range_rejected(tmp_path, capsys, line, key):
     cfg = _write_ini(tmp_path, BASE_INI.replace("gcn_epochs = 60", line))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and key in err
+    assert err.startswith("config error: unknown key") and repr(key) in err
 
 
-# --- value ranges of the other keys ---
+# --- value ranges ---
 
-# test id -> (text of BASE_INI, its replacement, the key the error must name);
-# a removed key is rejected as unknown whatever its value
+# test id -> (text of BASE_INI, its replacement, the text the error must hold);
+# a removed key is rejected as unknown whatever its value, and a key of a
+# removed section as that section
 OUT_OF_RANGE = {
     "algorithm=dbscan": ("gcn_epochs = 60", "algorithm = dbscan", "algorithm"),
-    "dbscan_eps": ("gcn_epochs = 60", "gcn_epochs = 60\ndbscan_eps = 0.3", "dbscan_eps"),
+    "gcn_epochs=-1": ("gcn_epochs = 60", "gcn_epochs = -1", "[cluster] gcn_epochs"),
     "hac_threshold": ("gcn_epochs = 60", "algorithm = hac\nhac_threshold = nan", "hac_threshold"),
     "hac_threshold=-1": (
         "gcn_epochs = 60", "algorithm = hac\nhac_threshold = -1", "[cluster] hac_threshold"
@@ -333,7 +355,6 @@ OUT_OF_RANGE = {
     "labeled_id_fraction": (
         "labeled_id_fraction = 0.5", "labeled_id_fraction = nan", "labeled_id_fraction"
     ),
-    "gamma": ("[eval]", "[noise]\ngamma = inf\n\n[eval]", "gamma"),
     "labeled_id_fraction=0": (
         "labeled_id_fraction = 0.5", "labeled_id_fraction = 0", "[split] labeled_id_fraction"
     ),
@@ -360,11 +381,23 @@ OUT_OF_RANGE = {
         "within_id_sigma = 0.15", "within_id_sigma = -1", "[synth] within_id_sigma"
     ),
     "seed": ("seed = 0", "seed = -1", "[synth] seed"),
-    "k": ("[eval]", "[knn]\nk = 0\n\n[eval]", "[knn] k"),
-    "threshold_count": (
-        "[eval]", "[knn]\nthreshold_count = 0\n\n[eval]", "unknown key 'threshold_count'"
+    "epochs": ("[eval]", "[train]\nepochs = -1\n\n[eval]", "[train] epochs"),
+    "pairs_per_class": (
+        "holdout_per_id = 2", "holdout_per_id = 2\npairs_per_class = 0", "[eval] pairs_per_class"
     ),
-    "max_size": ("[eval]", "[knn]\nmax_size = 0\n\n[eval]", "unknown key 'max_size'"),
+    "k": ("[eval]", "[knn]\nk = 0\n\n[eval]", "unknown config section [knn]"),
+    "threshold_count": (
+        "[eval]", "[knn]\nthreshold_count = 0\n\n[eval]", "unknown config section [knn]"
+    ),
+    "max_size": ("[eval]", "[knn]\nmax_size = 0\n\n[eval]", "unknown config section [knn]"),
+    "gamma": ("[eval]", "[noise]\ngamma = inf\n\n[eval]", "unknown config section [noise]"),
+    "gamma=-1": ("[eval]", "[noise]\ngamma = -1\n\n[eval]", "unknown config section [noise]"),
+    "classifier_epochs": (
+        "[eval]", "[noise]\nclassifier_epochs = 0\n\n[eval]", "unknown config section [noise]"
+    ),
+    "noise_n_bins": (
+        "[eval]", "[noise]\nn_bins = 1\n\n[eval]", "unknown config section [noise]"
+    ),
     "min_cluster_size": (
         "gcn_epochs = 60", "gcn_epochs = 60\nmin_cluster_size = 0",
         "unknown key 'min_cluster_size'",
@@ -373,20 +406,9 @@ OUT_OF_RANGE = {
         "[eval]", "[evt]\nn_bins = 1\n\n[eval]", "unknown key 'n_bins' in section [evt]"
     ),
     "confidence": ("[eval]", "[evt]\nconfidence = 1\n\n[eval]", "unknown key 'confidence'"),
-    "gamma=-1": ("[eval]", "[noise]\ngamma = -1\n\n[eval]", "[noise] gamma"),
-    "classifier_epochs": (
-        "[eval]", "[noise]\nclassifier_epochs = 0\n\n[eval]", "unknown key 'classifier_epochs'"
-    ),
-    "noise_n_bins": (
-        "[eval]", "[noise]\nn_bins = 1\n\n[eval]", "unknown key 'n_bins' in section [noise]"
-    ),
     "alpha": ("[eval]", "[train]\nalpha = 0\n\n[eval]", "unknown key 'alpha'"),
     "margin_m": ("[eval]", "[train]\nmargin_m = 2\n\n[eval]", "unknown key 'margin_m'"),
-    "epochs": ("[eval]", "[train]\nepochs = -1\n\n[eval]", "[train] epochs"),
     "batch_size": ("[eval]", "[train]\nbatch_size = 0\n\n[eval]", "unknown key 'batch_size'"),
-    "pairs_per_class": (
-        "holdout_per_id = 2", "holdout_per_id = 2\npairs_per_class = 0", "[eval] pairs_per_class"
-    ),
     "ks": ("holdout_per_id = 2", "holdout_per_id = 2\nks = 1, 0", "unknown key 'ks'"),
     "fars": ("holdout_per_id = 2", "holdout_per_id = 2\nfars = 0.01, 2", "unknown key 'fars'"),
 }
@@ -456,11 +478,12 @@ def test_noise_classifier_divergence_exits_2(tmp_path, capsys, recwarn, monkeypa
 
 
 def test_k_at_or_above_sample_count_exits_2(tmp_path, capsys):
-    cfg = _write_ini(tmp_path, BASE_INI + "\n[knn]\nk = 10000\n")
+    # two labeled identities of 4 samples: the labeled graph has 8 samples for k = 8
+    text = "[synth]\nnum_ids = 4\nsamples_per_id = 4\ndim = 16\n\n" + TINY_SECTIONS
+    cfg = _write_ini(tmp_path, text)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: stage 'cluster' failed:")
-    assert "k=10000" in err and "n=" in err
+    assert err.startswith("error: stage 'cluster' failed:") and "k=8 out of range for n=8" in err
 
 
 # --- artifacts: one format, unreadable files exit 2 ---
@@ -568,6 +591,19 @@ def test_one_sided_scores_fall_back_to_all_disjoint(run_copy, tmp_path):
     n = stages["gen"]["n_unlabeled"]
     assert stages["separate"]["counts"] == {"disjoint": n, "overlap": 0, "rejected": 0}
     assert stages["cluster"]["n_clustered_input"] == n
+
+
+def test_unlabeled_scores_all_equal_fall_back_to_all_disjoint(tmp_path):
+    # one unlabeled identity with no spread: its max-logit scores are all
+    # one value, which no threshold splits
+    text = "[synth]\nnum_ids = 3\nsamples_per_id = 10\ndim = 16\nwithin_id_sigma = 0\n\n"
+    out = tmp_path / "out"
+    cfg = _write_ini(tmp_path, text + TINY_SECTIONS)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    stages = _load_report(out)["stages"]
+    assert stages["separate"]["no_fit"] == "fewer than 2 distinct scores among 10"
+    n = stages["gen"]["n_unlabeled"]
+    assert stages["separate"]["counts"] == {"disjoint": n, "overlap": 0, "rejected": 0}
 
 
 @pytest.mark.parametrize(

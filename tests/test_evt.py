@@ -318,6 +318,13 @@ def test_otsu_split_rejects_a_side_of_equal_scores(equal_side):
         otsu_split(x)
 
 
+@pytest.mark.parametrize("x", [np.full(10, 0.7), np.array([0.7])], ids=["ten-equal", "single"])
+def test_otsu_split_rejects_fewer_than_two_distinct_scores(x):
+    # no threshold splits them: the callers fall back as for a one-sided split
+    with pytest.raises(errors.OneSidedData, match="fewer than 2 distinct scores"):
+        otsu_split(x)
+
+
 def test_otsu_split_partitions_at_threshold():
     x = _bimodal_scores(seed=1)
     t, low, high = otsu_split(x, n_bins=64)
