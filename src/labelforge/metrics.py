@@ -130,14 +130,15 @@ def identification_rank(
     g_rows = g_emb.rows / np.linalg.norm(g_emb.rows, axis=1)[:, None]
     p_rows = p_emb.rows / np.linalg.norm(p_emb.rows, axis=1)[:, None]
     sims = p_rows @ g_rows.T
-    # stable sort on gallery index breaks ties toward the lower index
-    order = np.argsort(-sims, axis=1, kind="stable")
-    rates: dict[int, float] = {}
-    for k in ks:
-        top = g_ids[order[:, :k]]
-        hit = np.any(top == p_ids[:, None], axis=1)
-        rates[k] = float(np.mean(hit))
-    return rates
+    # entry j's rank: the entries more similar, plus the equally similar ones
+    # at a lower index. A hit at k is a true-id entry of rank < k, so only
+    # the best true-id entry counts: the most similar, the first of a tie.
+    true = g_ids[None, :] == p_ids[:, None]
+    best = np.argmax(np.where(true, sims, -np.inf), axis=1)
+    best_sim = sims[np.arange(len(p_ids)), best][:, None]
+    before = np.arange(len(g_ids))[None, :] < best[:, None]
+    rank = np.count_nonzero((sims > best_sim) | ((sims == best_sim) & before), axis=1)
+    return {k: float(np.mean(rank < k)) for k in ks}
 
 
 @dataclass(frozen=True)

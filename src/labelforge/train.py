@@ -79,27 +79,12 @@ def _encode(enc: EncoderParams, X: np.ndarray):
     return out, (hidden, pre, safe)
 
 
-def _loss_and_grads(
-    W: np.ndarray,
-    enc: EncoderParams,
-    X: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-    cfg: LossConfig,
-    grads: bool = True,
-):
-    """Weighted mean cosine-margin loss and gradients w.r.t. the raw head
-    matrix (rows normalized inside) and the encoder params.
-
-    Works in the dtype of its inputs. With ``grads=False`` only the loss is
-    computed and both gradients are None.
-    """
-    b = X.shape[0]
-    rows = np.arange(b)
-    row_norms = np.linalg.norm(W, axis=1)
-    W_hat = W / row_norms[:, None]
-
-    F, (hidden, pre, safe) = _encode(enc, X)
+def _forward(W_hat: np.ndarray, enc: EncoderParams, X: np.ndarray, y: np.ndarray, cfg: LossConfig):
+    """Per-sample cosine-margin NLL under the unit head rows ``W_hat``, with
+    what the backward pass reuses: the exponentiated shifted logits, their
+    row sums, the encoded features and the encoder's intermediates."""
+    rows = np.arange(X.shape[0])
+    F, cache = _encode(enc, X)
 
     # one softmax pass, in place: scaled logits, shifted, exponentiated
     logits = F @ W_hat.T
@@ -109,11 +94,28 @@ def _loss_and_grads(
     target = logits[rows, y]
     exp = np.exp(logits, out=logits)
     sums = exp.sum(axis=1)
-    nll = np.log(sums) - target
+    return np.log(sums) - target, exp, sums, F, cache
+
+
+def _loss_and_grads(
+    W: np.ndarray,
+    enc: EncoderParams,
+    X: np.ndarray,
+    y: np.ndarray,
+    weights: np.ndarray,
+    cfg: LossConfig,
+):
+    """Weighted mean cosine-margin loss and gradients w.r.t. the raw head
+    matrix (rows normalized inside) and the encoder params.
+
+    Works in the dtype of its inputs.
+    """
+    rows = np.arange(X.shape[0])
+    row_norms = np.linalg.norm(W, axis=1)
+    W_hat = W / row_norms[:, None]
+    nll, exp, sums, F, (hidden, pre, safe) = _forward(W_hat, enc, X, y, cfg)
     total_w = weights.sum()
     loss = float(np.sum(weights * nll) / total_w)
-    if not grads:
-        return loss, None, None
 
     # the probabilities, normalized in place, become the logit gradient
     dlogits = exp
@@ -134,6 +136,27 @@ def _loss_and_grads(
     dhidden = (dpre @ enc.V.T) * (hidden > 0)
     dU = X.T @ dhidden
     return loss, dW, EncoderParams(W=dWenc, U=dU, V=dV)
+
+
+def _full_loss(
+    W: np.ndarray,
+    enc: EncoderParams,
+    X: np.ndarray,
+    y: np.ndarray,
+    weights: np.ndarray,
+    cfg: LossConfig,
+    chunk: int,
+) -> float:
+    """The loss of :func:`_loss_and_grads` over every row, bit for bit, with
+    the forward pass taken ``chunk`` rows at a time: each row's NLL does not
+    depend on the other rows, and the weighted sum runs once over all of
+    them. The pass then holds one chunk's logits, not the whole set's."""
+    W_hat = W / np.linalg.norm(W, axis=1)[:, None]
+    nll = np.concatenate([
+        _forward(W_hat, enc, X[start : start + chunk], y[start : start + chunk], cfg)[0]
+        for start in range(0, X.shape[0], chunk)
+    ])
+    return float(np.sum(weights * nll) / weights.sum())
 
 
 def _assemble(
@@ -222,7 +245,7 @@ def train_head(
     enc_lr = lr * 0.1  # encoder moves slower than the head
     # overflow surfaces as a non-finite loss, raised below as a typed error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        initial_loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg, grads=False)
+        initial_loss = _full_loss(W, enc, X, y, w, cfg, batch_size)
         for epoch in range(epochs):
             rng.shuffle(order)
             for start in range(0, n, batch_size):
@@ -237,7 +260,7 @@ def train_head(
                 enc.W -= enc_lr * d_enc.W
                 enc.U -= enc_lr * d_enc.U
                 enc.V -= enc_lr * d_enc.V
-        final_loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg, grads=False)
+        final_loss = _full_loss(W, enc, X, y, w, cfg, batch_size)
     if not all(np.isfinite(p).all() for p in (W, enc.W, enc.U, enc.V)):
         raise TrainingDiverged(f"head training diverged: weights not finite (lr={lr})")
     return TrainedModel(

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from labelforge import cluster, noise, train
+from labelforge import cli, cluster, noise, train
 from labelforge.cli import SCHEMA, apply_overrides, load_config, main, run_pipeline
 from labelforge.evt import WeibullParams
 
@@ -462,6 +462,47 @@ def test_head_divergence_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def run_through_noise(tmp_path_factory):
+    """(config, output directory of a run of every stage before retrain)."""
+    root = tmp_path_factory.mktemp("through-noise")
+    cfg = _write_ini(root, TINY_INI, name="tiny.ini")
+    for stage in ("gen", "separate", "cluster", "noise"):
+        assert main([stage, "--config", cfg, "--out", str(root / "out")]) == 0
+    return cfg, root / "out"
+
+
+# the two heads train at the same time; the hard head's outcome comes first
+@pytest.mark.parametrize(
+    "diverging, written",
+    [({"soft"}, ["hard.npz"]), ({"hard"}, []), ({"hard", "soft"}, [])],
+    ids=["soft", "hard", "both"],
+)
+def test_retrain_head_divergence_exits_2(run_through_noise, tmp_path, capsys, monkeypatch,
+                                         diverging, written):
+    cfg, finished = run_through_noise
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    real = train.train_head
+    # one learning rate per head: the message names the one that failed
+    lrs = {"hard": 1e30, "soft": 1e31}
+
+    def train_head(*args, use_weights=False, **kwargs):
+        variant = "soft" if use_weights else "hard"
+        if variant in diverging:
+            kwargs["lr"] = lrs[variant]
+        return real(*args, use_weights=use_weights, **kwargs)
+
+    monkeypatch.setattr(train, "train_head", train_head)
+    assert main(["retrain", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'retrain' failed:") and "diverged" in err
+    assert f"(lr={lrs['hard' if 'hard' in diverging else 'soft']})" in err
+    assert "Traceback" not in err
+    assert not (out / "stage_retrain.json").exists()
+    assert [name for name in ("hard.npz", "soft.npz") if (out / name).exists()] == written
+
+
 def test_noise_classifier_divergence_exits_2(tmp_path, capsys, recwarn, monkeypatch):
     monkeypatch.setattr(
         noise, "train_linear_classifier",
@@ -618,6 +659,20 @@ def test_truncated_archive_exits_2(run_copy, capsys, name, stage):
     code, err = _stage_exit(capsys, stage, cfg, out)
     assert code == 2
     assert err.startswith(f"error: stage '{stage}' failed:") and name in err
+
+
+def test_retrained_heads_equal_two_trainings_in_turn(finished_run, tmp_path):
+    # the stage trains the soft head on a worker thread beside the hard one
+    cfg_path, out = finished_run
+    cfg = apply_overrides(load_config(cfg_path), out=str(out))
+    train_emb, train_labels, labeled_idx, unlabeled_idx, _ = cli._load_split(cfg)
+    dis_emb, _ = cli._load_disjoint(cfg, train_emb, train_labels, unlabeled_idx)
+    pseudo = (dis_emb, cli._load_clustering(cfg, "pseudo_clusters_pm.npz", dis_emb.n))
+    labeled = cli._subset(train_emb, train_labels, labeled_idx)
+    for variant, use_weights in (("hard", False), ("soft", True)):
+        model = cli._train_head(cfg, labeled, pseudo, use_weights)
+        train.save_trained_model(model, tmp_path / f"{variant}.npz")
+        assert (tmp_path / f"{variant}.npz").read_bytes() == (out / f"{variant}.npz").read_bytes()
 
 
 def test_missing_model_archive_exits_2(run_copy, capsys):

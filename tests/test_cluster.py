@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from labelforge import errors
+from labelforge import cluster, errors
 from labelforge.cluster import (
     GcnModel,
     _forward,
@@ -468,6 +468,23 @@ def test_union_augment_equals_set_reference_on_a_sweep():
     got = proposal_reference.pairs(union_augment(props, count, seed=3))
     assert len(got) == count
     assert got == proposal_reference.union_augment(proposal_reference.pairs(props), count, seed=3)
+
+
+@pytest.mark.parametrize(
+    "collide",
+    [lambda values: np.zeros_like(values, dtype=np.uint64),
+     lambda values: np.ones_like(values, dtype=np.uint64)],
+    ids=["every-set", "equal-sizes"],
+)
+def test_union_augment_equals_set_reference_when_keys_collide(monkeypatch, collide):
+    # under salt 0 every set, or every set of one size, shares a key: the
+    # member comparison must catch it and group again under another salt
+    mix = cluster._mix
+    monkeypatch.setattr(cluster, "_mix", lambda v, salt: collide(v) if salt == 0 else mix(v, salt))
+    emb, _ = two_blobs(per_id=30, sigma=0.2, seed=4)
+    props = proposals_from_thresholds(build_knn_graph(emb, k=6), [0.95, 0.9, 0.8, 0.6], max_size=20)
+    got = proposal_reference.pairs(union_augment(props, len(props), seed=3))
+    assert got == proposal_reference.union_augment(proposal_reference.pairs(props), len(props), seed=3)
 
 
 # --- de-overlap ---

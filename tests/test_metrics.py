@@ -281,6 +281,48 @@ def test_identification_rank_k_monotone():
     assert rates[12] == pytest.approx(1.0)  # closed set: all ids present
 
 
+def argsort_identification_rank(gallery, probe, ks):
+    """The full-sort formulation rank counting replaced: a stable sort of
+    each probe's gallery by descending similarity, hits among its first k."""
+    (g_emb, g_ids), (p_emb, p_ids) = gallery, probe
+    g_rows = g_emb.rows / np.linalg.norm(g_emb.rows, axis=1)[:, None]
+    p_rows = p_emb.rows / np.linalg.norm(p_emb.rows, axis=1)[:, None]
+    order = np.argsort(-(p_rows @ g_rows.T), axis=1, kind="stable")
+    return {k: float(np.mean(np.any(g_ids[order[:, :k]] == p_ids[:, None], axis=1))) for k in ks}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    g=st.integers(1, 12),
+    p=st.integers(1, 12),
+    palette=st.integers(1, 4),
+    num_ids=st.integers(1, 5),
+)
+def test_identification_rank_equals_the_stable_sort(data, g, p, palette, num_ids):
+    # rows drawn from a few directions: exact similarity ties; gallery ids
+    # drawn from a few values: identities with several gallery entries
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dirs = rng.standard_normal((palette, 3))
+    g_rows = dirs[data.draw(st.lists(st.integers(0, palette - 1), min_size=g, max_size=g))]
+    p_rows = dirs[data.draw(st.lists(st.integers(0, palette - 1), min_size=p, max_size=p))]
+    g_ids = np.array(data.draw(st.lists(st.integers(0, num_ids - 1), min_size=g, max_size=g)))
+    p_ids = np.array(data.draw(st.lists(st.sampled_from(sorted(set(g_ids.tolist()))),
+                                        min_size=p, max_size=p)))
+    gallery, probe = (EmbeddingSet(g_rows), g_ids), (EmbeddingSet(p_rows), p_ids)
+    ks = (0, 1, 2, 5, g, g + 1)
+    assert identification_rank(gallery, probe, ks) == argsort_identification_rank(gallery, probe, ks)
+
+
+def test_identification_ties_go_to_the_lower_gallery_index():
+    # two gallery entries equally similar to the probe: only the first is rank 1
+    rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    gallery = (EmbeddingSet(rows, normalized=True), np.array([4, 5, 6]))
+    for probe_id, rank1 in ((4, 1.0), (5, 0.0)):
+        probe = (EmbeddingSet(rows[:1], normalized=True), np.array([probe_id]))
+        assert identification_rank(gallery, probe, ks=(1, 2)) == {1: rank1, 2: 1.0}
+
+
 def test_identification_open_probe_rejected():
     gallery = (EmbeddingSet(np.eye(3), normalized=True), np.array([0, 1, 2]))
     probe = (EmbeddingSet(np.eye(3), normalized=True), np.array([0, 1, 7]))

@@ -12,6 +12,7 @@ from labelforge.train import (
     LossConfig,
     TrainedModel,
     _class_mean_init,
+    _full_loss,
     _loss_and_grads,
     embed,
     load_trained_model,
@@ -233,7 +234,24 @@ def test_loss_without_grads_is_the_same_loss(dtype, moved):
     X, y, w, W, enc = _batch(moved, dtype)
     cfg = LossConfig()
     loss, _, _ = _loss_and_grads(W, enc, X, y, w, cfg)
-    assert _loss_and_grads(W, enc, X, y, w, cfg, grads=False) == (loss, None, None)
+    for chunk in (7, 40, 256):
+        assert _full_loss(W, enc, X, y, w, cfg, chunk) == loss
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+def test_chunked_full_set_loss_is_the_one_pass_loss(n):
+    # the training set's dtype and width; the one-pass loss is the reference
+    rng = np.random.default_rng(n)
+    d, k = 128, 12
+    X = rng.standard_normal((n, d)).astype(np.float32)
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    y = rng.integers(0, k, size=n)
+    w = rng.uniform(0.2, 1.0, size=n).astype(np.float32)
+    W = rng.standard_normal((k, d)).astype(np.float32)
+    enc = EncoderParams.identity(d, seed=n)
+    enc.V += (rng.standard_normal((d, d)) * 0.1).astype(np.float32)
+    loss, _, _ = _loss_and_grads(W, enc, X, y, w, LossConfig())
+    assert _full_loss(W, enc, X, y, w, LossConfig(), 256) == loss
 
 
 # --- training ---
