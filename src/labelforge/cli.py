@@ -14,8 +14,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import sys
-import threading
 import time
 
 import numpy as np
@@ -41,6 +41,7 @@ from .data import (
     write_json,
 )
 from .errors import (
+    ChildFailure,
     ConfigError,
     CorruptArtifact,
     InvalidData,
@@ -243,7 +244,8 @@ def _load_split(cfg: PipelineConfig):
     both = np.concatenate([labeled_idx, unlabeled_idx])
     if both.size and not (0 <= both.min() and both.max() < train_emb.n):
         raise CorruptArtifact(f"{path}: sample index out of range for n={train_emb.n}")
-    repeats = both.size - np.unique(both).size
+    both.sort()
+    repeats = int(np.count_nonzero(both[1:] == both[:-1]))
     if repeats:
         raise CorruptArtifact(f"{path}: labeled_idx and unlabeled_idx repeat {repeats} indices")
     return train_emb, train_labels, labeled_idx, unlabeled_idx, gt_overlap
@@ -506,26 +508,44 @@ def stage_retrain(cfg: PipelineConfig) -> dict:
 
     labeled = _subset(train_emb, train_labels, labeled_idx)
     pseudo = (dis_emb, clustering)
-    # the two heads share no state: the soft one trains on a worker thread,
-    # on a second core where there is one (GEMMs and ufuncs release the GIL)
-    soft = {}
-
-    def train_soft():
+    # the two heads share no state: the soft one trains in a forked child, on a
+    # second core where there is one (a thread would wait on the GIL, which a
+    # head step at d=32 holds for most of its time), and pickles its model or
+    # its exception into a pipe
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        exit_code = 1
         try:
-            soft["model"] = _train_head(cfg, labeled, pseudo, use_weights=True)
-        except BaseException as exc:
-            soft["error"] = exc
-
-    worker = threading.Thread(target=train_soft)
-    worker.start()
+            os.close(read_fd)
+            try:
+                result = ("model", _train_head(cfg, labeled, pseudo, use_weights=True))
+            except BaseException as exc:
+                result = ("error", exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            exit_code = 0
+        finally:
+            os._exit(exit_code)
+    os.close(write_fd)
     try:
         models["hard"] = _train_head(cfg, labeled, pseudo, use_weights=False)
         train.save_trained_model(models["hard"], _path(cfg, "hard.npz"))
     finally:
-        worker.join()
-    if "error" in soft:
-        raise soft["error"]
-    models["soft"] = soft["model"]
+        try:
+            with open(read_fd, "rb") as pipe:
+                blob = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    try:
+        kind, value = pickle.loads(blob)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        raise ChildFailure(f"the soft head's process ended ({how}) without a readable result")
+    if kind == "error":
+        raise value
+    models["soft"] = value
     train.save_trained_model(models["soft"], _path(cfg, "soft.npz"))
     return {
         variant: {

@@ -269,11 +269,13 @@ def load_archive(path, spec: dict[str, tuple], optional: tuple[str, ...] = ()) -
     in spec order.
     """
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("a single .npy array")
-        with archive:
-            arrays = {name: archive[name] for name in spec if name in archive.files}
+        # np.load leaves a file it opened itself open when the archive is unreadable
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a single .npy array")
+            with archive:
+                arrays = {name: archive[name] for name in spec if name in archive.files}
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:

@@ -36,6 +36,10 @@ class TrainingDiverged(LabelForgeError):
     """A training run reached a non-finite loss or weight."""
 
 
+class ChildFailure(LabelForgeError):
+    """A forked child process ended without sending a readable result."""
+
+
 class ConfigError(LabelForgeError):
     """A config file or command-line value is rejected; ``forge`` exits 1."""
 

@@ -1,11 +1,13 @@
 import functools
 import json
+import os
 import shutil
+import signal
 
 import numpy as np
 import pytest
 
-from labelforge import cli, cluster, noise, train
+from labelforge import cli, cluster, errors, noise, train
 from labelforge.cli import SCHEMA, apply_overrides, load_config, main, run_pipeline
 from labelforge.evt import WeibullParams
 
@@ -503,6 +505,45 @@ def test_retrain_head_divergence_exits_2(run_through_noise, tmp_path, capsys, mo
     assert [name for name in ("hard.npz", "soft.npz") if (out / name).exists()] == written
 
 
+def _raise_unpicklable():
+    # pickles, but does not unpickle: StageFailure takes two arguments
+    raise errors.StageFailure("retrain", ValueError())
+
+
+# the soft head trains in a forked child: a child that sends no readable
+# result fails the stage by its exit status, and none outlives it
+@pytest.mark.parametrize(
+    "end, how",
+    [
+        (lambda: os._exit(3), "exit status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+        (_raise_unpicklable, "exit status 0"),
+    ],
+    ids=["exit", "killed", "unreadable"],
+)
+def test_retrain_soft_child_without_result_exits_2(run_through_noise, tmp_path, capsys,
+                                                   monkeypatch, end, how):
+    cfg, finished = run_through_noise
+    out = tmp_path / "out"
+    shutil.copytree(finished, out)
+    real = train.train_head
+
+    def train_head(*args, use_weights=False, **kwargs):
+        if use_weights:
+            end()
+        return real(*args, use_weights=use_weights, **kwargs)
+
+    monkeypatch.setattr(train, "train_head", train_head)
+    assert main(["retrain", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: stage 'retrain' failed: the soft head's process ended ({how}) "
+                   "without a readable result\n")
+    assert [name for name in ("hard.npz", "soft.npz", "stage_retrain.json")
+            if (out / name).exists()] == ["hard.npz"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_noise_classifier_divergence_exits_2(tmp_path, capsys, recwarn, monkeypatch):
     monkeypatch.setattr(
         noise, "train_linear_classifier",
@@ -662,7 +703,7 @@ def test_truncated_archive_exits_2(run_copy, capsys, name, stage):
 
 
 def test_retrained_heads_equal_two_trainings_in_turn(finished_run, tmp_path):
-    # the stage trains the soft head on a worker thread beside the hard one
+    # the stage trains the soft head in a forked child beside the hard one
     cfg_path, out = finished_run
     cfg = apply_overrides(load_config(cfg_path), out=str(out))
     train_emb, train_labels, labeled_idx, unlabeled_idx, _ = cli._load_split(cfg)

@@ -1,5 +1,7 @@
 import errno
+import gc
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +274,17 @@ def test_archive_rejects_unreadable_file(tmp_path, blob):
     path.write_bytes(blob)
     with pytest.raises(errors.CorruptArtifact, match="not a readable .npz archive"):
         load_archive(path, SPLIT_SPEC)
+
+
+def test_unreadable_archive_closes_its_file(tmp_path):
+    path = tmp_path / "a.npz"
+    path.write_bytes(_saved(lambda f, arrays: np.savez(f, **arrays), _split_arrays())[:-40])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(errors.CorruptArtifact, match="not a readable .npz archive"):
+            load_archive(path, SPLIT_SPEC)
+        gc.collect()
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_missing_archive_is_io_failure(tmp_path):
